@@ -69,9 +69,18 @@ def _report_from_values(q: int, values: np.ndarray) -> ResistanceReport:
     return ResistanceReport(q, float(values[idx]), idx + 1, values)
 
 
-def _phase_means(q: int, elements: tuple[int, ...], xs: np.ndarray) -> np.ndarray:
-    b = np.asarray(elements, dtype=np.int64)
-    phases = (2.0 * np.pi / q) * ((b[:, None] * xs[None, :]) % q)
+def _phase_means(
+    q: int, elements: tuple[int, ...], xs: int | np.ndarray
+) -> np.ndarray:
+    # Mean over B of exp(2*pi*i*b*x/q) for each x, with b*x reduced mod q
+    # first: in Python ints for one x, so no product wraps, and in int64
+    # for an array of sweep points, where q <= 2**20 keeps b*x in range.
+    if isinstance(xs, int):
+        residues = [[(b * xs) % q] for b in elements]
+        phases = (2.0 * np.pi / q) * np.array(residues, dtype=np.float64)
+    else:
+        b = np.asarray(elements, dtype=np.int64)
+        phases = (2.0 * np.pi / q) * ((b[:, None] * xs[None, :]) % q)
     return np.exp(1j * phases).mean(axis=0)
 
 
@@ -80,7 +89,7 @@ def bias(biased: BiasedSet, x: int) -> float:
     x = int(x)
     if not 0 <= x < biased.q:
         raise ValueError(f"x must be in [0, q), got {x} with q={biased.q}")
-    return float(abs(_phase_means(biased.q, biased.elements, np.array([x]))[0]))
+    return float(abs(_phase_means(biased.q, biased.elements, x)[0]))
 
 
 def shift_normalize(biased: BiasedSet) -> BiasedSet:
@@ -105,13 +114,16 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
 
 
 def _closed_inner_values(
-    q: int, elements: tuple[int, ...], dx: np.ndarray, with_sum: bool
+    q: int, elements: tuple[int, ...], dx: int | np.ndarray, with_sum: bool
 ) -> np.ndarray:
-    # Signed inner products for an array of differences dx. One cosine
-    # factor per parameter, multiplied in parameter order so scalar and
-    # sweep callers agree bitwise.
-    dx = np.asarray(dx, dtype=np.int64)
-    out = np.ones(dx.shape)
+    # Signed inner products for one difference dx, a Python int reduced
+    # exactly at any size, or for an array of sweep differences, where
+    # |dx| <= q <= 2**20 keeps s*dx inside int64. One cosine factor per
+    # parameter, multiplied in parameter order so scalar and sweep callers
+    # agree bitwise.
+    if not isinstance(dx, int):
+        dx = np.asarray(dx, dtype=np.int64)
+    out = np.ones(np.shape(dx))
     factors = list(elements)
     if with_sum:
         factors.append(sum(elements))
@@ -125,9 +137,9 @@ def closed_inner_single(
 ) -> float:
     """Inner product of the single-qubit-form hashes of x1 and x2, evaluated
     in closed form. Depends only on x1 - x2."""
-    dx = np.array([int(x1) - int(x2)], dtype=np.int64)
+    dx = int(x1) - int(x2)
     return float(
-        _closed_inner_values(params.q, params.elements, dx, include_sum_qubit)[0]
+        _closed_inner_values(params.q, params.elements, dx, include_sum_qubit)
     )
 
 
@@ -192,7 +204,7 @@ def cosine_sum_check(biased: BiasedSet, x: int) -> tuple[float, float]:
     x = int(x)
     if not 0 < x < biased.q:
         raise ValueError(f"x must be in [1, q), got {x} with q={biased.q}")
-    mean = _phase_means(biased.q, biased.elements, np.array([x]))[0]
+    mean = _phase_means(biased.q, biased.elements, x)[0]
     return float(abs(mean.real)), float(abs(mean))
 
 

@@ -26,13 +26,28 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .statevec import GateOp, StateVector, run_circuit, zero_state
 
 MAX_PARAMS = 20
+
+# One input residue, or a 1-D array of them for a batched circuit.
+Inputs = Union[int, Sequence[int], np.ndarray]
+
+
+def _check_modulus(q: object) -> int:
+    try:
+        value = operator.index(q)
+    except TypeError:
+        raise ValueError(f"modulus must be an integer, got {q!r}") from None
+    if value < 2:
+        raise ValueError(f"modulus must be at least 2, got {q!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,8 +62,7 @@ class ParamSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.q}")
+        object.__setattr__(self, "q", _check_modulus(self.q))
         n = len(self.elements)
         if not 1 <= n <= MAX_PARAMS:
             raise ValueError(
@@ -79,8 +93,7 @@ class BiasedSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.q}")
+        object.__setattr__(self, "q", _check_modulus(self.q))
         if not self.elements:
             raise ValueError("residue set must not be empty")
         object.__setattr__(
@@ -128,21 +141,42 @@ def _angle_2pi(k: int, q: int) -> float:
     return 2.0 * math.pi * (k % (2 * q)) / q
 
 
-def standard_hash_circuit(biased: BiasedSet, x: int) -> tuple[GateOp, ...]:
+def _inputs(x: Inputs) -> int | list[int]:
+    # One x as a Python int, or a batch as a list of Python ints, so the
+    # numerators s * x below are exact however large they grow.
+    if np.ndim(x) == 0:
+        return int(x)
+    if np.ndim(x) != 1:
+        raise ValueError(f"inputs must be one integer or a 1-D array, got {x!r}")
+    return [int(v) for v in x]
+
+
+def _angles(
+    angle: Callable[[int, int], float], factor: int, x: int | list[int], q: int
+) -> float | np.ndarray:
+    # angle(factor * x, q) for one x; a (B,) array of them for a batch.
+    if isinstance(x, list):
+        return np.array([angle(factor * v, q) for v in x], dtype=np.float64)
+    return angle(factor * x, q)
+
+
+def standard_hash_circuit(biased: BiasedSet, x: Inputs) -> tuple[GateOp, ...]:
     """Gate list for the standard form: H layer on the address register,
-    then one multiplexed Ry on the target. Needs |B| to be a power of two."""
+    then one multiplexed Ry on the target. Needs |B| to be a power of two.
+    For a 1-D array of x the ucr angles are a (len(x), |B|) array."""
     d = biased.size
     if d & (d - 1):
         raise ValueError(f"set size must be a power of two, got {d}")
     n = d.bit_length() - 1
-    x = int(x)
+    x = _inputs(x)
     ops = [GateOp("h", target=k) for k in range(n)]
+    angles = [_angles(_angle_4pi, b, x, biased.q) for b in biased.elements]
     ops.append(
         GateOp(
             "ucr",
             target=n,
             control_qubits=tuple(range(n)),
-            angles=tuple(_angle_4pi(b * x, biased.q) for b in biased.elements),
+            angles=np.stack(angles, axis=-1) if isinstance(x, list) else tuple(angles),
         )
     )
     return tuple(ops)
@@ -154,11 +188,12 @@ def build_standard_hash(biased: BiasedSet, x: int) -> StateVector:
     return run_circuit(zero_state(ops[-1].target + 1), ops)
 
 
-def shallow_hash_circuit(params: ParamSet, x: int) -> tuple[GateOp, ...]:
+def shallow_hash_circuit(params: ParamSet, x: Inputs) -> tuple[GateOp, ...]:
     """Gate list for the shallow form: H layer, then one two-qubit controlled
-    rotation per parameter, all targeting the last qubit."""
+    rotation per parameter, all targeting the last qubit. For a 1-D array
+    of x each angle is an array, one per x."""
     n = params.size
-    x = int(x)
+    x = _inputs(x)
     ops = [GateOp("h", target=k) for k in range(n)]
     for k, s in enumerate(params.elements):
         ops.append(
@@ -166,7 +201,7 @@ def shallow_hash_circuit(params: ParamSet, x: int) -> tuple[GateOp, ...]:
                 "cry",
                 target=n,
                 controls=((k, 1),),
-                angle=_angle_4pi(s * x, params.q),
+                angle=_angles(_angle_4pi, s, x, params.q),
             )
         )
     return tuple(ops)
@@ -179,24 +214,19 @@ def build_shallow_hash(params: ParamSet, x: int) -> StateVector:
 
 
 def single_qubit_hash_circuit(
-    params: ParamSet, x: int, include_sum_qubit: bool = False
+    params: ParamSet, x: Inputs, include_sum_qubit: bool = False
 ) -> tuple[GateOp, ...]:
     """Gate list for the entanglement-free form: one Ry per parameter, each
-    on its own qubit, plus one more for sum(S) when requested. Depth 1."""
-    x = int(x)
-    ops = [
-        GateOp("ry", target=j, angle=_angle_2pi(s * x, params.q))
-        for j, s in enumerate(params.elements)
-    ]
+    on its own qubit, plus one more for sum(S) when requested. Depth 1.
+    For a 1-D array of x each angle is an array, one per x."""
+    x = _inputs(x)
+    factors = list(params.elements)
     if include_sum_qubit:
-        ops.append(
-            GateOp(
-                "ry",
-                target=params.size,
-                angle=_angle_2pi(params.total * x, params.q),
-            )
-        )
-    return tuple(ops)
+        factors.append(params.total)
+    return tuple(
+        GateOp("ry", target=j, angle=_angles(_angle_2pi, s, x, params.q))
+        for j, s in enumerate(factors)
+    )
 
 
 def build_single_qubit_hash(
@@ -210,6 +240,8 @@ def build_single_qubit_hash(
 def separability_defect(state: StateVector) -> float:
     """Largest second singular value over all contiguous bipartitions; zero
     (up to float error) exactly when the state is a full product state."""
+    if state.batch:
+        raise ValueError("separability_defect takes a single state, not a batch")
     m = state.num_qubits
     worst = 0.0
     for cut in range(1, m):

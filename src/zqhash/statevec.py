@@ -10,6 +10,10 @@ Conventions:
     value j written as bits j_0 j_1 ... j_{n-1}, bit j_0 lives on qubit 0.
   - Angles are radians. Ry(theta) = [[cos(t), -sin(t)], [sin(t), cos(t)]]
     with t = theta / 2, so Ry has period 4*pi.
+  - A state is one register, amplitudes of shape (2**m,), or a batch of
+    B registers, shape (B, 2**m). Gates act on every row; an angle is one
+    number or a (B,) array, one per row. Each row of a batched run is
+    bitwise the single-state run of its input.
   - Gate functions mutate the passed state in place and return it.
   - States are plain data; nothing here touches shared globals, so values
     can be handed freely between threads as long as a single state is not
@@ -27,37 +31,50 @@ MAX_QUBITS = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# H applied to a qubit still in |0> (a1 == 0, as in every hash circuit)
+# gives exactly (a0 + a1) * _INV_SQRT2 and (a0 - a1) * _INV_SQRT2.
+_HADAMARD = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
+
 
 @dataclass
 class StateVector:
-    """Amplitudes of an m-qubit register, length 2**m, qubit 0 as MSB."""
+    """Amplitudes of an m-qubit register, shape (2**m,), or of a batch of
+    them, shape (B, 2**m); qubit 0 is the MSB."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
-        if self.amplitudes.shape != (1 << self.num_qubits,):
+        shape = self.amplitudes.shape
+        if not 1 <= len(shape) <= 2 or shape[-1] != 1 << self.num_qubits:
             raise ValueError(
-                f"amplitude vector must have length 2**{self.num_qubits}, "
-                f"got shape {self.amplitudes.shape}"
+                f"amplitudes must have shape (2**{self.num_qubits},) or "
+                f"(batch, 2**{self.num_qubits}), got {shape}"
             )
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """() for one register, (B,) for a batch of B."""
+        return self.amplitudes.shape[:-1]
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm; an array of one per row for a batch."""
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
 
-def zero_state(num_qubits: int) -> StateVector:
-    """All-zeros basis state |0...0> on `num_qubits` qubits."""
+def zero_state(num_qubits: int, batch: int | None = None) -> StateVector:
+    """All-zeros basis state |0...0> on `num_qubits` qubits; `batch`
+    copies of it stacked along a leading axis when given."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(
             f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
-    amps = np.zeros(1 << num_qubits)
-    amps[0] = 1.0
+    amps = np.zeros((() if batch is None else (batch,)) + (1 << num_qubits,))
+    amps[..., 0] = 1.0
     return StateVector(num_qubits, amps)
 
 
@@ -71,149 +88,120 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return state
 
 
-def _check_target(state: StateVector, target: int) -> None:
-    if not 0 <= target < state.num_qubits:
-        raise ValueError(
-            f"target qubit {target} out of range for {state.num_qubits} qubits"
-        )
+def _check_wires(num_qubits: int, target: int, controls, mux) -> None:
+    # The one wire validator: in range, pairwise distinct, polarities 0/1.
+    wires = [target, *(qubit for qubit, _ in controls), *mux]
+    for qubit in wires:
+        if not 0 <= qubit < num_qubits:
+            raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"target and control qubits must be distinct, got {wires}")
+    for _, bit in controls:
+        if bit not in (0, 1):
+            raise ValueError(f"control polarity must be 0 or 1, got {bit!r}")
 
 
-def _check_angle(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
+def _ry_matrix(theta) -> np.ndarray:
+    # Shape (2, 2) + shape of theta. The entry -s makes the kernel's
+    # c*a0 + (-s)*a1 bit-equal to c*a0 - s*a1.
+    half = np.asarray(theta, dtype=np.float64) / 2.0
+    if not np.isfinite(half).all():
+        raise ValueError("rotation angles must be finite")
+    cos_half, sin_half = np.cos(half), np.sin(half)
+    return np.array([[cos_half, -sin_half], [sin_half, cos_half]])
 
 
-def _pair_indices(num_qubits: int, target: int, fixed: Sequence[tuple[int, int]] = ()):
-    # Full multi-axis selectors for the target=0 and target=1 subspaces,
-    # with any control axes pinned to their required bit.
-    sel: list[object] = [slice(None)] * num_qubits
-    for qubit, bit in fixed:
-        sel[qubit] = bit
-    lo = list(sel)
-    hi = list(sel)
-    lo[target] = 0
-    hi[target] = 1
-    return tuple(lo), tuple(hi)
-
-
-def _rotate_pair(view: np.ndarray, lo, hi, cos_half: float, sin_half: float) -> None:
+def _apply_2x2(
+    state: StateVector, target: int, controls, mux, matrix: np.ndarray
+) -> StateVector:
+    """The one gate kernel: real 2x2 `matrix` [[m00, m01], [m10, m11]] on
+    `target`, on the subspace where each (qubit, bit) of `controls` holds
+    its bit. `matrix` has shape (2, 2) + lead + (2,) * len(mux): lead is ()
+    for one matrix or (B,) for one per row, and the last axes pick the
+    matrix by the value of each multiplexer qubit in `mux`."""
+    m = state.num_qubits
+    mux = tuple(mux)
+    _check_wires(m, target, controls, mux)
+    # The matrix's batch shape; one unlike the state's fails to broadcast.
+    lead = matrix.shape[2 : matrix.ndim - len(mux)]
+    # View the amplitudes with one axis per gate wire and one per run of
+    # the other qubits, so a pair slice has few, long axes: the batch axis,
+    # then the runs and the multiplexer wires, which `entry` sizes.
+    pinned = dict(controls)
+    shape: list[int] = []
+    lo: list[object] = [Ellipsis]
+    entry: list[int] = []
+    in_run = False
+    for qubit in range(m):
+        wire = qubit == target or qubit in pinned or qubit in mux
+        if in_run and not wire:
+            shape[-1] *= 2
+            continue
+        in_run = not wire
+        shape.append(2)
+        if qubit == target:
+            split = len(lo)
+            lo.append(0)
+        elif qubit in pinned:
+            lo.append(pinned[qubit])
+        else:
+            lo.append(slice(None))
+            entry.append(2 if wire else 1)
+    if lead or mux:
+        first = 2 + len(lead)
+        order = sorted(range(len(mux)), key=mux.__getitem__)
+        matrix = matrix.transpose(*range(first), *(first + i for i in order))
+        matrix = matrix.reshape(matrix.shape[:first] + tuple(entry))
+    view = state.amplitudes.reshape(state.batch + tuple(shape))
+    lo, hi = tuple(lo), (*lo[:split], 1, *lo[split + 1 :])
     a0 = view[lo].copy()
-    a1 = view[hi]
-    view[lo] = cos_half * a0 - sin_half * a1
-    view[hi] = sin_half * a0 + cos_half * a1
-
-
-def apply_ry(state: StateVector, target: int, theta: float) -> StateVector:
-    """Rotate `target` about the Bloch y-axis by `theta`, in place."""
-    _check_target(state, target)
-    _check_angle(theta)
-    half = theta / 2.0
-    view = state.amplitudes.reshape([2] * state.num_qubits)
-    lo, hi = _pair_indices(state.num_qubits, target)
-    _rotate_pair(view, lo, hi, math.cos(half), math.sin(half))
+    a1 = view[hi].copy()
+    view[lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
+    view[hi] = matrix[1, 0] * a0 + matrix[1, 1] * a1
     return state
+
+
+def apply_ry(state: StateVector, target: int, theta) -> StateVector:
+    """Rotate `target` about the Bloch y-axis by `theta` (a number, or a
+    (B,) array for a batch), in place."""
+    return _apply_2x2(state, target, (), (), _ry_matrix(theta))
 
 
 def apply_h(state: StateVector, target: int) -> StateVector:
     """Hadamard on `target`, in place."""
-    _check_target(state, target)
-    view = state.amplitudes.reshape([2] * state.num_qubits)
-    lo, hi = _pair_indices(state.num_qubits, target)
-    a0 = view[lo].copy()
-    a1 = view[hi]
-    view[lo] = (a0 + a1) * _INV_SQRT2
-    view[hi] = (a0 - a1) * _INV_SQRT2
-    return state
-
-
-def _check_controls(
-    state: StateVector, controls: Sequence[tuple[int, int]], target: int
-) -> None:
-    seen: set[int] = set()
-    for qubit, bit in controls:
-        if not 0 <= qubit < state.num_qubits:
-            raise ValueError(
-                f"control qubit {qubit} out of range for {state.num_qubits} qubits"
-            )
-        if bit not in (0, 1):
-            raise ValueError(f"control polarity must be 0 or 1, got {bit!r}")
-        if qubit == target:
-            raise ValueError(f"control qubit {qubit} overlaps the target")
-        if qubit in seen:
-            raise ValueError(f"control qubit {qubit} listed twice")
-        seen.add(qubit)
+    return _apply_2x2(state, target, (), (), _HADAMARD)
 
 
 def apply_controlled_ry(
-    state: StateVector,
-    controls: Sequence[tuple[int, int]],
-    target: int,
-    theta: float,
+    state: StateVector, controls: Sequence[tuple[int, int]], target: int, theta
 ) -> StateVector:
     """Ry(theta) on `target`, restricted to basis states where every control
     qubit holds its required bit. Controls are (qubit, bit) pairs; bit 1 is a
-    filled dot, bit 0 an open dot. In place."""
-    _check_target(state, target)
-    _check_angle(theta)
-    _check_controls(state, controls, target)
-    half = theta / 2.0
-    view = state.amplitudes.reshape([2] * state.num_qubits)
-    lo, hi = _pair_indices(state.num_qubits, target, controls)
-    _rotate_pair(view, lo, hi, math.cos(half), math.sin(half))
-    return state
+    filled dot, bit 0 an open dot. `theta` as in `apply_ry`. In place."""
+    return _apply_2x2(state, target, tuple(controls), (), _ry_matrix(theta))
 
 
 def apply_ucr(
-    state: StateVector,
-    control_qubits: Sequence[int],
-    target: int,
-    thetas: Sequence[float],
+    state: StateVector, control_qubits: Sequence[int], target: int, thetas
 ) -> StateVector:
     """Uniformly controlled Ry: for each basis value j of the control
     register, rotate `target` by thetas[j] on that subspace. The control
     register is read with control_qubits[0] as the most significant bit.
-    In place."""
-    _check_target(state, target)
-    controls = list(control_qubits)
-    n = len(controls)
-    if len(thetas) != 1 << n:
-        raise ValueError(
-            f"need 2**{n} angles for {n} control qubits, got {len(thetas)}"
-        )
-    seen: set[int] = set()
-    for qubit in controls:
-        if not 0 <= qubit < state.num_qubits:
-            raise ValueError(
-                f"control qubit {qubit} out of range for {state.num_qubits} qubits"
-            )
-        if qubit == target or qubit in seen:
-            raise ValueError(f"control qubit {qubit} overlaps another wire")
-        seen.add(qubit)
-    half = np.asarray(thetas, dtype=np.float64) / 2.0
-    if not np.all(np.isfinite(half)):
-        raise ValueError("rotation angles must be finite")
-
-    m = state.num_qubits
-    view = state.amplitudes.reshape([2] * m)
-    rest = [ax for ax in range(m) if ax not in seen and ax != target]
-    # Axis order: controls (MSB first), untouched qubits, target last.
-    arr = np.moveaxis(view, controls + rest + [target], range(m))
-    shape = [2] * n + [1] * (m - 1 - n)
-    cos_half = np.cos(half).reshape(shape)
-    sin_half = np.sin(half).reshape(shape)
-    a0 = arr[..., 0].copy()
-    a1 = arr[..., 1]
-    arr[..., 0] = cos_half * a0 - sin_half * a1
-    arr[..., 1] = sin_half * a0 + cos_half * a1
-    return state
+    `thetas` has 2**n entries, or shape (B, 2**n) for a batch. In place."""
+    n = len(control_qubits)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.shape[-1:] != (1 << n,):
+        raise ValueError(f"need 2**{n} angles for {n} controls, got {thetas.shape}")
+    thetas = thetas.reshape(thetas.shape[:-1] + (2,) * n)
+    return _apply_2x2(state, target, (), control_qubits, _ry_matrix(thetas))
 
 
 def inner_product(a: StateVector, b: StateVector) -> float:
     """Real inner product sum_i a_i * b_i of two equal-width states."""
+    if a.batch or b.batch:
+        raise ValueError("inner_product takes single states, not batches")
     if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"
-        )
+        raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
     return float(np.dot(a.amplitudes, b.amplitudes))
 
 
@@ -225,14 +213,17 @@ class GateOp:
     kind "ry": Ry(angle) on `target`.
     kind "cry": Ry(angle) on `target` under `controls` (qubit, bit) pairs.
     kind "ucr": multiplexed Ry over `control_qubits` with 2**n `angles`.
+
+    For a batched circuit `angle` is a (B,) array and `angles` a
+    (B, 2**n) array.
     """
 
     kind: str
     target: int
-    angle: float = 0.0
+    angle: float | np.ndarray = 0.0
     controls: tuple[tuple[int, int], ...] = ()
     control_qubits: tuple[int, ...] = ()
-    angles: tuple[float, ...] = ()
+    angles: tuple[float, ...] | np.ndarray = ()
 
     def is_multi_qubit(self) -> bool:
         return bool(self.controls) or bool(self.control_qubits)
@@ -251,9 +242,12 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 
 
 def run_circuit(state: StateVector, ops: Iterable[GateOp]) -> StateVector:
+    """Apply `ops` in order, then check that every row kept unit norm."""
     for op in ops:
         apply_gate(state, op)
-    assert abs(state.norm() - 1.0) < 1e-10, "state norm drifted"
+    drift = np.abs(state.norm() - 1.0)
+    if not np.all(drift < 1e-10):
+        raise ValueError(f"state norm drifted from 1 by {float(np.max(drift))!r}")
     return state
 
 
@@ -265,7 +259,12 @@ def scale_angles(ops: Iterable[GateOp], factor: float) -> tuple[GateOp, ...]:
     out = []
     for op in ops:
         if op.kind == "ucr":
-            out.append(replace(op, angles=tuple(a * factor for a in op.angles)))
+            angles = op.angles
+            if isinstance(angles, np.ndarray):
+                angles = angles * factor
+            else:
+                angles = tuple(a * factor for a in angles)
+            out.append(replace(op, angles=angles))
         elif op.kind in ("ry", "cry"):
             out.append(replace(op, angle=op.angle * factor))
         else:

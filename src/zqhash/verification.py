@@ -32,6 +32,7 @@ from .analysis import (
     collision_resistance,
 )
 from .hashing import (
+    MAX_PARAMS,
     HashForm,
     ParamSet,
     shallow_hash_circuit,
@@ -39,10 +40,10 @@ from .hashing import (
 )
 from .statevec import (
     GateOp,
+    StateVector,
     apply_controlled_ry,
     apply_ry,
     apply_ucr,
-    basis_state,
     run_circuit,
     scale_angles,
     zero_state,
@@ -50,6 +51,10 @@ from .statevec import (
 
 DEFAULT_SEED = 0xC0FFEE
 DEVIATION_TOL = 1e-10
+
+# Amplitudes per batch of basis inputs in the multiplexed-Ry check, so its
+# memory stays bounded at any width.
+_UCR_BATCH_AMPLITUDES = 1 << 16
 
 
 @dataclass
@@ -72,11 +77,13 @@ def check_ucr_decomposition(
 ) -> CheckResult:
     """Multiplexed Ry with branch angles base + sum of per-bit parts versus
     the flat circuit of one Ry(base) and n controlled Ry(part_k), compared
-    componentwise on every basis input."""
+    componentwise on every basis input. Basis inputs run as batches."""
     worst = 0.0
     cases = 0
     for n in range(1, n_max + 1):
         rng = np.random.default_rng([seed, n])
+        dim = 1 << (n + 1)
+        rows = max(1, _UCR_BATCH_AMPLITUDES // dim)
         for _ in range(vectors_per_n):
             base = float(rng.uniform(0.0, 4.0 * np.pi))
             parts = rng.uniform(0.0, 4.0 * np.pi, size=n)
@@ -85,10 +92,12 @@ def check_ucr_decomposition(
                 + sum(parts[k] for k in range(n) if (j >> (n - 1 - k)) & 1)
                 for j in range(1 << n)
             ]
-            for index in range(1 << (n + 1)):
-                multiplexed = basis_state(n + 1, index)
+            for start in range(0, dim, rows):
+                # Basis inputs start, start + 1, ... as rows.
+                basis = np.eye(min(rows, dim - start), dim, k=start)
+                multiplexed = StateVector(n + 1, basis.copy())
                 apply_ucr(multiplexed, range(n), n, thetas)
-                flat = basis_state(n + 1, index)
+                flat = StateVector(n + 1, basis)
                 apply_ry(flat, n, base * gate_angle_scale)
                 for k in range(n):
                     apply_controlled_ry(
@@ -100,7 +109,7 @@ def check_ucr_decomposition(
                         np.max(np.abs(multiplexed.amplitudes - flat.amplitudes))
                     ),
                 )
-                cases += 1
+                cases += basis.shape[0]
     return _result(
         "ucr_decomposition",
         worst,
@@ -116,13 +125,12 @@ def _random_params(rng: np.random.Generator, q: int, n_max: int) -> ParamSet:
 def _built_gram(
     q: int,
     num_qubits: int,
-    circuit_for_x: Callable[[int], Sequence[GateOp]],
+    circuit_for_x: Callable[[np.ndarray], Sequence[GateOp]],
     gate_angle_scale: float,
 ) -> np.ndarray:
-    mat = np.empty((q, 1 << num_qubits))
-    for x in range(q):
-        ops = scale_angles(circuit_for_x(x), gate_angle_scale)
-        mat[x] = run_circuit(zero_state(num_qubits), ops).amplitudes
+    # Gram matrix of the states of x = 0..q-1, built as one batched run.
+    ops = scale_angles(circuit_for_x(np.arange(q)), gate_angle_scale)
+    mat = run_circuit(zero_state(num_qubits, batch=q), ops).amplitudes
     return mat @ mat.T
 
 
@@ -275,7 +283,15 @@ def run_all_checks(
     gate_angle_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Run the four checks over q in [2, q_max]. `trials` sets the number
-    of random parameter sets per modulus and basis vectors per width."""
+    of random parameter sets per modulus and angle draws per width. Raises
+    ValueError, before any work, when a check would have nothing to check
+    or `n_max` is outside [1, MAX_PARAMS]."""
+    if q_max < 2:
+        raise ValueError(f"q_max must be at least 2, got {q_max}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= n_max <= MAX_PARAMS:
+        raise ValueError(f"n_max must be in [1, {MAX_PARAMS}], got {n_max}")
     q_values = range(2, q_max + 1)
     return [
         check_ucr_decomposition(

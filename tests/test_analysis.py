@@ -293,3 +293,48 @@ class TestEqualityTestProb:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             equality_test_prob(zero_state(1), zero_state(2))
+
+
+class TestLargeModulusExactness:
+    # Products s*dx and b*x past int64 are reduced in Python ints.
+
+    def test_closed_inner_single_past_int64(self):
+        q = 10**12
+        params = ParamSet(q, (q - 1,))
+        assert closed_inner_single(params, q - 1, 0) == 1.0
+
+    def test_closed_inner_accepts_huge_inputs(self):
+        params = ParamSet(17, (3, 5))
+        x = 2**70
+        assert closed_inner_single(params, x, 0) == closed_inner_single(
+            params, x % 34, 0
+        )
+
+    def test_bias_past_int64(self):
+        q, b, x = 1099511627791, 1099511627776, 549755813888
+        value = bias(BiasedSet(q, (0, b)), x)
+        expected = abs(1 + cmath.exp(2j * math.pi * ((b * x) % q) / q)) / 2
+        assert_allclose(value, expected, rtol=1e-6)
+        assert value < 1e-9
+
+    def test_cosine_sum_check_past_int64(self):
+        q, b, x = 1099511627791, 1099511627776, 549755813888
+        cos_part, full = cosine_sum_check(BiasedSet(q, (0, b)), x)
+        assert full < 1e-9
+        assert cos_part <= full
+
+    @given(
+        st.sampled_from([7, 101, 2**31 - 1, 2**31 + 11, 2**40 + 15, 10**12]),
+        st.lists(st.integers(0, 2**64), min_size=1, max_size=5),
+        st.integers(-(2**70), 2**70),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_python_int_oracle(self, q, elements, dx, with_sum):
+        params = ParamSet(q, tuple(elements))
+        factors = list(params.elements) + ([params.total] if with_sum else [])
+        expected = 1.0
+        for s in factors:
+            expected *= math.cos(math.pi * ((s * dx) % (2 * q)) / q)
+        actual = closed_inner_single(params, dx, 0, include_sum_qubit=with_sum)
+        assert abs(actual - expected) < 1e-9

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -334,3 +335,36 @@ class TestTopLevel:
 
     def test_version_exits_0(self, capsys):
         assert run_cli(capsys, ["--version"])[0] == 0
+
+
+class TestVerifyInputs:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--q-max", "1"],
+            ["--trials", "0"],
+            ["--n-max", "0"],
+            ["--n-max", "21"],
+        ],
+    )
+    def test_inputs_that_check_nothing_exit_2(self, capsys, monkeypatch, flags):
+        def started(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr("zqhash.verification.check_ucr_decomposition", started)
+        code, out, err = run_cli(capsys, ["verify", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+class TestLargeModulusExactness:
+    def test_single_x_bias_reduces_products_exactly(self, capsys):
+        # b*x = 2**79 wraps int64; the true bias is about 3.2e-10, not 1.
+        q, b, x = 1099511627791, 1099511627776, 549755813888
+        document, _ = run_json(
+            capsys, ["bias", "--q", str(q), "--b", f"0,{b}", "--x", str(x)]
+        )
+        expected = abs(1 + cmath.exp(2j * math.pi * ((b * x) % q) / q)) / 2
+        assert_allclose(document["outputs"]["bias"], expected, rtol=1e-6)
+        assert document["outputs"]["bias"] < 1e-9

@@ -19,7 +19,7 @@ from zqhash.hashing import (
     single_qubit_hash_circuit,
     standard_hash_circuit,
 )
-from zqhash.statevec import inner_product
+from zqhash.statevec import inner_product, zero_state
 
 SQ2 = math.sqrt(0.5)
 
@@ -291,3 +291,57 @@ class TestSeparability:
     def test_single_qubit_state_trivially_separable(self):
         state = build_single_qubit_hash(ParamSet(4, (1,)), 1)
         assert separability_defect(state) == 0.0
+
+
+class TestModulusValidation:
+    @pytest.mark.parametrize("q", [7.5, 8.0, "8", True, None])
+    def test_rejects_non_integer_modulus(self, q):
+        with pytest.raises(ValueError):
+            ParamSet(q, (3,))
+        with pytest.raises(ValueError):
+            BiasedSet(q, (3,))
+
+    def test_numpy_integer_modulus_becomes_int(self):
+        assert type(ParamSet(np.int64(11), (3,)).q) is int
+        assert type(BiasedSet(np.int64(11), (3,)).q) is int
+
+
+class TestBatchedCircuits:
+    # A 1-D array of x gives angle arrays whose entries are bitwise the
+    # single-x angles, including numerators far past int64.
+
+    XS = [0, 1, 5, 2**62 + 7, 2**70 + 3]
+
+    def test_shallow_angles(self):
+        params = ParamSet(2**40 + 15, (3, 2**39 + 1, 0))
+        batched = shallow_hash_circuit(params, np.array(self.XS, dtype=object))
+        for b, x in enumerate(self.XS):
+            single = shallow_hash_circuit(params, x)
+            assert [op.kind for op in single] == [op.kind for op in batched]
+            assert [op.angle for op in single[3:]] == [
+                op.angle[b] for op in batched[3:]
+            ]
+
+    def test_single_qubit_angles(self):
+        params = ParamSet(101, (7, 13, 55))
+        xs = np.arange(101, dtype=np.int64)
+        batched = single_qubit_hash_circuit(params, xs, include_sum_qubit=True)
+        for x in range(101):
+            single = single_qubit_hash_circuit(params, x, include_sum_qubit=True)
+            assert [op.angle for op in single] == [op.angle[x] for op in batched]
+
+    def test_standard_angles(self):
+        biased = BiasedSet(2**40 + 15, (0, 1, 2**39, 2**40))
+        batched = standard_hash_circuit(biased, self.XS)
+        assert batched[-1].angles.shape == (len(self.XS), 4)
+        for b, x in enumerate(self.XS):
+            single = standard_hash_circuit(biased, x)
+            assert single[-1].angles == tuple(batched[-1].angles[b])
+
+    def test_separability_defect_rejects_batches(self):
+        with pytest.raises(ValueError):
+            separability_defect(zero_state(2, batch=3))
+
+    def test_rejects_two_dimensional_inputs(self):
+        with pytest.raises(ValueError):
+            shallow_hash_circuit(ParamSet(8, (1,)), np.zeros((2, 2), dtype=int))

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import zqhash
 from zqhash.statevec import (
     GateOp,
     StateVector,
@@ -296,3 +302,130 @@ class TestCircuits:
 def test_statevector_rejects_wrong_length():
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
+
+
+def _random_batched_circuit(rng, num_qubits, batch, length):
+    # One batched gate list plus, for each row, the same circuit with that
+    # row's angles as plain numbers. Some rotations share one angle.
+    batched, rows = [], [[] for _ in range(batch)]
+    for _ in range(length):
+        kind = str(rng.choice(["h", "ry", "cry", "ucr"]))
+        wires = [int(w) for w in rng.permutation(num_qubits)]
+        if kind == "h":
+            batched.append(GateOp("h", target=wires[0]))
+            for row in rows:
+                row.append(GateOp("h", target=wires[0]))
+            continue
+        if kind == "ucr":
+            angles = rng.uniform(-9, 9, size=(batch, 4))
+            controls = tuple(wires[1:3])
+            batched.append(
+                GateOp("ucr", target=wires[0], control_qubits=controls, angles=angles)
+            )
+            for b, row in enumerate(rows):
+                row.append(replace(batched[-1], angles=tuple(angles[b])))
+            continue
+        controls = ((wires[1], int(rng.integers(0, 2))),) if kind == "cry" else ()
+        if rng.random() < 0.25:
+            angle = float(rng.uniform(-9, 9))
+            per_row = [angle] * batch
+        else:
+            angle = rng.uniform(-9, 9, size=batch)
+            per_row = [float(a) for a in angle]
+        batched.append(GateOp(kind, target=wires[0], angle=angle, controls=controls))
+        for row, theta in zip(rows, per_row):
+            row.append(replace(batched[-1], angle=theta))
+    return batched, rows
+
+
+class TestBatch:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.sampled_from([1.0, 0.5, 1.0 + 1e-6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_single_runs_bitwise(self, seed, batch, factor):
+        rng = np.random.default_rng(seed)
+        starts = np.stack([random_state(rng, 4).amplitudes for _ in range(batch)])
+        batched_ops, row_ops = _random_batched_circuit(rng, 4, batch, 12)
+        batched = run_circuit(
+            StateVector(4, starts.copy()), scale_angles(batched_ops, factor)
+        )
+        for b in range(batch):
+            single = run_circuit(
+                StateVector(4, starts[b].copy()), scale_angles(row_ops[b], factor)
+            )
+            assert np.array_equal(batched.amplitudes[b], single.amplitudes)
+
+    def test_zero_state_batch(self):
+        state = zero_state(2, batch=3)
+        assert state.batch == (3,)
+        assert np.array_equal(state.amplitudes, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+        assert zero_state(2).batch == ()
+
+    def test_norm_per_row(self):
+        state = StateVector(1, [[1.0, 0.0], [0.6, 0.8], [2.0, 0.0]])
+        assert_allclose(state.norm(), [1.0, 1.0, 2.0])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            StateVector(1, np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            StateVector(2, np.zeros((3, 2)))
+
+    def test_rejects_angle_batch_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_ry(zero_state(2, batch=3), 0, np.zeros(4))
+        with pytest.raises(ValueError):
+            apply_ry(zero_state(2), 0, np.zeros(3))
+        with pytest.raises(ValueError):
+            apply_ucr(zero_state(2, batch=3), [0], 1, np.zeros((2, 2)))
+
+    def test_inner_product_rejects_batches(self):
+        with pytest.raises(ValueError):
+            inner_product(zero_state(1, batch=2), zero_state(1, batch=2))
+
+    def test_hadamard_layer_is_exact_product(self):
+        # The hash circuits apply H only to qubits still in |0>; there the
+        # kernel's a0*h + a1*h is exactly (a0 + a1)*h, so every amplitude of
+        # an H layer is the left-to-right product of 1/sqrt(2) factors.
+        for m in range(1, 7):
+            state = zero_state(m + 1)
+            for k in range(m):
+                apply_h(state, k)
+            value = 1.0
+            for _ in range(m):
+                value = value * (1.0 / math.sqrt(2.0))
+            expected = np.zeros(1 << (m + 1))
+            expected[0::2] = value
+            assert np.array_equal(state.amplitudes, expected)
+
+
+class TestNormCheck:
+    def test_rejects_non_unit_state(self):
+        with pytest.raises(ValueError, match="norm"):
+            run_circuit(StateVector(1, [2.0, 0.0]), [GateOp("h", target=0)])
+
+    def test_checks_every_row(self):
+        amps = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="norm"):
+            run_circuit(StateVector(1, amps), [GateOp("ry", target=0, angle=0.3)])
+
+    def test_survives_optimized_mode(self):
+        # The check must not be an assert, which `python -O` strips.
+        src = Path(zqhash.__file__).resolve().parent.parent
+        code = (
+            "from zqhash.statevec import GateOp, StateVector, run_circuit\n"
+            "try:\n"
+            "    run_circuit(StateVector(1, [2.0, 0.0]), [GateOp('h', target=0)])\n"
+            "except ValueError as exc:\n"
+            "    print('rejected:', exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("rejected:")

@@ -1,6 +1,20 @@
-import pytest
+from functools import partial
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zqhash import verification
+from zqhash.hashing import (
+    MAX_PARAMS,
+    ParamSet,
+    shallow_hash_circuit,
+    single_qubit_hash_circuit,
+)
+from zqhash.statevec import run_circuit, scale_angles, zero_state
 from zqhash.verification import (
+    _built_gram,
     check_resistance_equivalence,
     check_shallow_inner_product,
     check_single_qubit_inner_product,
@@ -83,3 +97,70 @@ class TestCheckGranularity:
         result = check_resistance_equivalence(range(2, 20), sets_per_q=2)
         assert result.passed
         assert "bit-identical" in result.detail
+
+
+def per_x_gram(q, num_qubits, circuit_for_x, gate_angle_scale):
+    # Reference: one circuit build and one single-state run per x.
+    mat = np.empty((q, 1 << num_qubits))
+    for x in range(q):
+        ops = scale_angles(circuit_for_x(x), gate_angle_scale)
+        mat[x] = run_circuit(zero_state(num_qubits), ops).amplitudes
+    return mat @ mat.T
+
+
+@st.composite
+def gram_cases(draw):
+    q = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 5))
+    params = ParamSet(q, tuple(draw(st.integers(0, q - 1)) for _ in range(n)))
+    form = draw(st.sampled_from(["shallow", "single", "single+sum"]))
+    scale = draw(st.sampled_from([1.0, 0.5, 1.0 + 1e-6]))
+    return params, form, scale
+
+
+class TestBatchedGram:
+    @given(gram_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_x_runs_bitwise(self, case):
+        params, form, scale = case
+        if form == "shallow":
+            width, circuit = params.size + 1, partial(shallow_hash_circuit, params)
+        else:
+            with_sum = form == "single+sum"
+            width = params.size + with_sum
+            circuit = partial(
+                single_qubit_hash_circuit, params, include_sum_qubit=with_sum
+            )
+        batched = _built_gram(params.q, width, circuit, scale)
+        assert np.array_equal(batched, per_x_gram(params.q, width, circuit, scale))
+
+    def test_ucr_check_is_independent_of_batching(self, monkeypatch):
+        whole = check_ucr_decomposition(n_max=4, vectors_per_n=3, seed=5)
+        monkeypatch.setattr(verification, "_UCR_BATCH_AMPLITUDES", 8)
+        chunked = check_ucr_decomposition(n_max=4, vectors_per_n=3, seed=5)
+        assert chunked == whole
+
+
+class TestRunAllChecksInputs:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # Bad inputs must be rejected before any check starts.
+        def started(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in CHECK_NAMES:
+            monkeypatch.setattr(verification, f"check_{name}", started)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"q_max": 1},
+            {"q_max": -5},
+            {"trials": 0},
+            {"n_max": 0},
+            {"n_max": MAX_PARAMS + 1},
+        ],
+    )
+    def test_rejects_inputs_that_check_nothing(self, kwargs):
+        with pytest.raises(ValueError):
+            run_all_checks(**kwargs)
