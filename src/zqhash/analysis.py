@@ -30,6 +30,7 @@ from .hashing import (
     BiasedSet,
     HashForm,
     ParamSet,
+    _check_int,
     build_shallow_hash,
     build_single_qubit_hash,
     build_standard_hash,
@@ -58,10 +59,8 @@ class ResistanceReport:
 
 
 def _check_sweep_modulus(q: int) -> None:
-    if q > MAX_SWEEP_MODULUS:
-        raise ValueError(
-            f"exhaustive sweep capped at q <= {MAX_SWEEP_MODULUS}, got {q}"
-        )
+    span = f"[2, {MAX_SWEEP_MODULUS}] (exhaustive sweeps are capped there)"
+    _check_int(q, "modulus", 2, MAX_SWEEP_MODULUS, span)
 
 
 def _report_from_values(q: int, values: np.ndarray) -> ResistanceReport:
@@ -69,27 +68,19 @@ def _report_from_values(q: int, values: np.ndarray) -> ResistanceReport:
     return ResistanceReport(q, float(values[idx]), idx + 1, values)
 
 
-def _phase_means(
-    q: int, elements: tuple[int, ...], xs: int | np.ndarray
-) -> np.ndarray:
-    # Mean over B of exp(2*pi*i*b*x/q) for each x, with b*x reduced mod q
-    # first: in Python ints for one x, so no product wraps, and in int64
-    # for an array of sweep points, where q <= 2**20 keeps b*x in range.
-    if isinstance(xs, int):
-        residues = [[(b * xs) % q] for b in elements]
-        phases = (2.0 * np.pi / q) * np.array(residues, dtype=np.float64)
-    else:
-        b = np.asarray(elements, dtype=np.int64)
-        phases = (2.0 * np.pi / q) * ((b[:, None] * xs[None, :]) % q)
-    return np.exp(1j * phases).mean(axis=0)
+def _phase_mean(q: int, elements: tuple[int, ...], x: int) -> np.complex128:
+    # Mean over B of exp(2*pi*i*b*x/q), with each b*x reduced mod q in
+    # Python ints first, so no product wraps. A (|B|, 1) column summed
+    # along axis 0 adds the terms in order, as the sweep does.
+    residues = [[(b * x) % q] for b in elements]
+    phases = (2.0 * np.pi / q) * np.array(residues, dtype=np.float64)
+    return np.exp(1j * phases).mean(axis=0)[0]
 
 
 def bias(biased: BiasedSet, x: int) -> float:
     """Magnitude of the mean q-th-root-of-unity phase of B at point x."""
-    x = int(x)
-    if not 0 <= x < biased.q:
-        raise ValueError(f"x must be in [0, q), got {x} with q={biased.q}")
-    return float(abs(_phase_means(biased.q, biased.elements, x)[0]))
+    x = _check_int(x, "x", 0, biased.q - 1, f"[0, q) with q={biased.q}")
+    return float(abs(_phase_mean(biased.q, biased.elements, x)))
 
 
 def shift_normalize(biased: BiasedSet) -> BiasedSet:
@@ -103,14 +94,13 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     """Worst bias of B over all x in [1, q), with the full per-x table."""
     q = biased.q
     _check_sweep_modulus(q)
-    values = np.empty(q - 1)
-    block = max(1, (1 << 22) // biased.size)
-    for start in range(1, q, block):
-        xs = np.arange(start, min(start + block, q), dtype=np.int64)
-        values[start - 1 : start - 1 + xs.shape[0]] = np.abs(
-            _phase_means(q, biased.elements, xs)
-        )
-    return _report_from_values(q, values)
+    # One phase row per element of B, added in order into one sum; the
+    # cap q <= 2**20 keeps each b*x inside int64.
+    xs = np.arange(1, q, dtype=np.int64)
+    total = np.zeros(q - 1, dtype=np.complex128)
+    for b in biased.elements:
+        total += np.exp(1j * ((2.0 * np.pi / q) * ((b * xs) % q)))
+    return _report_from_values(q, np.abs(total / biased.size))
 
 
 def _closed_inner_values(
@@ -201,10 +191,8 @@ def collision_resistance(
 def cosine_sum_check(biased: BiasedSet, x: int) -> tuple[float, float]:
     """(|mean cosine|, |mean phase|) of B at x != 0. The first never exceeds
     the second, since the cosine sum is the real part of the phase sum."""
-    x = int(x)
-    if not 0 < x < biased.q:
-        raise ValueError(f"x must be in [1, q), got {x} with q={biased.q}")
-    mean = _phase_means(biased.q, biased.elements, x)[0]
+    x = _check_int(x, "x", 1, biased.q - 1, f"[1, q) with q={biased.q}")
+    mean = _phase_mean(biased.q, biased.elements, x)
     return float(abs(mean.real)), float(abs(mean))
 
 

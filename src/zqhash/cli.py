@@ -26,6 +26,7 @@ from .hashing import (
     BiasedSet,
     HashForm,
     ParamSet,
+    _check_int,
     build_shallow_hash,
     build_single_qubit_hash,
     build_standard_hash,
@@ -137,41 +138,25 @@ class _Command:
             sys.stdout.write(text)
 
 
-def _resolve_form(text: str) -> HashForm:
-    return HashForm(text)
-
-
-def _check_x(x: int, q: int) -> None:
-    if not 0 <= x < q:
-        raise ValueError(f"x must be in [0, q): got x={x} with q={q}")
-
-
-def _ingest_params(command: _Command, q: int, raw: list[int]) -> ParamSet:
-    params = ParamSet(q, tuple(raw))
-    if list(params.elements) != raw:
-        command.warn(f"parameters reduced mod {q} to {list(params.elements)}")
-    return params
-
-
-def _ingest_biased(command: _Command, q: int, raw: list[int]) -> BiasedSet:
-    biased = BiasedSet(q, tuple(raw))
-    if list(biased.elements) != raw:
-        command.warn(f"residues reduced mod {q} to {list(biased.elements)}")
-    return biased
+def _ingest(command: _Command, kind: type, q: int, raw: list[int], noun: str) -> Any:
+    hash_set = kind(q, tuple(raw))
+    if list(hash_set.elements) != raw:
+        command.warn(f"{noun} reduced mod {q} to {list(hash_set.elements)}")
+    return hash_set
 
 
 def _report_outputs(report: ResistanceReport) -> dict[str, Any]:
     return {
         "epsilon": report.epsilon,
         "worst_x": report.worst_x,
-        "table": [[x, value] for x, value in report.table()],
+        "table": report.table(),
     }
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
     command = _Command(args)
-    form = _resolve_form(args.form)
-    _check_x(args.x, args.q)
+    form = HashForm(args.form)
+    _check_int(args.x, "x", 0, args.q - 1, f"[0, q) with q={args.q}")
     if form is not HashForm.STANDARD and args.b is not None:
         raise ValueError(f"--b only applies to the standard form, not {form.value}")
     inputs: dict[str, Any] = {"form": form.value, "q": args.q, "x": args.x}
@@ -180,7 +165,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
             raise ValueError("give either --s or --b, not both")
         raw = parse_residues(args.b)
         inputs["b"] = raw
-        biased = _ingest_biased(command, args.q, raw)
+        biased = _ingest(command, BiasedSet, args.q, raw, "residues")
         state = build_standard_hash(biased, args.x)
         set_info: dict[str, Any] = {"biased_set": list(biased.elements)}
     else:
@@ -188,7 +173,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
             raise ValueError(f"the {form.value} form needs --s (or --b for standard)")
         raw = parse_residues(args.s)
         inputs["s"] = raw
-        params = _ingest_params(command, args.q, raw)
+        params = _ingest(command, ParamSet, args.q, raw, "parameters")
         if form is HashForm.STANDARD:
             biased = derive_biased_set(params)
             state = build_standard_hash(biased, args.x)
@@ -219,7 +204,7 @@ def cmd_bias(args: argparse.Namespace) -> int:
     command = _Command(args)
     raw = parse_residues(args.b)
     inputs: dict[str, Any] = {"q": args.q, "b": raw}
-    biased = _ingest_biased(command, args.q, raw)
+    biased = _ingest(command, BiasedSet, args.q, raw, "residues")
     if args.x is not None:
         inputs["x"] = args.x
         value = bias(biased, args.x)
@@ -245,7 +230,7 @@ def cmd_bias(args: argparse.Namespace) -> int:
 
 def cmd_resist(args: argparse.Namespace) -> int:
     command = _Command(args)
-    form = _resolve_form(args.form)
+    form = HashForm(args.form)
     raw = parse_residues(args.s)
     inputs = {
         "q": args.q,
@@ -253,7 +238,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
         "form": form.value,
         "sum_qubit": args.sum_qubit == "on",
     }
-    params = _ingest_params(command, args.q, raw)
+    params = _ingest(command, ParamSet, args.q, raw, "parameters")
     report = collision_resistance(
         params, form, include_sum_qubit=args.sum_qubit == "on"
     )
@@ -268,7 +253,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     command = _Command(args)
-    form = _resolve_form(args.form)
+    form = HashForm(args.form)
     config = SearchConfig(
         q=args.q,
         n=args.n,
@@ -290,7 +275,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "form": form.value,
         "best_set": list(result.best_set.elements),
         "trials_run": result.trials_run,
-        "history": [[trial, value] for trial, value in result.history],
+        "history": result.history,
         **_report_outputs(result.report),
     }
     command.emit("search", inputs, outputs)

@@ -36,18 +36,50 @@ from .statevec import GateOp, StateVector, run_circuit, zero_state
 
 MAX_PARAMS = 20
 
+# Largest modulus any entry point accepts. Angles and phases are floats
+# computed from numerators up to 4*pi*q: they overflow to inf once q passes
+# about 2**1020, and an int past 2**1024 has no float at all. The cap keeps
+# every accepted q, and every float conversion of 4*pi*q, clear of both.
+MAX_MODULUS = 2**1000
+
 # One input residue, or a 1-D array of them for a batched circuit.
 Inputs = Union[int, Sequence[int], np.ndarray]
 
 
-def _check_modulus(q: object) -> int:
+def _check_int(
+    value: object,
+    name: str,
+    low: int = 2,
+    high: int | None = MAX_MODULUS,
+    span: str | None = None,
+) -> int:
+    """`value` as a Python int, if it is an integer in [low, high] (no upper
+    bound when `high` is None); ValueError otherwise. The one integer-input
+    rule of the package. `operator.index` takes ints and numpy integers but
+    refuses floats and strings, so nothing is silently truncated. The
+    defaults are the modulus rule; `span` replaces the printed range."""
     try:
-        value = operator.index(q)
+        number = operator.index(value)
     except TypeError:
-        raise ValueError(f"modulus must be an integer, got {q!r}") from None
-    if value < 2:
-        raise ValueError(f"modulus must be at least 2, got {q!r}")
-    return value
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if high is None:
+        if number < low:
+            raise ValueError(f"{name} must be at least {low}, got {number}")
+    elif not low <= number <= high:
+        if span is None:
+            top = f"2**{high.bit_length() - 1}" if high == MAX_MODULUS else high
+            span = f"[{low}, {top}]"
+        raise ValueError(f"{name} must be in {span}, got {number}")
+    return number
+
+
+def _reduced(elements: Sequence[object], q: int, name: str) -> tuple[int, ...]:
+    # One pass over the elements, each through `operator.index` like every
+    # other integer input; search builds thousands of sets per request.
+    try:
+        return tuple(operator.index(e) % q for e in elements)
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {elements!r}") from None
 
 
 @dataclass(frozen=True)
@@ -62,15 +94,10 @@ class ParamSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _check_modulus(self.q))
-        n = len(self.elements)
-        if not 1 <= n <= MAX_PARAMS:
-            raise ValueError(
-                f"parameter count must be in [1, {MAX_PARAMS}], got {n}"
-            )
-        object.__setattr__(
-            self, "elements", tuple(int(s) % self.q for s in self.elements)
-        )
+        q = _check_int(self.q, "modulus")
+        _check_int(len(self.elements), "parameter count", 1, MAX_PARAMS)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "elements", _reduced(self.elements, q, "parameters"))
 
     @property
     def size(self) -> int:
@@ -93,12 +120,11 @@ class BiasedSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _check_modulus(self.q))
+        q = _check_int(self.q, "modulus")
         if not self.elements:
             raise ValueError("residue set must not be empty")
-        object.__setattr__(
-            self, "elements", tuple(int(b) % self.q for b in self.elements)
-        )
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "elements", _reduced(self.elements, q, "residues"))
 
     @property
     def size(self) -> int:

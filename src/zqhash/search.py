@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .analysis import ResistanceReport, collision_resistance
-from .hashing import MAX_PARAMS, HashForm, ParamSet
+from .hashing import MAX_PARAMS, HashForm, ParamSet, _check_int
 
 MAX_SEARCH_EVALS = 10**10
 MAX_EXHAUSTIVE_SPACE = 10**7
@@ -37,16 +38,13 @@ class SearchConfig:
     target_epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.q}")
-        if not 1 <= self.n <= MAX_PARAMS:
-            raise ValueError(
-                f"parameter count must be in [1, {MAX_PARAMS}], got {self.n}"
-            )
-        if self.trials < 1:
-            raise ValueError(f"trial count must be positive, got {self.trials}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        for field, checked in (
+            ("q", _check_int(self.q, "modulus")),
+            ("n", _check_int(self.n, "parameter count", 1, MAX_PARAMS)),
+            ("trials", _check_int(self.trials, "trial count", 1, None)),
+            ("seed", _check_int(self.seed, "seed", 0, (1 << 64) - 1, "[0, 2**64)")),
+        ):
+            object.__setattr__(self, field, checked)
         if self.target_epsilon is not None and not 0.0 < self.target_epsilon <= 1.0:
             raise ValueError(
                 f"target epsilon must be in (0, 1], got {self.target_epsilon}"
@@ -84,35 +82,49 @@ def _certify(
     return params, collision_resistance(params, form, include_sum_qubit)
 
 
+def _scan(
+    candidates: Iterable[tuple[int, ...]],
+    q: int,
+    form: HashForm,
+    include_sum_qubit: bool,
+    target_epsilon: float | None = None,
+) -> SearchResult:
+    # Certify candidates in order, keep the first with the smallest epsilon,
+    # stop early at `target_epsilon`, and re-certify the winner from scratch.
+    best_elements: tuple[int, ...] | None = None
+    best_epsilon = float("inf")
+    history: list[tuple[int, float]] = []
+    count = 0
+    for index, elements in enumerate(candidates):
+        count = index + 1
+        _, report = _certify(elements, q, form, include_sum_qubit)
+        if report.epsilon < best_epsilon:
+            best_elements = elements
+            best_epsilon = report.epsilon
+            history.append((index, report.epsilon))
+        if target_epsilon is not None and best_epsilon <= target_epsilon:
+            break
+    assert best_elements is not None
+    params, certified = _certify(best_elements, q, form, include_sum_qubit)
+    if certified.epsilon != best_epsilon:
+        raise RuntimeError(
+            "re-certification disagreed with the scan; this is a bug"
+        )
+    return SearchResult(params, certified, count, history)
+
+
 def random_search(
     config: SearchConfig, form: HashForm, include_sum_qubit: bool = False
 ) -> SearchResult:
     """Scan `config.trials` random candidates and return the best. The
     returned report is re-certified by a fresh exhaustive sweep."""
-    best_elements: tuple[int, ...] | None = None
-    best_epsilon = float("inf")
-    history: list[tuple[int, float]] = []
-    trials_run = 0
-    for trial in range(config.trials):
-        trials_run = trial + 1
-        elements = draw_candidate(config.seed, trial, config.q, config.n)
-        _, report = _certify(elements, config.q, form, include_sum_qubit)
-        if report.epsilon < best_epsilon:
-            best_elements = elements
-            best_epsilon = report.epsilon
-            history.append((trial, report.epsilon))
-        if (
-            config.target_epsilon is not None
-            and best_epsilon <= config.target_epsilon
-        ):
-            break
-    assert best_elements is not None
-    params, certified = _certify(best_elements, config.q, form, include_sum_qubit)
-    if certified.epsilon != best_epsilon:
-        raise RuntimeError(
-            "re-certification disagreed with the scan; this is a bug"
-        )
-    return SearchResult(params, certified, trials_run, history)
+    candidates = (
+        draw_candidate(config.seed, trial, config.q, config.n)
+        for trial in range(config.trials)
+    )
+    return _scan(
+        candidates, config.q, form, include_sum_qubit, config.target_epsilon
+    )
 
 
 def exhaustive_search(
@@ -123,26 +135,12 @@ def exhaustive_search(
 ) -> SearchResult:
     """Certify every candidate in [1, q)**n, lexicographically, and return
     the first one attaining the minimal epsilon."""
-    if q < 2:
-        raise ValueError(f"modulus must be at least 2, got {q}")
-    if not 1 <= n <= MAX_PARAMS:
-        raise ValueError(f"parameter count must be in [1, {MAX_PARAMS}], got {n}")
+    q = _check_int(q, "modulus")
+    n = _check_int(n, "parameter count", 1, MAX_PARAMS)
     space = (q - 1) ** n
     if space > MAX_EXHAUSTIVE_SPACE:
         raise ValueError(
             f"candidate space {space} exceeds the {MAX_EXHAUSTIVE_SPACE} cap"
         )
-    best_elements: tuple[int, ...] | None = None
-    best_epsilon = float("inf")
-    history: list[tuple[int, float]] = []
-    count = 0
-    for index, elements in enumerate(itertools.product(range(1, q), repeat=n)):
-        count = index + 1
-        _, report = _certify(elements, q, form, include_sum_qubit)
-        if report.epsilon < best_epsilon:
-            best_elements = elements
-            best_epsilon = report.epsilon
-            history.append((index, report.epsilon))
-    assert best_elements is not None
-    params, certified = _certify(best_elements, q, form, include_sum_qubit)
-    return SearchResult(params, certified, count, history)
+    candidates = itertools.product(range(1, q), repeat=n)
+    return _scan(candidates, q, form, include_sum_qubit)

@@ -35,6 +35,7 @@ from .hashing import (
     MAX_PARAMS,
     HashForm,
     ParamSet,
+    _check_int,
     shallow_hash_circuit,
     single_qubit_hash_circuit,
 )
@@ -286,12 +287,9 @@ def run_all_checks(
     of random parameter sets per modulus and angle draws per width. Raises
     ValueError, before any work, when a check would have nothing to check
     or `n_max` is outside [1, MAX_PARAMS]."""
-    if q_max < 2:
-        raise ValueError(f"q_max must be at least 2, got {q_max}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 1 <= n_max <= MAX_PARAMS:
-        raise ValueError(f"n_max must be in [1, {MAX_PARAMS}], got {n_max}")
+    q_max = _check_int(q_max, "q_max")
+    trials = _check_int(trials, "trials", 1, None)
+    n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
     q_values = range(2, q_max + 1)
     return [
         check_ucr_decomposition(

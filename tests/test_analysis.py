@@ -24,9 +24,11 @@ from zqhash.statevec import StateVector, basis_state, zero_state
 
 
 def bias_oracle(biased, x):
-    # Straightforward complex phase sum, one term at a time.
+    # Straightforward complex phase sum, one term at a time, with b*x
+    # reduced mod q in Python ints before the float division.
     total = sum(
-        cmath.exp(2j * math.pi * b * x / biased.q) for b in biased.elements
+        cmath.exp(2j * math.pi * ((b * x) % biased.q) / biased.q)
+        for b in biased.elements
     )
     return abs(total) / biased.size
 
@@ -316,6 +318,15 @@ class TestLargeModulusExactness:
         expected = abs(1 + cmath.exp(2j * math.pi * ((b * x) % q) / q)) / 2
         assert_allclose(value, expected, rtol=1e-6)
         assert value < 1e-9
+
+    @given(
+        st.lists(st.integers(0, 2**64), min_size=1, max_size=6),
+        st.integers(0, 1099511627790),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bias_matches_oracle_past_int64(self, elements, x):
+        biased = BiasedSet(1099511627791, tuple(elements))
+        assert abs(bias(biased, x) - bias_oracle(biased, x)) < 1e-9
 
     def test_cosine_sum_check_past_int64(self):
         q, b, x = 1099511627791, 1099511627776, 549755813888

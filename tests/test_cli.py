@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
+from zqhash.hashing import MAX_MODULUS
 from zqhash.verification import CheckResult
 
 
@@ -368,3 +369,40 @@ class TestLargeModulusExactness:
         expected = abs(1 + cmath.exp(2j * math.pi * ((b * x) % q) / q)) / 2
         assert_allclose(document["outputs"]["bias"], expected, rtol=1e-6)
         assert document["outputs"]["bias"] < 1e-9
+
+
+class TestModulusCap:
+    HUGE = str(10**400 + 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hash", "--form", "single-qubit", "--s", "3", "--x", "5", "--q", HUGE],
+            ["hash", "--form", "shallow", "--s", "3", "--x", "5", "--q", HUGE],
+            ["hash", "--form", "standard", "--s", "3", "--x", "5", "--q", HUGE],
+            ["bias", "--b", "1,2", "--x", "5", "--q", HUGE],
+            ["bias", "--b", "1,2", "--x", "5", "--q", str(MAX_MODULUS + 1)],
+            ["hash", "--form", "shallow", "--s", "3", "--x", "5", "--q", str(MAX_MODULUS + 1)],
+        ],
+    )
+    def test_above_cap_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: modulus must be in [2, 2**1000]")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["standard", "shallow", "single-qubit"])
+    def test_cap_itself_is_accepted(self, capsys, form):
+        document, _ = run_json(
+            capsys,
+            ["hash", "--q", str(MAX_MODULUS), "--form", form, "--s", "3,7", "--x", "5"],
+        )
+        assert document["outputs"]["num_qubits"] == (3 if form != "single-qubit" else 2)
+
+    def test_cap_itself_single_x_bias(self, capsys):
+        document, _ = run_json(
+            capsys, ["bias", "--q", str(MAX_MODULUS), "--b", "1,2", "--x", "5"]
+        )
+        assert 0.0 <= document["outputs"]["bias"] <= 1.0

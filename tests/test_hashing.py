@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from zqhash.analysis import bias
 from zqhash.hashing import (
+    MAX_MODULUS,
     BiasedSet,
     ParamSet,
     build_shallow_hash,
@@ -294,7 +296,9 @@ class TestSeparability:
 
 
 class TestModulusValidation:
-    @pytest.mark.parametrize("q", [7.5, 8.0, "8", True, None])
+    @pytest.mark.parametrize(
+        "q", [7.5, 8.0, "8", True, None, pytest.param(MAX_MODULUS + 1, id="cap+1")]
+    )
     def test_rejects_non_integer_modulus(self, q):
         with pytest.raises(ValueError):
             ParamSet(q, (3,))
@@ -304,6 +308,32 @@ class TestModulusValidation:
     def test_numpy_integer_modulus_becomes_int(self):
         assert type(ParamSet(np.int64(11), (3,)).q) is int
         assert type(BiasedSet(np.int64(11), (3,)).q) is int
+
+    @pytest.mark.parametrize("bad", [3.7, np.float64(3.0), "3", None])
+    def test_rejects_non_integer_elements(self, bad):
+        with pytest.raises(ValueError):
+            ParamSet(7, (2, bad))
+        with pytest.raises(ValueError):
+            BiasedSet(7, (2, bad))
+
+    def test_numpy_integer_elements_become_int(self):
+        params = ParamSet(7, (np.int64(9), np.uint8(3)))
+        assert params.elements == (2, 3)
+        assert [type(s) for s in params.elements] == [int, int]
+
+    def test_largest_modulus_builds_every_form(self):
+        # Every angle and phase float stays finite at the cap.
+        params = ParamSet(MAX_MODULUS, (3, MAX_MODULUS - 1))
+        x = MAX_MODULUS // 3
+        states = [
+            build_standard_hash(derive_biased_set(params), x),
+            build_shallow_hash(params, x),
+            build_single_qubit_hash(params, x, include_sum_qubit=True),
+        ]
+        for state in states:
+            assert np.all(np.isfinite(state.amplitudes))
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+        assert 0.0 <= bias(BiasedSet(MAX_MODULUS, (0, 1, 5)), x) <= 1.0
 
 
 class TestBatchedCircuits:

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from zqhash.analysis import collision_resistance
-from zqhash.hashing import HashForm, ParamSet
+from zqhash.hashing import MAX_MODULUS, HashForm, ParamSet
 from zqhash.search import (
     SearchConfig,
     draw_candidate,
@@ -28,6 +29,12 @@ class TestSearchConfig:
             {"seed": 1 << 64},
             {"target_epsilon": 0.0},
             {"target_epsilon": 1.5},
+            {"q": 7.5},
+            {"q": "7"},
+            {"q": MAX_MODULUS + 1},
+            {"n": 1.0},
+            {"trials": 2.5},
+            {"seed": 0.5},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -42,6 +49,10 @@ class TestSearchConfig:
 
     def test_seed_boundary(self):
         SearchConfig(q=5, n=1, trials=1, seed=(1 << 64) - 1)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = SearchConfig(q=np.int64(7), n=np.int32(2), trials=np.uint8(3), seed=0)
+        assert [type(v) for v in (config.q, config.n, config.trials)] == [int] * 3
 
 
 class TestDrawCandidate:
@@ -149,3 +160,24 @@ class TestExhaustiveSearch:
     def test_covers_whole_space(self):
         result = exhaustive_search(5, 2, HashForm.SHALLOW)
         assert result.trials_run == 16
+
+    @pytest.mark.parametrize("q, n", [(7.5, 1), (1, 1), (7, 1.0), (7, 0)])
+    def test_rejects_bad_inputs(self, q, n):
+        with pytest.raises(ValueError):
+            exhaustive_search(q, n, HashForm.SHALLOW)
+
+    def test_recertification_disagreement_raises(self, monkeypatch):
+        # The winner is certified again from scratch; a scan whose
+        # bookkeeping disagrees with that must fail loudly.
+        reports = []
+
+        def drifting(params, form, include_sum_qubit=False):
+            report = collision_resistance(params, form, include_sum_qubit)
+            reports.append(report)
+            if len(reports) == 4:
+                report.epsilon += 1e-3
+            return report
+
+        monkeypatch.setattr("zqhash.search.collision_resistance", drifting)
+        with pytest.raises(RuntimeError):
+            exhaustive_search(4, 1, HashForm.SINGLE_QUBIT)

@@ -159,6 +159,9 @@ class TestRunAllChecksInputs:
             {"trials": 0},
             {"n_max": 0},
             {"n_max": MAX_PARAMS + 1},
+            {"q_max": 4.5},
+            {"trials": 1.5},
+            {"n_max": 2.0},
         ],
     )
     def test_rejects_inputs_that_check_nothing(self, kwargs):
