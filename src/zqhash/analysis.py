@@ -127,7 +127,7 @@ def closed_inner_single(
 ) -> float:
     """Inner product of the single-qubit-form hashes of x1 and x2, evaluated
     in closed form. Depends only on x1 - x2."""
-    dx = int(x1) - int(x2)
+    dx = _check_int(x1, "x1", None) - _check_int(x2, "x2", None)
     return float(
         _closed_inner_values(params.q, params.elements, dx, include_sum_qubit)
     )

@@ -13,7 +13,9 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -51,13 +53,30 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-def _format_float(value: float) -> str:
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError(f"cannot serialize non-finite value {value!r}")
-    text = format(value, ".17g")
-    if "e" not in text and "." not in text:
-        text += ".0"
-    return text
+def _format_floats(values: Any) -> list[str]:
+    """Text of each float in `values`: 17 significant digits, ".0" appended
+    to an integral value that prints without an exponent, so it reads back
+    as a float. The one float rule of every document; non-finite values
+    raise ValueError. All values go through one %-format call; only the
+    integral ones, few in any document, are looked at one by one."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[~finite][0])
+        raise ValueError(f"cannot serialize non-finite value {bad!r}")
+    texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
+    texts.pop()
+    for i in np.flatnonzero(values == np.floor(values)).tolist():
+        if "e" not in texts[i]:
+            texts[i] += ".0"
+    return texts
+
+
+class _Table(NamedTuple):
+    """A per-x table: `values[i]` belongs to x = i + 1. Serialized as
+    [[1, v1], [2, v2], ...] in one pass over the array."""
+
+    values: np.ndarray
 
 
 def _fragment(value: Any, indent: int) -> str:
@@ -66,7 +85,7 @@ def _fragment(value: Any, indent: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_float(value)
+        return _format_floats((value,))[0]
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -80,6 +99,14 @@ def _fragment(value: Any, indent: int) -> str:
             for key, item in value.items()
         )
         return "{\n" + rows + "\n" + "  " * indent + "}"
+    if isinstance(value, np.ndarray):
+        return "[" + ", ".join(_format_floats(value)) + "]"
+    if isinstance(value, _Table):  # before the tuple branch: a _Table is one
+        texts = _format_floats(value.values)
+        pairs = [None] * (2 * len(texts))
+        pairs[0::2] = range(1, len(texts) + 1)
+        pairs[1::2] = texts
+        return "[" + ", ".join(["[%d, %s]"] * len(texts)) % tuple(pairs) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fragment(item, indent) for item in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -122,14 +149,18 @@ class _Command:
             print(f"warning: {message}", file=sys.stderr)
 
     def emit(self, command: str, inputs: dict, outputs: dict) -> None:
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "timing_seconds": time.perf_counter() - self.started,
-        }
-        text = dumps_report(document)
+        body = dumps_report(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "command": command,
+                "inputs": inputs,
+                "outputs": outputs,
+            }
+        )
+        # Read after rendering, so the field covers everything but itself;
+        # it goes last, as one more top-level key in dumps_report's layout.
+        seconds = _fragment(time.perf_counter() - self.started, 1)
+        text = body[: -len("\n}\n")] + f',\n  "timing_seconds": {seconds}\n}}\n'
         if self.args.out:
             Path(self.args.out).write_text(text)
             if not self.args.quiet:
@@ -149,7 +180,7 @@ def _report_outputs(report: ResistanceReport) -> dict[str, Any]:
     return {
         "epsilon": report.epsilon,
         "worst_x": report.worst_x,
-        "table": report.table(),
+        "table": _Table(report.values),
     }
 
 
@@ -194,7 +225,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
         "form": form.value,
         **set_info,
         "num_qubits": state.num_qubits,
-        "amplitudes": [float(a) for a in state.amplitudes],
+        "amplitudes": state.amplitudes,
     }
     command.emit("hash", inputs, outputs)
     return 0

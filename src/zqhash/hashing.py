@@ -49,19 +49,22 @@ Inputs = Union[int, Sequence[int], np.ndarray]
 def _check_int(
     value: object,
     name: str,
-    low: int = 2,
+    low: int | None = 2,
     high: int | None = MAX_MODULUS,
     span: str | None = None,
 ) -> int:
     """`value` as a Python int, if it is an integer in [low, high] (no upper
-    bound when `high` is None); ValueError otherwise. The one integer-input
-    rule of the package. `operator.index` takes ints and numpy integers but
-    refuses floats and strings, so nothing is silently truncated. The
-    defaults are the modulus rule; `span` replaces the printed range."""
+    bound when `high` is None, no bound at all when `low` is None);
+    ValueError otherwise. The one integer-input rule of the package.
+    `operator.index` takes ints and numpy integers but refuses floats and
+    strings, so nothing is silently truncated. The defaults are the modulus
+    rule; `span` replaces the printed range."""
     try:
         number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is None:
+        return number
     if high is None:
         if number < low:
             raise ValueError(f"{name} must be at least {low}, got {number}")
@@ -171,10 +174,10 @@ def _inputs(x: Inputs) -> int | list[int]:
     # One x as a Python int, or a batch as a list of Python ints, so the
     # numerators s * x below are exact however large they grow.
     if np.ndim(x) == 0:
-        return int(x)
+        return _check_int(x, "x", None)
     if np.ndim(x) != 1:
         raise ValueError(f"inputs must be one integer or a 1-D array, got {x!r}")
-    return [int(v) for v in x]
+    return [_check_int(v, "x", None) for v in x]
 
 
 def _angles(

@@ -155,6 +155,21 @@ class TestClosedInner:
         value = closed_inner_single(ParamSet(5, (4,)), 4, 0)
         assert value < 0
 
+    @pytest.mark.parametrize("x", [2.5, 2.0, np.float64(2.0), "2"])
+    def test_rejects_non_integer_inputs(self, x):
+        # A float x used to be truncated: (2.5, 0) gave the value of (2, 0).
+        params = ParamSet(7, (3,))
+        with pytest.raises(ValueError, match="x1 must be an integer"):
+            closed_inner_single(params, x, 0)
+        with pytest.raises(ValueError, match="x2 must be an integer"):
+            closed_inner_shallow(params, 0, x)
+
+    def test_numpy_integer_inputs_are_accepted(self):
+        params = ParamSet(7, (3, 5))
+        assert closed_inner_single(params, np.int64(5), np.uint8(2)) == (
+            closed_inner_single(params, 5, 2)
+        )
+
 
 class TestSimulatedInner:
     @pytest.mark.parametrize(

@@ -1,11 +1,18 @@
 import cmath
+import hashlib
 import json
 import math
+import re
+import time
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from zqhash import cli
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
 from zqhash.verification import CheckResult
@@ -61,6 +68,127 @@ class TestSerialization:
                     "timing_seconds": 0.0,
                 }
             )
+
+
+def scalar_rule(value):
+    # Reference for the array formatter, one value at a time: 17
+    # significant digits, ".0" when neither "e" nor "." shows.
+    text = format(value, ".17g")
+    if "e" not in text and "." not in text:
+        text += ".0"
+    return text
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+FORMAT_CASES = [
+    0.0, -0.0, 1.0, -1.0, 2.0**60, 1e16, -1e16, 1e17, 5e-324,
+    6.123233995736766e-17, 0.7071067811865476, 2.0**53 + 2, 4503599627370495.5,
+]
+
+
+class TestFloatFormatter:
+    @given(finite_floats)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scalar_rule(self, value):
+        assert cli._format_floats(np.array([value])) == [scalar_rule(value)]
+
+    @given(st.lists(finite_floats | st.sampled_from(FORMAT_CASES), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_array_matches_scalar_rule_entrywise(self, values):
+        texts = cli._format_floats(np.array(values, dtype=np.float64))
+        assert texts == [scalar_rule(v) for v in values]
+        assert [float(t) for t in texts] == values
+
+    @pytest.mark.parametrize("value", FORMAT_CASES)
+    def test_explicit_cases(self, value):
+        (text,) = cli._format_floats(np.array([value]))
+        assert text == scalar_rule(value)
+        assert math.copysign(1.0, float(text)) == math.copysign(1.0, value)
+
+    def test_negative_zero_keeps_its_sign_and_point(self):
+        assert cli._format_floats(np.array([-0.0, 0.0, 1e16])) == [
+            "-0.0", "0.0", "10000000000000000.0",
+        ]
+
+    def test_table_layout(self):
+        table = cli._Table(np.array([0.5, 1.0, -0.0]))
+        text = dumps_report({"outputs": {"table": table}})
+        assert '"table": [[1, 0.5], [2, 1.0], [3, -0.0]]' in text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_table(self, bad):
+        table = cli._Table(np.array([0.5, bad, 0.25]))
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_report({"outputs": {"table": table}})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_report({"outputs": {"amplitudes": np.array([bad, 1.0])}})
+
+
+# dumps_report joins top-level keys with ",\n" at an indent of two spaces.
+TIMING_FIELD = re.compile(r',\n  "timing_seconds": [^\n]*')
+
+# SHA-256 of each document with its timing_seconds field removed, recorded
+# from the per-value serializer that the vectorized one replaced.
+GOLDEN_DIGESTS = [
+    (
+        "resist --q 4099 --s 3,5,7,11 --form shallow",
+        "7f200aba07afba54a2bea820f9cd12368678f735f7f2637216c95fbda00b857f",
+    ),
+    (
+        "bias --q 1009 --b 0,1,2,3,5,8,13,21",
+        "5310a347e2f4ca5224f72dd80942cf8b05eb437c7ef24868aa94374180bc6974",
+    ),
+    (
+        "search --q 101 --n 4 --trials 200 --seed 7",
+        "c2f63dc72cc89dcdf5788fe8cfad2e7b4c6ae2bad07a1d8b7b38fa6e1207d41e",
+    ),
+    (
+        "hash --q 101 --form standard --s 3,5,7 --x 10",
+        "cf85b26fcfb981699406970b8ee21f26820e6ecd708f55dff151a31c62b3af76",
+    ),
+    (
+        "hash --q 101 --form shallow --s 3,5,7 --x 10",
+        "0993c88be4c543b15c87117d2eae1fcd3e9d81a54780f075e91a4606c08648fa",
+    ),
+    (
+        "hash --q 101 --form single-qubit --s 3,5,7 --x 10 --sum-qubit on",
+        "c2212a074477324895352f0e76f48062b13620ce54a71cd84ccf0dd6c47a6d93",
+    ),
+    (  # amplitudes 0.0 and -0.0
+        "hash --q 5 --form single-qubit --s 3,5 --x 1",
+        "a548bbf2904b753100a3b2b3b3ab584d8f980e86116847ab7f216d1b0fc382d7",
+    ),
+]
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS)
+    def test_golden_digest(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 0, err
+        body = TIMING_FIELD.sub("", out, count=1)
+        assert body != out
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+    def test_timing_is_the_last_field(self, capsys):
+        _, out, _ = run_cli(capsys, ["resist", "--q", "7", "--s", "3"])
+        assert re.search(r',\n  "timing_seconds": [^\n]*\n\}\n\Z', out)
+        assert list(json.loads(out))[-1] == "timing_seconds"
+
+    def test_timing_covers_rendering(self, capsys, monkeypatch):
+        render = cli.dumps_report
+
+        def slow_render(document):
+            time.sleep(0.05)
+            return render(document)
+
+        monkeypatch.setattr(cli, "dumps_report", slow_render)
+        document, _ = run_json(capsys, ["resist", "--q", "7", "--s", "3"])
+        assert document["timing_seconds"] >= 0.05
 
 
 class TestParseResidues:

@@ -321,6 +321,33 @@ class TestModulusValidation:
         assert params.elements == (2, 3)
         assert [type(s) for s in params.elements] == [int, int]
 
+    @pytest.mark.parametrize("x", [2.5, 2.0, np.float64(2.0), "2", None])
+    def test_rejects_non_integer_input(self, x):
+        # A float x used to be truncated: 2.5 gave the state of x = 2.
+        params = ParamSet(7, (3, 5))
+        with pytest.raises(ValueError, match="x must be an integer"):
+            build_shallow_hash(params, x)
+        with pytest.raises(ValueError, match="x must be an integer"):
+            build_single_qubit_hash(params, x)
+        with pytest.raises(ValueError, match="x must be an integer"):
+            build_standard_hash(derive_biased_set(params), x)
+
+    def test_rejects_non_integer_input_in_a_batch(self):
+        params = ParamSet(7, (3, 5))
+        for batch in (np.array([1.0, 2.0]), [1, 2.5]):
+            with pytest.raises(ValueError, match="x must be an integer"):
+                shallow_hash_circuit(params, batch)
+
+    def test_numpy_integer_inputs_are_accepted(self):
+        params = ParamSet(7, (3, 5))
+        assert np.array_equal(
+            build_shallow_hash(params, np.int64(2)).amplitudes,
+            build_shallow_hash(params, 2).amplitudes,
+        )
+        batched = single_qubit_hash_circuit(params, np.arange(3, dtype=np.int32))
+        listed = single_qubit_hash_circuit(params, [0, 1, 2])
+        assert all(np.array_equal(a.angle, b.angle) for a, b in zip(batched, listed))
+
     def test_largest_modulus_builds_every_form(self):
         # Every angle and phase float stays finite at the cap.
         params = ParamSet(MAX_MODULUS, (3, MAX_MODULUS - 1))
