@@ -1,0 +1,40 @@
+"""Per-layer timings with pytest-benchmark.
+
+    PYTHONPATH=src python -m pytest benchmarks
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
+
+The second form runs each case once, untimed, as a smoke check.
+These sit outside the `tests` testpath, so the tier-1 suite does not
+collect them. Inputs are drawn from fixed seeds, so every run times the
+same work.
+"""
+import random
+
+from zqhash.analysis import collision_resistance, epsilon_of_biased_set
+from zqhash.hashing import BiasedSet, HashForm, ParamSet, derive_biased_set
+
+
+def _residues(q, count, seed):
+    rng = random.Random(seed)
+    return tuple(rng.randrange(q) for _ in range(count))
+
+
+def test_bias_sweep(benchmark):
+    # The bias-sweep workload's request: |B| = 200 at q = 65537.
+    biased = BiasedSet(65537, _residues(65537, 200, 1))
+    report = benchmark(epsilon_of_biased_set, biased)
+    assert report.values.shape == (65536,)
+
+
+def test_collision_resistance(benchmark):
+    # The resist-wide workload's sweep: 6 parameters at q = 2**17.
+    params = ParamSet(1 << 17, _residues(1 << 17, 6, 2))
+    report = benchmark(collision_resistance, params, HashForm.SHALLOW)
+    assert report.values.shape == ((1 << 17) - 1,)
+
+
+def test_derive_biased_set(benchmark):
+    # All 2**18 subset sums of 18 parameters.
+    params = ParamSet(65537, _residues(65537, 18, 3))
+    biased = benchmark(derive_biased_set, params)
+    assert biased.size == 1 << 18

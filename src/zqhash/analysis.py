@@ -39,6 +39,7 @@ from .hashing import (
 from .statevec import StateVector, inner_product
 
 MAX_SWEEP_MODULUS = 1 << 20
+_SWEEP_BLOCK = 8192
 
 
 @dataclass
@@ -70,8 +71,10 @@ def _report_from_values(q: int, values: np.ndarray) -> ResistanceReport:
 
 def _phase_mean(q: int, elements: tuple[int, ...], x: int) -> np.complex128:
     # Mean over B of exp(2*pi*i*b*x/q), with each b*x reduced mod q in
-    # Python ints first, so no product wraps. A (|B|, 1) column summed
-    # along axis 0 adds the terms in order, as the sweep does.
+    # Python ints first, so no product wraps. This is not bit-identical to
+    # the sweep: numpy reduces the (|B|, 1) column as one 1-D sum, out of
+    # order from |B| = 4 on, and its exp on a short array can differ in the
+    # last ulp even at |B| = 1. The two agree within 1e-15.
     residues = [[(b * x) % q] for b in elements]
     phases = (2.0 * np.pi / q) * np.array(residues, dtype=np.float64)
     return np.exp(1j * phases).mean(axis=0)[0]
@@ -94,12 +97,27 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     """Worst bias of B over all x in [1, q), with the full per-x table."""
     q = biased.q
     _check_sweep_modulus(q)
-    # One phase row per element of B, added in order into one sum; the
-    # cap q <= 2**20 keeps each b*x inside int64.
-    xs = np.arange(1, q, dtype=np.int64)
+    # The q-th roots of unity once, roots[r] = exp(2*pi*i*r/q) from the
+    # same float expression a direct sum evaluates at residue r. Each x
+    # then adds roots[(b*x) % q] for every b of B, in B's order, so every
+    # value gets the same IEEE additions as that direct sum. The cap
+    # q <= 2**20 keeps each b*x inside int64; fixed-size blocks of x keep
+    # the working buffers small.
+    roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
     total = np.zeros(q - 1, dtype=np.complex128)
-    for b in biased.elements:
-        total += np.exp(1j * ((2.0 * np.pi / q) * ((b * xs) % q)))
+    width = min(_SWEEP_BLOCK, q - 1)
+    residues = np.empty(width, dtype=np.int64)
+    terms = np.empty(width, dtype=np.complex128)
+    for start in range(1, q, width):
+        stop = min(start + width, q)
+        xs = np.arange(start, stop, dtype=np.int64)
+        acc = total[start - 1 : stop - 1]
+        r, t = residues[: xs.size], terms[: xs.size]
+        for b in biased.elements:
+            np.multiply(xs, b, out=r)
+            np.remainder(r, q, out=r)
+            np.take(roots, r, out=t, mode="clip")
+            np.add(acc, t, out=acc)
     return _report_from_values(q, np.abs(total / biased.size))
 
 

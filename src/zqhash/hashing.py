@@ -154,10 +154,14 @@ def linear_combination(params: ParamSet, j: int) -> int:
 
 def derive_biased_set(params: ParamSet) -> BiasedSet:
     """The residue set of all 2**n subset sums of S, in address order."""
-    return BiasedSet(
-        params.q,
-        tuple(linear_combination(params, j) for j in range(1 << params.size)),
-    )
+    # Doubling from the last parameter, the lowest address bit, up: after
+    # element k the list holds every subset sum of elements k.., indexed by
+    # the low bits of j, as `linear_combination` selects them. `BiasedSet`
+    # reduces the sums mod q.
+    sums = [0]
+    for s in reversed(params.elements):
+        sums += [v + s for v in sums]
+    return BiasedSet(params.q, sums)
 
 
 def _angle_4pi(k: int, q: int) -> float:

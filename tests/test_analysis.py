@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from zqhash import analysis
 from zqhash.analysis import (
     MAX_SWEEP_MODULUS,
     bias,
@@ -31,6 +33,20 @@ def bias_oracle(biased, x):
         for b in biased.elements
     )
     return abs(total) / biased.size
+
+
+def sweep_oracle(biased):
+    # The direct sweep: one exp row per element of B over x = 1..q-1, added
+    # in B's order. The table-driven sweep must give exactly these bits.
+    q = biased.q
+    xs = np.arange(1, q, dtype=np.int64)
+    total = np.zeros(q - 1, dtype=np.complex128)
+    for b in biased.elements:
+        total += np.exp(1j * ((2.0 * np.pi / q) * ((b * xs) % q)))
+    return np.abs(total / biased.size)
+
+
+BLOCK = analysis._SWEEP_BLOCK
 
 
 @st.composite
@@ -118,6 +134,45 @@ class TestEpsilonSweep:
         # Adjacent pair: bias at x is |cos(pi*x/q)|, worst at x=1.
         assert report.worst_x == 1
         assert_allclose(report.epsilon, abs(math.cos(math.pi / q)), atol=1e-12)
+
+    def test_modulus_above_block_size(self):
+        q = 2 * BLOCK + 3
+        report = epsilon_of_biased_set(BiasedSet(q, (0, 1)))
+        assert report.worst_x == 1
+        assert_allclose(report.epsilon, abs(math.cos(math.pi / q)), atol=1e-12)
+
+
+class TestSweepBits:
+    @pytest.mark.parametrize("q", [2, 3, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 2])
+    @pytest.mark.parametrize(
+        "elements",
+        [(1,), (0,), (5, 5), (0, 3, 3, 0, 7), (2, 1, 4, 8, 16, 32, 64, 11, 9)],
+    )
+    def test_equals_direct_sum(self, q, elements):
+        biased = BiasedSet(q, elements)
+        values = epsilon_of_biased_set(biased).values
+        assert np.array_equal(values, sweep_oracle(biased))
+
+    @given(
+        st.integers(2, 700).flatmap(
+            lambda q: st.tuples(
+                st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=17)
+            )
+        ),
+        st.sampled_from([1, 2, 7, 64, BLOCK]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_direct_sum_at_any_block(self, case, block):
+        q, elements = case
+        biased = BiasedSet(q, tuple(elements))
+        with mock.patch.object(analysis, "_SWEEP_BLOCK", block):
+            values = epsilon_of_biased_set(biased).values
+        assert np.array_equal(values, sweep_oracle(biased))
+
+    def test_equals_direct_sum_at_the_cap(self):
+        biased = BiasedSet(MAX_SWEEP_MODULUS, (0, 1, 524287, 1048575, 77777))
+        values = epsilon_of_biased_set(biased).values
+        assert np.array_equal(values, sweep_oracle(biased))
 
 
 class TestClosedInner:

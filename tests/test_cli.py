@@ -142,6 +142,10 @@ GOLDEN_DIGESTS = [
         "bias --q 1009 --b 0,1,2,3,5,8,13,21",
         "5310a347e2f4ca5224f72dd80942cf8b05eb437c7ef24868aa94374180bc6974",
     ),
+    (  # q - 1 above the bias sweep's block of x, so the sweep crosses seams
+        "bias --q 20011 --b 0,1,3,7,12,20,33,54,88,143,232,376,609,986,1596,2583",
+        "756c4c45d768d23add3b17469d064148d45156ef98a3c288766e5ed2228ce464",
+    ),
     (
         "search --q 101 --n 4 --trials 200 --seed 7",
         "c2f63dc72cc89dcdf5788fe8cfad2e7b4c6ae2bad07a1d8b7b38fa6e1207d41e",

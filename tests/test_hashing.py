@@ -88,6 +88,26 @@ class TestDeriveBiasedSet:
         derived = derive_biased_set(ParamSet(7, (1, 2, 4)))
         assert derived.size == 8
 
+    @given(
+        st.integers(2, 1 << 40).flatmap(
+            lambda q: st.tuples(
+                st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=12)
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linear_combination(self, case):
+        q, elements = case
+        params = ParamSet(q, tuple(elements))
+        expected = tuple(linear_combination(params, j) for j in range(1 << params.size))
+        assert derive_biased_set(params).elements == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_linear_combination_at_every_size(self, n):
+        params = ParamSet(1009, tuple(range(500, 500 + 37 * n, 37)))
+        expected = tuple(linear_combination(params, j) for j in range(1 << n))
+        assert derive_biased_set(params).elements == expected
+
 
 class TestStandardHash:
     def test_x_zero_is_uniform_address(self):
