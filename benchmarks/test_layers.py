@@ -12,6 +12,7 @@ import random
 
 from zqhash.analysis import collision_resistance, epsilon_of_biased_set
 from zqhash.hashing import BiasedSet, HashForm, ParamSet, derive_biased_set
+from zqhash.verification import check_inner_products
 
 
 def _residues(q, count, seed):
@@ -38,3 +39,9 @@ def test_derive_biased_set(benchmark):
     params = ParamSet(65537, _residues(65537, 18, 3))
     biased = benchmark(derive_biased_set, params)
     assert biased.size == 1 << 18
+
+
+def test_verify_one_pass(benchmark):
+    # The verify-sim workload's Gram checks: q = 2..32, 5 sets each, n <= 5.
+    results = benchmark(check_inner_products, range(2, 33), 5, 5)
+    assert all(result.passed for result in results)

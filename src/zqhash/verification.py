@@ -10,8 +10,15 @@ and reports the worst deviation seen:
     closed-form cosine-product inner products, for all residue pairs.
   - shallow_inner_product: likewise for the shallow circuit against the
     closed form with the sum factor.
-  - resistance_equivalence: the shallow and sum-qubit constructions agree
-    exactly in closed form and within simulation tolerance on states.
+  - resistance_equivalence: the paper's identity, checked in closed form:
+    the cosine product with the sum factor equals the standard form's mean
+    of cos(2*pi*b*dx/q) over the subset sums b of S, at every difference
+    dx (within IDENTITY_TOL; a miss fails the check with an infinite
+    deviation). Its reported deviation is the worst gap between the
+    simulated |inner products| of the shallow and sum-qubit circuits.
+
+The last three share one pass: each random parameter set is drawn once and
+its single-qubit, shallow and sum-qubit Gram matrices are each built once.
 
 `gate_angle_scale` is a fault-injection hook: it multiplies the angles of
 one of the two routes, so anything but 1.0 must make the checks fail. It
@@ -25,17 +32,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .analysis import (
-    _closed_inner_values,
-    closed_inner_shallow,
-    closed_inner_single,
-    collision_resistance,
-)
+from .analysis import _closed_inner_values
 from .hashing import (
     MAX_PARAMS,
-    HashForm,
     ParamSet,
     _check_int,
+    derive_biased_set,
     shallow_hash_circuit,
     single_qubit_hash_circuit,
 )
@@ -52,6 +54,9 @@ from .statevec import (
 
 DEFAULT_SEED = 0xC0FFEE
 DEVIATION_TOL = 1e-10
+# Closed form against closed form, both in float64: measured within 9e-16
+# over q = 2..299 and up to 6 parameters.
+IDENTITY_TOL = 1e-12
 
 # Amplitudes per batch of basis inputs in the multiplexed-Ry check, so its
 # memory stays bounded at any width.
@@ -68,6 +73,10 @@ class CheckResult:
 
 def _result(name: str, max_deviation: float, detail: str) -> CheckResult:
     return CheckResult(name, max_deviation <= DEVIATION_TOL, max_deviation, detail)
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def check_ucr_decomposition(
@@ -104,12 +113,7 @@ def check_ucr_decomposition(
                     apply_controlled_ry(
                         flat, [(k, 1)], n, float(parts[k]) * gate_angle_scale
                     )
-                worst = max(
-                    worst,
-                    float(
-                        np.max(np.abs(multiplexed.amplitudes - flat.amplitudes))
-                    ),
-                )
+                worst = max(worst, _gap(multiplexed.amplitudes, flat.amplitudes))
                 cases += basis.shape[0]
     return _result(
         "ucr_decomposition",
@@ -135,145 +139,79 @@ def _built_gram(
     return mat @ mat.T
 
 
-def _closed_gram(params: ParamSet, with_sum: bool) -> np.ndarray:
-    per_dx = _closed_inner_values(
-        params.q, params.elements, np.arange(params.q), with_sum
-    )
-    span = np.arange(params.q)
-    return per_dx[np.abs(span[:, None] - span[None, :])]
+def _subset_sum_means(params: ParamSet) -> np.ndarray:
+    # The standard form's inner product at every dx in [0, q): the mean of
+    # cos(2*pi*b*dx/q) over the subset sums b of S, each b*dx reduced mod q
+    # before the float division. b, dx < q, so b*dx fits int64 for every q
+    # whose q x q Gram matrix fits in memory.
+    sums = np.array(derive_biased_set(params).elements, dtype=np.int64)
+    dx = np.arange(params.q, dtype=np.int64)
+    residues = (sums[:, None] * dx[None, :]) % params.q
+    return np.cos((2.0 * np.pi / params.q) * residues).mean(axis=0)
 
 
-def _inner_product_check(
-    name: str,
+def check_inner_products(
     q_values: Iterable[int],
-    sets_per_q: int,
-    n_max: int,
-    seed: int,
-    gate_angle_scale: float,
-    with_sum: bool,
-) -> CheckResult:
-    worst = 0.0
-    pairs = 0
+    sets_per_q: int = 20,
+    n_max: int = 5,
+    seed: int = DEFAULT_SEED,
+    gate_angle_scale: float = 1.0,
+) -> list[CheckResult]:
+    """The single_qubit_inner_product, shallow_inner_product and
+    resistance_equivalence results, from one pass over random parameter
+    sets: each set is drawn once and its single-qubit, shallow and
+    sum-qubit Gram matrices are built once each. `gate_angle_scale` scales
+    the single-qubit and shallow builds, not the sum-qubit one."""
+    worst = [0.0, 0.0, 0.0]
+    pairs = sets = 0
+    diverged = None
     for q in q_values:
+        span = np.arange(q)
+        dx = np.abs(span[:, None] - span[None, :])
         for index in range(sets_per_q):
-            rng = np.random.default_rng([seed, q, index])
-            params = _random_params(rng, q, n_max)
-            if with_sum:
-                width = params.size + 1
-                circuit = partial(shallow_hash_circuit, params)
-            else:
-                width = params.size
-                circuit = partial(single_qubit_hash_circuit, params)
-            built = _built_gram(q, width, circuit, gate_angle_scale)
-            expected = _closed_gram(params, with_sum)
-            worst = max(worst, float(np.max(np.abs(built - expected))))
-            pairs += q * q
-    return _result(name, worst, f"{pairs} residue pairs, all pairs per set")
-
-
-def check_single_qubit_inner_product(
-    q_values: Iterable[int],
-    sets_per_q: int = 20,
-    n_max: int = 5,
-    seed: int = DEFAULT_SEED,
-    gate_angle_scale: float = 1.0,
-) -> CheckResult:
-    """Gate-built product-state hashes versus the cosine-product closed
-    form, over every residue pair for random parameter sets."""
-    return _inner_product_check(
-        "single_qubit_inner_product",
-        q_values,
-        sets_per_q,
-        n_max,
-        seed,
-        gate_angle_scale,
-        with_sum=False,
-    )
-
-
-def check_shallow_inner_product(
-    q_values: Iterable[int],
-    sets_per_q: int = 20,
-    n_max: int = 5,
-    seed: int = DEFAULT_SEED,
-    gate_angle_scale: float = 1.0,
-) -> CheckResult:
-    """Gate-built shallow hashes versus the closed form with the sum
-    factor, over every residue pair for random parameter sets."""
-    return _inner_product_check(
-        "shallow_inner_product",
-        q_values,
-        sets_per_q,
-        n_max,
-        seed,
-        gate_angle_scale,
-        with_sum=True,
-    )
-
-
-def check_resistance_equivalence(
-    q_values: Iterable[int],
-    sets_per_q: int = 20,
-    n_max: int = 5,
-    seed: int = DEFAULT_SEED,
-    gate_angle_scale: float = 1.0,
-) -> CheckResult:
-    """The shallow form and the single-qubit form with the sum qubit must
-    be interchangeable: identical closed-form resistance reports, equal
-    scalar closed values, and matching simulated |inner| for all pairs."""
-    worst = 0.0
-    sets = 0
-    for q in q_values:
-        for index in range(sets_per_q):
-            rng = np.random.default_rng([seed, q, index])
-            params = _random_params(rng, q, n_max)
-            shallow_report = collision_resistance(params, HashForm.SHALLOW)
-            sum_report = collision_resistance(
-                params, HashForm.SINGLE_QUBIT, include_sum_qubit=True
+            params = _random_params(np.random.default_rng([seed, q, index]), q, n_max)
+            n = params.size
+            single = _built_gram(
+                q, n, partial(single_qubit_hash_circuit, params), gate_angle_scale
             )
-            if (
-                shallow_report.epsilon != sum_report.epsilon
-                or shallow_report.worst_x != sum_report.worst_x
-                or not np.array_equal(shallow_report.values, sum_report.values)
-            ):
-                return CheckResult(
-                    "resistance_equivalence",
-                    False,
-                    float("inf"),
-                    f"closed-form reports diverged for q={q}, S={params.elements}",
-                )
-            for _ in range(4):
-                x1 = int(rng.integers(0, q))
-                x2 = int(rng.integers(0, q))
-                if closed_inner_shallow(params, x1, x2) != closed_inner_single(
-                    params, x1, x2, include_sum_qubit=True
-                ):
-                    return CheckResult(
-                        "resistance_equivalence",
-                        False,
-                        float("inf"),
-                        f"scalar closed forms diverged for q={q}, "
-                        f"S={params.elements}, x1={x1}, x2={x2}",
-                    )
-            width = params.size + 1
-            shallow_gram = _built_gram(
-                q, width, partial(shallow_hash_circuit, params), gate_angle_scale
+            shallow = _built_gram(
+                q, n + 1, partial(shallow_hash_circuit, params), gate_angle_scale
             )
-            sum_gram = _built_gram(
+            with_sum = _built_gram(
                 q,
-                width,
+                n + 1,
                 partial(single_qubit_hash_circuit, params, include_sum_qubit=True),
                 1.0,
             )
-            worst = max(
-                worst, float(np.max(np.abs(np.abs(shallow_gram) - np.abs(sum_gram))))
+            closed = _closed_inner_values(q, params.elements, span, False)
+            closed_sum = _closed_inner_values(q, params.elements, span, True)
+            gaps = (
+                _gap(single, closed[dx]),
+                _gap(shallow, closed_sum[dx]),
+                _gap(np.abs(shallow), np.abs(with_sum)),
             )
+            worst = [max(w, g) for w, g in zip(worst, gaps)]
+            if diverged is None and not (
+                _gap(_subset_sum_means(params), closed_sum) <= IDENTITY_TOL
+            ):
+                diverged = (
+                    f"sum-factor closed form diverged from the subset-sum mean "
+                    f"for q={q}, S={params.elements}"
+                )
+            pairs += q * q
             sets += 1
-    return _result(
-        "resistance_equivalence",
-        worst,
-        f"{sets} parameter sets, closed reports bit-identical",
+    pair_detail = f"{pairs} residue pairs, all pairs per set"
+    equivalence_detail = (
+        f"{sets} parameter sets, sum-factor closed form equals the "
+        f"subset-sum mean within {IDENTITY_TOL:g}"
     )
+    if diverged is not None:
+        worst[2], equivalence_detail = float("inf"), diverged
+    return [
+        _result("single_qubit_inner_product", worst[0], pair_detail),
+        _result("shallow_inner_product", worst[1], pair_detail),
+        _result("resistance_equivalence", worst[2], equivalence_detail),
+    ]
 
 
 def run_all_checks(
@@ -285,27 +223,20 @@ def run_all_checks(
 ) -> list[CheckResult]:
     """Run the four checks over q in [2, q_max]. `trials` sets the number
     of random parameter sets per modulus and angle draws per width. Raises
-    ValueError, before any work, when a check would have nothing to check
-    or `n_max` is outside [1, MAX_PARAMS]."""
+    ValueError, before any work, when a check would have nothing to check,
+    `n_max` is outside [1, MAX_PARAMS] or `seed` is not a non-negative
+    integer."""
     q_max = _check_int(q_max, "q_max")
     trials = _check_int(trials, "trials", 1, None)
     n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
-    q_values = range(2, q_max + 1)
+    seed = _check_int(seed, "seed", 0, None)
     return [
         check_ucr_decomposition(
             n_max=n_max, vectors_per_n=trials, seed=seed,
             gate_angle_scale=gate_angle_scale,
         ),
-        check_single_qubit_inner_product(
-            q_values, sets_per_q=trials, n_max=n_max, seed=seed,
-            gate_angle_scale=gate_angle_scale,
-        ),
-        check_shallow_inner_product(
-            q_values, sets_per_q=trials, n_max=n_max, seed=seed,
-            gate_angle_scale=gate_angle_scale,
-        ),
-        check_resistance_equivalence(
-            q_values, sets_per_q=trials, n_max=n_max, seed=seed,
+        *check_inner_products(
+            range(2, q_max + 1), sets_per_q=trials, n_max=n_max, seed=seed,
             gate_angle_scale=gate_angle_scale,
         ),
     ]

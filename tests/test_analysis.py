@@ -128,7 +128,8 @@ class TestEpsilonSweep:
             epsilon_of_biased_set(BiasedSet(MAX_SWEEP_MODULUS + 1, (0, 1)))
 
     def test_large_modulus_block_sweep(self):
-        # Exercises the blocked path with a modulus above the block size.
+        # A large modulus in one block: q = 4096 is below the sweep block
+        # of 8192; test_modulus_above_block_size crosses the seams.
         q = 1 << 12
         report = epsilon_of_biased_set(BiasedSet(q, (0, 1)))
         # Adjacent pair: bias at x is |cos(pi*x/q)|, worst at x=1.

@@ -132,7 +132,9 @@ class TestFloatFormatter:
 TIMING_FIELD = re.compile(r',\n  "timing_seconds": [^\n]*')
 
 # SHA-256 of each document with its timing_seconds field removed, recorded
-# from the per-value serializer that the vectorized one replaced.
+# from the per-value serializer that the vectorized one replaced. The verify
+# digest comes from the one-pass checks; the four-check code before them
+# wrote the same document apart from the resistance_equivalence detail.
 GOLDEN_DIGESTS = [
     (
         "resist --q 4099 --s 3,5,7,11 --form shallow",
@@ -165,6 +167,10 @@ GOLDEN_DIGESTS = [
     (  # amplitudes 0.0 and -0.0
         "hash --q 5 --form single-qubit --s 3,5 --x 1",
         "a548bbf2904b753100a3b2b3b3ab584d8f980e86116847ab7f216d1b0fc382d7",
+    ),
+    (  # every check's max_deviation and detail
+        "verify --q-max 12 --n-max 4 --trials 2",
+        "b16d9e0e98258a5d0d6fec3a1ea948a610b46e8d6189175a35dc1119173737f5",
     ),
 ]
 
@@ -478,6 +484,7 @@ class TestVerifyInputs:
             ["--trials", "0"],
             ["--n-max", "0"],
             ["--n-max", "21"],
+            ["--seed", "-1"],
         ],
     )
     def test_inputs_that_check_nothing_exit_2(self, capsys, monkeypatch, flags):

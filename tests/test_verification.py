@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqhash import verification
+from zqhash import analysis, verification
 from zqhash.hashing import (
     MAX_PARAMS,
     ParamSet,
@@ -15,9 +15,7 @@ from zqhash.hashing import (
 from zqhash.statevec import run_circuit, scale_angles, zero_state
 from zqhash.verification import (
     _built_gram,
-    check_resistance_equivalence,
-    check_shallow_inner_product,
-    check_single_qubit_inner_product,
+    check_inner_products,
     check_ucr_decomposition,
     run_all_checks,
 )
@@ -28,6 +26,10 @@ CHECK_NAMES = [
     "shallow_inner_product",
     "resistance_equivalence",
 ]
+
+
+def by_name(results):
+    return {result.name: result for result in results}
 
 
 class TestCleanRun:
@@ -44,7 +46,7 @@ class TestCleanRun:
         second = run_all_checks(q_max=8, n_max=3, trials=2, seed=99)
         assert [r.max_deviation for r in first] == [r.max_deviation for r in second]
 
-    @pytest.mark.parametrize("seed", [0, 31337])
+    @pytest.mark.parametrize("seed", [0, 31337, 2**70])
     def test_passes_for_any_seed(self, seed):
         # The properties hold for all inputs; the seed only picks samples.
         for result in run_all_checks(q_max=10, n_max=3, trials=2, seed=seed):
@@ -63,40 +65,82 @@ class TestFaultInjection:
         assert result.max_deviation > 1e-3
 
     def test_single_qubit_check_catches_scaled_angles(self):
-        result = check_single_qubit_inner_product(
-            [5, 9], sets_per_q=3, gate_angle_scale=0.5
+        results = by_name(
+            check_inner_products([5, 9], sets_per_q=3, gate_angle_scale=0.5)
         )
-        assert not result.passed
+        assert not results["single_qubit_inner_product"].passed
 
     def test_shallow_check_catches_scaled_angles(self):
-        result = check_shallow_inner_product(
-            [5, 9], sets_per_q=3, gate_angle_scale=0.5
+        results = by_name(
+            check_inner_products([5, 9], sets_per_q=3, gate_angle_scale=0.5)
         )
-        assert not result.passed
+        assert not results["shallow_inner_product"].passed
 
     def test_equivalence_check_catches_scaled_angles(self):
-        result = check_resistance_equivalence(
-            [5, 9], sets_per_q=3, gate_angle_scale=0.5
+        results = by_name(
+            check_inner_products([5, 9], sets_per_q=3, gate_angle_scale=0.5)
         )
-        assert not result.passed
+        assert not results["resistance_equivalence"].passed
 
     def test_tiny_corruption_still_detected(self):
-        result = check_shallow_inner_product(
-            [8], sets_per_q=4, gate_angle_scale=1.0 + 1e-6
+        results = by_name(
+            check_inner_products([8], sets_per_q=4, gate_angle_scale=1.0 + 1e-6)
         )
+        assert not results["shallow_inner_product"].passed
+
+    def test_equivalence_catches_a_missing_sum_factor(self, monkeypatch):
+        # Without its sum factor the closed form no longer equals the
+        # subset-sum mean: the check fails with an infinite deviation and
+        # names the first set that broke the identity.
+        closed = analysis._closed_inner_values
+
+        def without_sum(q, elements, dx, with_sum):
+            return closed(q, elements, dx, False)
+
+        monkeypatch.setattr(verification, "_closed_inner_values", without_sum)
+        result = by_name(check_inner_products(range(2, 12), sets_per_q=2))[
+            "resistance_equivalence"
+        ]
         assert not result.passed
+        assert result.max_deviation == float("inf")
+        assert "S=" in result.detail
 
 
 class TestCheckGranularity:
     def test_single_modulus_sweep(self):
-        result = check_single_qubit_inner_product([17], sets_per_q=5)
+        result = by_name(check_inner_products([17], sets_per_q=5))[
+            "single_qubit_inner_product"
+        ]
         assert result.passed
         assert result.max_deviation < 1e-12
 
-    def test_equivalence_reports_are_bit_identical(self):
-        result = check_resistance_equivalence(range(2, 20), sets_per_q=2)
+    def test_equivalence_detail_names_the_identity(self):
+        result = by_name(check_inner_products(range(2, 20), sets_per_q=2))[
+            "resistance_equivalence"
+        ]
         assert result.passed
-        assert "bit-identical" in result.detail
+        assert result.detail == (
+            "36 parameter sets, sum-factor closed form equals the "
+            "subset-sum mean within 1e-12"
+        )
+
+    def test_each_set_drawn_once_and_built_three_times(self, monkeypatch):
+        calls = {"draws": 0, "builds": 0}
+        draw, build = verification._random_params, verification._built_gram
+
+        def counted_draw(*args):
+            calls["draws"] += 1
+            return draw(*args)
+
+        def counted_build(*args):
+            calls["builds"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(verification, "_random_params", counted_draw)
+        monkeypatch.setattr(verification, "_built_gram", counted_build)
+        run_all_checks(q_max=6, n_max=3, trials=2)
+        sets = 5 * 2
+        assert calls == {"draws": sets, "builds": 3 * sets}
 
 
 def per_x_gram(q, num_qubits, circuit_for_x, gate_angle_scale):
@@ -148,8 +192,8 @@ class TestRunAllChecksInputs:
         def started(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        for name in CHECK_NAMES:
-            monkeypatch.setattr(verification, f"check_{name}", started)
+        for name in ["check_ucr_decomposition", "check_inner_products"]:
+            monkeypatch.setattr(verification, name, started)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -162,8 +206,12 @@ class TestRunAllChecksInputs:
             {"q_max": 4.5},
             {"trials": 1.5},
             {"n_max": 2.0},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": "7"},
         ],
     )
     def test_rejects_inputs_that_check_nothing(self, kwargs):
-        with pytest.raises(ValueError):
+        # The error names the input, whichever one it is.
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
             run_all_checks(**kwargs)
