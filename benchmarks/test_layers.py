@@ -12,6 +12,7 @@ import random
 
 from zqhash.analysis import collision_resistance, epsilon_of_biased_set
 from zqhash.hashing import BiasedSet, HashForm, ParamSet, derive_biased_set
+from zqhash.search import SearchConfig, _draw_block, random_search
 from zqhash.verification import check_inner_products
 
 
@@ -45,3 +46,16 @@ def test_verify_one_pass(benchmark):
     # The verify-sim workload's Gram checks: q = 2..32, 5 sets each, n <= 5.
     results = benchmark(check_inner_products, range(2, 33), 5, 5)
     assert all(result.passed for result in results)
+
+
+def test_random_search(benchmark):
+    # The search-small workload's request: 2,000 trials at q = 101, n = 4.
+    config = SearchConfig(q=101, n=4, trials=2000, seed=7)
+    result = benchmark(random_search, config, HashForm.SINGLE_QUBIT)
+    assert result.trials_run == 2000
+
+
+def test_draw_block(benchmark):
+    # The candidate stream of that request: 2,000 trials in one block.
+    block = benchmark(_draw_block, 7, 101, 4, 0, 2000)
+    assert block.shape == (2000, 4)

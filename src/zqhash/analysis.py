@@ -16,7 +16,8 @@ residues mod q:
 Everything depends on x1 and x2 only through (x1 - x2), so sweeps run over
 the difference. Cosine arguments keep their integer numerators reduced mod
 2q before the float division (cos(pi * k / q) has period 2q in k), which
-makes the sweep values bit-identical to the scalar entry points.
+makes the sweep values bit-identical to the scalar entry points, and to
+the rows of a block of parameter sets swept at once, as search does.
 
 Sweeps allocate O(q) float arrays and are capped at q <= 2**20.
 """
@@ -59,9 +60,9 @@ class ResistanceReport:
         return [(i + 1, float(v)) for i, v in enumerate(self.values)]
 
 
-def _check_sweep_modulus(q: int) -> None:
+def _check_sweep_modulus(q: object) -> int:
     span = f"[2, {MAX_SWEEP_MODULUS}] (exhaustive sweeps are capped there)"
-    _check_int(q, "modulus", 2, MAX_SWEEP_MODULUS, span)
+    return _check_int(q, "modulus", 2, MAX_SWEEP_MODULUS, span)
 
 
 def _report_from_values(q: int, values: np.ndarray) -> ResistanceReport:
@@ -122,19 +123,29 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
 
 
 def _closed_inner_values(
-    q: int, elements: tuple[int, ...], dx: int | np.ndarray, with_sum: bool
+    q: int,
+    rows: tuple[int, ...] | np.ndarray,
+    dx: int | np.ndarray,
+    with_sum: bool,
 ) -> np.ndarray:
-    # Signed inner products for one difference dx, a Python int reduced
-    # exactly at any size, or for an array of sweep differences, where
-    # |dx| <= q <= 2**20 keeps s*dx inside int64. One cosine factor per
-    # parameter, multiplied in parameter order so scalar and sweep callers
-    # agree bitwise.
+    # Signed inner products of parameter rows at differences dx. `rows` is
+    # one row as a tuple of Python ints, or a (K, n) int64 block of rows,
+    # one result row each. `dx` is one Python int, reduced exactly at any
+    # size, or an array of sweep differences, where |dx| <= q <= 2**20
+    # keeps s*dx, sum factor included, inside int64. One cosine factor per
+    # parameter, multiplied in parameter order, so scalar, sweep and block
+    # callers agree bitwise.
+    if isinstance(rows, tuple):
+        factors = list(rows)
+        total = sum(rows)
+    else:
+        factors = [rows[:, j, None] for j in range(rows.shape[1])]
+        total = rows.sum(axis=1, keepdims=True)
     if not isinstance(dx, int):
         dx = np.asarray(dx, dtype=np.int64)
-    out = np.ones(np.shape(dx))
-    factors = list(elements)
     if with_sum:
-        factors.append(sum(elements))
+        factors.append(total)
+    out = np.ones(np.shape(dx))
     for s in factors:
         out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
     return out
@@ -191,19 +202,28 @@ def simulated_inner(
     raise ValueError(f"unknown form {form!r}")
 
 
+def _sweep(
+    q: int,
+    rows: tuple[int, ...] | np.ndarray,
+    form: HashForm,
+    include_sum_qubit: bool,
+) -> np.ndarray:
+    # |inner product| of `rows` (as in `_closed_inner_values`) at every
+    # nonzero difference mod q. The standard and shallow forms share the
+    # shallow value, which is single-qubit with the sum factor.
+    _check_sweep_modulus(q)
+    with_sum = include_sum_qubit if form is HashForm.SINGLE_QUBIT else True
+    dx = np.arange(1, q, dtype=np.int64)
+    return np.abs(_closed_inner_values(q, rows, dx, with_sum))
+
+
 def collision_resistance(
     params: ParamSet, form: HashForm, include_sum_qubit: bool = False
 ) -> ResistanceReport:
     """Worst |inner product| over all nonzero differences mod q, from the
     closed form. The standard and shallow forms share the shallow value."""
-    q = params.q
-    _check_sweep_modulus(q)
-    with_sum = True
-    if form is HashForm.SINGLE_QUBIT:
-        with_sum = include_sum_qubit
-    dx = np.arange(1, q, dtype=np.int64)
-    values = np.abs(_closed_inner_values(q, params.elements, dx, with_sum))
-    return _report_from_values(q, values)
+    values = _sweep(params.q, params.elements, form, include_sum_qubit)
+    return _report_from_values(params.q, values)
 
 
 def cosine_sum_check(biased: BiasedSet, x: int) -> tuple[float, float]:

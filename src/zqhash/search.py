@@ -2,28 +2,69 @@
 
 Random search draws candidate parameter sets with entries in [1, q) (zero
 entries only waste a qubit) and keeps the one whose exhaustively certified
-epsilon is smallest. Each trial seeds its own generator from (seed, trial
-index), so results are reproducible bit for bit regardless of how trials
-might be batched or reordered, and any single trial can be replayed alone.
+epsilon is smallest. Each trial has its own random stream, keyed by (seed,
+trial index), so results are reproducible bit for bit regardless of how
+trials are batched, and any single trial can be replayed alone with
+`draw_candidate`.
 
-The winning epsilon is recomputed from scratch before returning, so the
-result never depends on bookkeeping done during the scan. Exhaustive
-search enumerates the whole candidate space in lexicographic order and is
-the ground truth the random variant can be checked against on small spaces.
+The stream is the package's own numpy port of what
+`np.random.default_rng([seed, trial]).integers(1, q, size=n)` draws:
+SeedSequence mixing, PCG64 seeding and its XSL-RR output (O'Neill 2014),
+and Lemire's bounded 32-bit draw (Lemire 2019). The port computes a whole
+block of trials at once. NumPy does not promise that `Generator` streams
+stay the same across versions (NEP 19); a test pins this stream to
+`default_rng` at the installed numpy, and if a future numpy breaks that
+pin, this stream is the contract.
+
+Both searches scan candidates in blocks: one cosine-product sweep per
+block, in parameter order, so every row is bit-identical to
+`collision_resistance` of that candidate. The winning epsilon is then
+recomputed from scratch by `collision_resistance`, so the result never
+depends on bookkeeping done during the scan. Exhaustive search enumerates
+the whole candidate space in lexicographic order and is the ground truth
+the random variant can be checked against on small spaces.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .analysis import ResistanceReport, collision_resistance
+from .analysis import (
+    ResistanceReport,
+    _check_sweep_modulus,
+    _sweep,
+    collision_resistance,
+)
 from .hashing import MAX_PARAMS, HashForm, ParamSet, _check_int
 
 MAX_SEARCH_EVALS = 10**10
 MAX_EXHAUSTIVE_SPACE = 10**7
+
+# Cells of one block: 2**17 float64 values of the certification sweep,
+# 1 MB. A row counts at least _ROW_CELLS cells, about the uint64 words of
+# its random stream at n = MAX_PARAMS, so tiny moduli get bounded blocks too.
+_BLOCK_CELLS = 1 << 17
+_ROW_CELLS = 64
+
+_UINT64_SPAN = (0, (1 << 64) - 1, "[0, 2**64)")
+
+# numpy.random.SeedSequence hash constants (pool of four 32-bit words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+# The PCG64 128-bit LCG multiplier as four 32-bit limbs, least significant
+# first.
+_PCG_MULT = tuple(
+    np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32)
+    for k in range(4)
+)
 
 
 @dataclass(frozen=True)
@@ -39,10 +80,10 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         for field, checked in (
-            ("q", _check_int(self.q, "modulus")),
+            ("q", _check_sweep_modulus(self.q)),
             ("n", _check_int(self.n, "parameter count", 1, MAX_PARAMS)),
             ("trials", _check_int(self.trials, "trial count", 1, None)),
-            ("seed", _check_int(self.seed, "seed", 0, (1 << 64) - 1, "[0, 2**64)")),
+            ("seed", _check_int(self.seed, "seed", *_UINT64_SPAN)),
         ):
             object.__setattr__(self, field, checked)
         if self.target_epsilon is not None and not 0.0 < self.target_epsilon <= 1.0:
@@ -66,51 +107,180 @@ class SearchResult:
     history: list[tuple[int, float]]
 
 
+def _seed_words(seed: int, trials: np.ndarray) -> list[np.ndarray]:
+    # SeedSequence([seed, trial]).generate_state(4, np.uint64) of each
+    # trial, as its eight uint32 words. The seed enters as its one or two
+    # 32-bit words, low first, and each trial as two: with at most four
+    # entropy words nothing exceeds the pool, and a pool slot past the
+    # entropy hashes a 0 word, so a zero high word of the trial mixes
+    # exactly like numpy's shorter entropy.
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(trials.size, word, dtype=np.uint32) for word in seed_words]
+    entropy += [(trials & np.uint64(_MASK32)).astype(np.uint32)]
+    entropy += [(trials >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(trials.size, dtype=np.uint32)] * (_POOL - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed = hashmix(pool[src])
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst]
+                mixed = mixed - np.uint32(_MIX_MULT_R) * hashed
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const = _INIT_B
+    words = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        words.append(value ^ (value >> np.uint32(16)))
+    return words
+
+
+def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
+    # state * multiplier + inc mod 2**128 on 128-bit numbers held as four
+    # uint64 arrays of 32-bit limbs, least significant first. The
+    # 32x32-bit partial products fit uint64; their low and high halves are
+    # summed apart, so no sum overflows.
+    mask = np.uint64(_MASK32)
+    out = []
+    carry = np.uint64(0)
+    for k in range(4):
+        low = inc[k] + carry
+        high = np.uint64(0)
+        for i in range(k + 1):
+            product = state[i] * _PCG_MULT[k - i]
+            low = low + (product & mask)
+            high = high + (product >> np.uint64(32))
+        out.append(low & mask)
+        carry = (low >> np.uint64(32)) + high
+    return out
+
+
+def _xsl_rr(state: list[np.ndarray]) -> np.ndarray:
+    # PCG's XSL-RR output: the two 64-bit halves xored, rotated right by
+    # the state's top six bits.
+    high = (state[3] << np.uint64(32)) | state[2]
+    low = (state[1] << np.uint64(32)) | state[0]
+    folded = high ^ low
+    rot = state[3] >> np.uint64(26)
+    return (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Candidates of trials [start, stop) as a (stop - start, n) int64
+    array: row i equals default_rng([seed, start + i]).integers(1, q, n)."""
+    rows = stop - start
+    if q == 2:  # a one-value range: numpy returns it without drawing
+        return np.ones((rows, n), dtype=np.int64)
+    mask = np.uint64(_MASK32)
+    trials = np.uint64(start) + np.arange(rows, dtype=np.uint64)
+    words = [word.astype(np.uint64) for word in _seed_words(seed, trials)]
+    # PCG64 seeding: the state is the first two uint64 words (high, low),
+    # the stream the last two, shifted up with the low bit set.
+    initstate = [words[2], words[3], words[0], words[1]]
+    stream = [words[6], words[7], words[4], words[5]]
+    inc = [((stream[0] << np.uint64(1)) | np.uint64(1)) & mask]
+    inc += [
+        ((stream[k] << np.uint64(1)) | (stream[k - 1] >> np.uint64(31))) & mask
+        for k in range(1, 4)
+    ]
+    state = list(inc)  # one step from state 0
+    carry = np.uint64(0)
+    for k in range(4):
+        total = state[k] + initstate[k] + carry
+        state[k], carry = total & mask, total >> np.uint64(32)
+    state = _lcg_step(state, inc)
+
+    # Lemire's bounded draw on 32-bit words, each 64-bit output giving its
+    # low half first: m = word * (q - 1), value 1 + (m >> 32), redrawn
+    # while the low half of m is below 2**32 mod (q - 1). A row that
+    # rejects a word takes its values from the next accepted ones.
+    span = np.uint64(q - 1)
+    threshold = np.uint64((1 << 32) % (q - 1))
+    columns: list[np.ndarray] = []
+    while True:
+        state = _lcg_step(state, inc)
+        output = _xsl_rr(state)
+        columns += [output & mask, output >> np.uint64(32)]
+        if len(columns) >= n:
+            scaled = np.stack(columns, axis=1) * span
+            rejected = (scaled & mask) < threshold
+            if rejected.sum(axis=1).max() <= len(columns) - n:
+                break
+    if rejected.any():
+        order = np.argsort(rejected, axis=1, kind="stable")
+        scaled = np.take_along_axis(scaled, order, axis=1)
+    return (scaled[:, :n] >> np.uint64(32)).astype(np.int64) + 1
+
+
 def draw_candidate(seed: int, trial: int, q: int, n: int) -> tuple[int, ...]:
-    """The candidate examined at a given trial index; entries in [1, q)."""
-    rng = np.random.default_rng([seed, trial])
-    return tuple(int(v) for v in rng.integers(1, q, size=n))
+    """The candidate examined at a given trial index; entries in [1, q).
+    One row of the search's block stream, so any trial replays alone."""
+    seed = _check_int(seed, "seed", *_UINT64_SPAN)
+    trial = _check_int(trial, "trial index", *_UINT64_SPAN)
+    q = _check_sweep_modulus(q)
+    n = _check_int(n, "parameter count", 1, MAX_PARAMS)
+    return tuple(int(v) for v in _draw_block(seed, q, n, trial, trial + 1)[0])
 
 
-def _certify(
-    elements: tuple[int, ...],
-    q: int,
-    form: HashForm,
-    include_sum_qubit: bool,
-) -> tuple[ParamSet, ResistanceReport]:
-    params = ParamSet(q, elements)
-    return params, collision_resistance(params, form, include_sum_qubit)
+def _block_rows(q: int) -> int:
+    return max(1, _BLOCK_CELLS // max(q - 1, _ROW_CELLS))
 
 
 def _scan(
-    candidates: Iterable[tuple[int, ...]],
     q: int,
+    count: int,
+    rows_at: Callable[[int, int], np.ndarray],
     form: HashForm,
     include_sum_qubit: bool,
     target_epsilon: float | None = None,
 ) -> SearchResult:
-    # Certify candidates in order, keep the first with the smallest epsilon,
-    # stop early at `target_epsilon`, and re-certify the winner from scratch.
-    best_elements: tuple[int, ...] | None = None
-    best_epsilon = float("inf")
+    # Certify candidates 0..count-1 a block at a time, keep the first with
+    # the smallest epsilon, stop at the first at or below `target_epsilon`,
+    # and re-certify the winner from scratch. With a target the scan may
+    # stop at any candidate, so blocks start at one row and double up to
+    # the bound: the work past the stop stays below the work before it.
+    best_row: tuple[int, ...] = ()
+    best_epsilon = math.inf
     history: list[tuple[int, float]] = []
-    count = 0
-    for index, elements in enumerate(candidates):
-        count = index + 1
-        _, report = _certify(elements, q, form, include_sum_qubit)
-        if report.epsilon < best_epsilon:
-            best_elements = elements
-            best_epsilon = report.epsilon
-            history.append((index, report.epsilon))
-        if target_epsilon is not None and best_epsilon <= target_epsilon:
+    target = -math.inf if target_epsilon is None else target_epsilon
+    bound = _block_rows(q)
+    size = bound if target_epsilon is None else 1
+    start = 0
+    while start < count:
+        rows = rows_at(start, min(start + size, count))
+        epsilons = _sweep(q, rows, form, include_sum_qubit).max(axis=1)
+        hits = np.flatnonzero(epsilons <= target)
+        stop = int(hits[0]) + 1 if hits.size else epsilons.size
+        # Strict improvements: below the best of every earlier candidate.
+        before = np.minimum.accumulate(np.append(best_epsilon, epsilons[: stop - 1]))
+        improved = np.flatnonzero(epsilons[:stop] < before)
+        history += [(start + int(i), float(epsilons[i])) for i in improved]
+        if improved.size:
+            best_row = tuple(int(v) for v in rows[improved[-1]])
+            best_epsilon = history[-1][1]
+        trials_run = start + stop
+        if hits.size:
             break
-    assert best_elements is not None
-    params, certified = _certify(best_elements, q, form, include_sum_qubit)
+        start += size
+        size = min(2 * size, bound)
+    params = ParamSet(q, best_row)
+    certified = collision_resistance(params, form, include_sum_qubit)
     if certified.epsilon != best_epsilon:
         raise RuntimeError(
             "re-certification disagreed with the scan; this is a bug"
         )
-    return SearchResult(params, certified, count, history)
+    return SearchResult(params, certified, trials_run, history)
 
 
 def random_search(
@@ -118,13 +288,25 @@ def random_search(
 ) -> SearchResult:
     """Scan `config.trials` random candidates and return the best. The
     returned report is re-certified by a fresh exhaustive sweep."""
-    candidates = (
-        draw_candidate(config.seed, trial, config.q, config.n)
-        for trial in range(config.trials)
-    )
     return _scan(
-        candidates, config.q, form, include_sum_qubit, config.target_epsilon
+        config.q,
+        config.trials,
+        partial(_draw_block, config.seed, config.q, config.n),
+        form,
+        include_sum_qubit,
+        config.target_epsilon,
     )
+
+
+def _lexicographic(q: int, n: int, start: int, stop: int) -> np.ndarray:
+    # Candidates [start, stop) of [1, q)**n in lexicographic order: the
+    # mixed-radix digits of each linear index, most significant first.
+    index = np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((index.size, n), dtype=np.int64)
+    for j in reversed(range(n)):
+        index, digit = np.divmod(index, q - 1)
+        rows[:, j] = digit + 1
+    return rows
 
 
 def exhaustive_search(
@@ -135,12 +317,11 @@ def exhaustive_search(
 ) -> SearchResult:
     """Certify every candidate in [1, q)**n, lexicographically, and return
     the first one attaining the minimal epsilon."""
-    q = _check_int(q, "modulus")
+    q = _check_sweep_modulus(q)
     n = _check_int(n, "parameter count", 1, MAX_PARAMS)
     space = (q - 1) ** n
     if space > MAX_EXHAUSTIVE_SPACE:
         raise ValueError(
             f"candidate space {space} exceeds the {MAX_EXHAUSTIVE_SPACE} cap"
         )
-    candidates = itertools.product(range(1, q), repeat=n)
-    return _scan(candidates, q, form, include_sum_qubit)
+    return _scan(q, space, partial(_lexicographic, q, n), form, include_sum_qubit)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zqhash import cli
+from zqhash import cli, search
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
 from zqhash.verification import CheckResult
@@ -134,7 +134,9 @@ TIMING_FIELD = re.compile(r',\n  "timing_seconds": [^\n]*')
 # SHA-256 of each document with its timing_seconds field removed, recorded
 # from the per-value serializer that the vectorized one replaced. The verify
 # digest comes from the one-pass checks; the four-check code before them
-# wrote the same document apart from the resistance_equivalence detail.
+# wrote the same document apart from the resistance_equivalence detail. The
+# two search digests with --target-epsilon and --sum-qubit were recorded
+# from the per-candidate scan that the block scan replaced.
 GOLDEN_DIGESTS = [
     (
         "resist --q 4099 --s 3,5,7,11 --form shallow",
@@ -151,6 +153,14 @@ GOLDEN_DIGESTS = [
     (
         "search --q 101 --n 4 --trials 200 --seed 7",
         "c2f63dc72cc89dcdf5788fe8cfad2e7b4c6ae2bad07a1d8b7b38fa6e1207d41e",
+    ),
+    (  # stops at the target inside the first block
+        "search --q 101 --n 4 --trials 2000 --seed 7 --target-epsilon 0.6",
+        "d3bfee20f08d4a39a1ff3d0c420bdb0015f74d49c91b3dc9f7656c1d722459ce",
+    ),
+    (  # sum factor on; history holds two epsilons one ulp apart
+        "search --q 64 --n 3 --trials 500 --seed 11 --sum-qubit on",
+        "c57e3da8cee4263d3cb02e34be8415c15a3b4d4defe96c83e4ea5971a98f1465",
     ),
     (
         "hash --q 101 --form standard --s 3,5,7 --x 10",
@@ -423,6 +433,21 @@ class TestSearchCommand:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_oversized_modulus_exits_2_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew candidates for a rejected modulus")
+
+        monkeypatch.setattr(search, "_draw_block", no_draw)
+        code, out, err = run_cli(
+            capsys, ["search", "--q", str((1 << 20) + 1), "--n", "1", "--trials", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: modulus must be in [2, 1048576] (exhaustive sweeps are "
+            "capped there), got 1048577\n"
+        )
 
     def test_result_survives_independent_certification(self, capsys):
         searched, _ = run_json(

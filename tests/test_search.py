@@ -1,16 +1,71 @@
+import contextlib
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zqhash.analysis import collision_resistance
-from zqhash.hashing import MAX_MODULUS, HashForm, ParamSet
+from zqhash import search
+from zqhash.analysis import MAX_SWEEP_MODULUS, collision_resistance
+from zqhash.hashing import MAX_MODULUS, MAX_PARAMS, HashForm, ParamSet
 from zqhash.search import (
     SearchConfig,
+    SearchResult,
+    _draw_block,
     draw_candidate,
     exhaustive_search,
     random_search,
 )
+
+SWEEP_CAP = "exhaustive sweeps are capped there"
+
+
+def scan_oracle(candidates, q, form, include_sum_qubit, target_epsilon=None):
+    # The per-candidate scan the block scan replaced: one
+    # `collision_resistance` call per candidate, in order, keeping the first
+    # strict improvement and stopping at `target_epsilon`.
+    best_elements = None
+    best_epsilon = float("inf")
+    history = []
+    count = 0
+    for index, elements in enumerate(candidates):
+        count = index + 1
+        report = collision_resistance(ParamSet(q, elements), form, include_sum_qubit)
+        if report.epsilon < best_epsilon:
+            best_elements = elements
+            best_epsilon = report.epsilon
+            history.append((index, report.epsilon))
+        if target_epsilon is not None and best_epsilon <= target_epsilon:
+            break
+    params = ParamSet(q, best_elements)
+    report = collision_resistance(params, form, include_sum_qubit)
+    return SearchResult(params, report, count, history)
+
+
+def assert_same_result(result, expected):
+    assert result.best_set == expected.best_set
+    assert result.history == expected.history
+    assert result.trials_run == expected.trials_run
+    assert result.report.epsilon == expected.report.epsilon
+    assert result.report.worst_x == expected.report.worst_x
+    assert np.array_equal(result.report.values, expected.report.values)
+
+
+def default_rng_draw(seed, trial, q, n):
+    return np.random.default_rng([seed, trial]).integers(1, q, size=n).tolist()
+
+
+# Block sizes in rows; None keeps the default of 2**17 cells per block.
+BLOCK_ROWS = st.sampled_from([1, 2, 7, None])
+
+
+def block_rows(rows):
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(search, "_block_rows", lambda q: rows)
 
 
 class TestSearchConfig:
@@ -47,6 +102,13 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(q=1 << 20, n=20, trials=10**6, seed=0)
 
+    def test_sweep_cap_checked_before_any_draw(self):
+        with mock.patch.object(search, "_draw_block") as draw:
+            with pytest.raises(ValueError, match=SWEEP_CAP):
+                SearchConfig(q=MAX_SWEEP_MODULUS + 1, n=1, trials=1, seed=0)
+        draw.assert_not_called()
+        SearchConfig(q=MAX_SWEEP_MODULUS, n=1, trials=1, seed=0)
+
     def test_seed_boundary(self):
         SearchConfig(q=5, n=1, trials=1, seed=(1 << 64) - 1)
 
@@ -67,6 +129,68 @@ class TestDrawCandidate:
     def test_trials_draw_independently(self):
         draws = {draw_candidate(5, trial, 997, 2) for trial in range(50)}
         assert len(draws) > 40
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((0, 0, 2.5, 2), "modulus must be an integer"),
+            ((0, 0, 7, 0), "parameter count must be in"),
+            ((0, 0, 7, MAX_PARAMS + 1), "parameter count must be in"),
+            ((0, -1, 7, 2), "trial index must be in"),
+            ((0, 1 << 64, 7, 2), "trial index must be in"),
+            ((0, 1.0, 7, 2), "trial index must be an integer"),
+            ((-1, 0, 7, 2), "seed must be in"),
+            ((1 << 64, 0, 7, 2), "seed must be in"),
+            ((0, 0, 1, 2), SWEEP_CAP),
+            ((0, 0, MAX_SWEEP_MODULUS + 1, 2), SWEEP_CAP),
+        ],
+    )
+    def test_rejects_bad_inputs(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            draw_candidate(*args)
+
+
+class TestBlockStream:
+    # The block stream is pinned to numpy's `default_rng` at the installed
+    # numpy. NumPy does not promise that Generator streams stay the same
+    # across versions (NEP 19): if a future numpy breaks this pin, the
+    # package's own stream is the contract, and search results stay as
+    # they were.
+    @given(
+        seed=st.integers(0, (1 << 64) - 1),
+        start=st.one_of(
+            st.integers(0, 1 << 16),
+            st.integers((1 << 32) - 4, (1 << 32) + 4),
+            st.integers(0, (1 << 64) - 4),
+        ),
+        rows=st.integers(1, 3),
+        q=st.one_of(st.integers(2, 300), st.integers(2, MAX_SWEEP_MODULUS)),
+        n=st.integers(1, 20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_default_rng(self, seed, start, rows, q, n):
+        block = _draw_block(seed, q, n, start, start + rows)
+        assert block.shape == (rows, n)
+        for i, row in enumerate(block.tolist()):
+            assert row == default_rng_draw(seed, start + i, q, n)
+
+    def test_lemire_rejection(self):
+        # This trial rejects its fourth 32-bit word: the low half of
+        # word * (q - 1) falls below 2**32 mod (q - 1), so the last value
+        # comes from the fifth word.
+        expected = [386033, 1038471, 697681, 993959]
+        assert default_rng_draw(0, 1156, 1048323, 4) == expected
+        assert list(draw_candidate(0, 1156, 1048323, 4)) == expected
+
+    def test_modulus_two_draws_ones(self):
+        block = _draw_block(3, 2, 5, 0, 4)
+        assert block.tolist() == [[1] * 5] * 4
+        assert [default_rng_draw(3, t, 2, 5) for t in range(4)] == block.tolist()
+
+    def test_draw_candidate_is_a_block_row(self):
+        block = _draw_block(11, 997, 6, 40, 90)
+        for i, row in enumerate(block.tolist()):
+            assert draw_candidate(11, 40 + i, 997, 6) == tuple(row)
 
 
 class TestRandomSearch:
@@ -167,17 +291,91 @@ class TestExhaustiveSearch:
             exhaustive_search(q, n, HashForm.SHALLOW)
 
     def test_recertification_disagreement_raises(self, monkeypatch):
-        # The winner is certified again from scratch; a scan whose
+        # The winner is certified again from scratch, the one call the
+        # block scan makes to `collision_resistance`; a scan whose
         # bookkeeping disagrees with that must fail loudly.
-        reports = []
-
         def drifting(params, form, include_sum_qubit=False):
             report = collision_resistance(params, form, include_sum_qubit)
-            reports.append(report)
-            if len(reports) == 4:
-                report.epsilon += 1e-3
+            report.epsilon += 1e-3
             return report
 
         monkeypatch.setattr("zqhash.search.collision_resistance", drifting)
         with pytest.raises(RuntimeError):
             exhaustive_search(4, 1, HashForm.SINGLE_QUBIT)
+
+
+FORMS = st.sampled_from(list(HashForm))
+
+
+class TestBlockScan:
+    # The block scan against the per-candidate scan it replaced, at block
+    # sizes that put seams between improvements and early stops.
+    @given(
+        q=st.one_of(st.integers(2, 120), st.sampled_from([257, 1009, 4099])),
+        n=st.integers(1, 6),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, (1 << 64) - 1),
+        target=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        form=FORMS,
+        sum_qubit=st.booleans(),
+        rows=BLOCK_ROWS,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_search_matches_per_candidate_scan(
+        self, q, n, trials, seed, target, form, sum_qubit, rows
+    ):
+        config = SearchConfig(q=q, n=n, trials=trials, seed=seed, target_epsilon=target)
+        with block_rows(rows):
+            result = random_search(config, form, sum_qubit)
+        candidates = (tuple(default_rng_draw(seed, t, q, n)) for t in range(trials))
+        assert_same_result(result, scan_oracle(candidates, q, form, sum_qubit, target))
+
+    @given(
+        q=st.integers(2, 14),
+        n=st.integers(1, 3),
+        form=FORMS,
+        sum_qubit=st.booleans(),
+        rows=BLOCK_ROWS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exhaustive_search_matches_per_candidate_scan(
+        self, q, n, form, sum_qubit, rows
+    ):
+        with block_rows(rows):
+            result = exhaustive_search(q, n, form, sum_qubit)
+        candidates = itertools.product(range(1, q), repeat=n)
+        assert_same_result(result, scan_oracle(candidates, q, form, sum_qubit))
+
+    def test_certifies_only_the_winner_one_by_one(self, monkeypatch):
+        calls = []
+
+        def counted(params, form, include_sum_qubit=False):
+            calls.append(params)
+            return collision_resistance(params, form, include_sum_qubit)
+
+        monkeypatch.setattr(search, "collision_resistance", counted)
+        config = SearchConfig(q=101, n=4, trials=2000, seed=7)
+        result = random_search(config, HashForm.SINGLE_QUBIT)
+        assert calls == [result.best_set]
+
+    @pytest.mark.parametrize("target, trials_run", [(1.0, 1), (0.6, 30)])
+    def test_target_scan_draws_little_past_the_stop(
+        self, monkeypatch, target, trials_run
+    ):
+        drawn = []
+
+        def spy(seed, q, n, start, stop):
+            drawn.append(stop - start)
+            return _draw_block(seed, q, n, start, stop)
+
+        monkeypatch.setattr(search, "_draw_block", spy)
+        config = SearchConfig(q=101, n=4, trials=2000, seed=7, target_epsilon=target)
+        result = random_search(config, HashForm.SINGLE_QUBIT)
+        assert result.trials_run == trials_run
+        assert drawn == [1 << i for i in range(len(drawn))]
+        assert sum(drawn) < 2 * trials_run
+
+    def test_block_size_bounds_memory(self):
+        assert search._block_rows(101) == (1 << 17) // 100
+        assert search._block_rows(MAX_SWEEP_MODULUS) == 1
+        assert search._block_rows(2) == search._block_rows(65) == 2048
