@@ -10,9 +10,19 @@ same work.
 """
 import random
 
+import numpy as np
+
 from zqhash.analysis import collision_resistance, epsilon_of_biased_set
-from zqhash.hashing import BiasedSet, HashForm, ParamSet, derive_biased_set
+from zqhash.cli import _report_outputs, dumps_report
+from zqhash.hashing import (
+    BiasedSet,
+    HashForm,
+    ParamSet,
+    derive_biased_set,
+    shallow_hash_circuit,
+)
 from zqhash.search import SearchConfig, _draw_block, random_search
+from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
 from zqhash.verification import check_inner_products
 
 
@@ -46,6 +56,33 @@ def test_verify_one_pass(benchmark):
     # The verify-sim workload's Gram checks: q = 2..32, 5 sets each, n <= 5.
     results = benchmark(check_inner_products, range(2, 33), 5, 5)
     assert all(result.passed for result in results)
+
+
+def test_gate_kernel(benchmark):
+    # One controlled Ry with per-row angles on a (527, 64) batch: the rows
+    # of every q = 2..32 set of one width in verify-sim's shallow run.
+    state = zero_state(6, batch=527)
+    for qubit in range(5):
+        apply_h(state, qubit)
+    angles = np.random.default_rng(5).uniform(0.0, 4.0 * np.pi, size=527)
+    state = benchmark(apply_controlled_ry, state, [(2, 1)], 5, angles)
+    assert state.amplitudes.shape == (527, 64)
+
+
+def test_circuit_build(benchmark):
+    # One batched shallow circuit of 5 parameters over x = 0..31.
+    params = ParamSet(32, _residues(32, 5, 6))
+    ops = benchmark(shallow_hash_circuit, params, np.arange(32))
+    assert ops[-1].angle.shape == (32,)
+
+
+def test_dumps_report(benchmark):
+    # The resist-wide document: a 2**17 per-x table.
+    params = ParamSet(1 << 17, _residues(1 << 17, 6, 2))
+    report = collision_resistance(params, HashForm.SHALLOW)
+    document = {"command": "resist", "outputs": _report_outputs(report)}
+    text = benchmark(dumps_report, document)
+    assert text.count("], [") == (1 << 17) - 2
 
 
 def test_random_search(benchmark):

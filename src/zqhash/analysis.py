@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hashing import (
+    MAX_SWEEP_MODULUS,
     BiasedSet,
     HashForm,
     ParamSet,
@@ -39,7 +40,6 @@ from .hashing import (
 )
 from .statevec import StateVector, inner_product
 
-MAX_SWEEP_MODULUS = 1 << 20
 _SWEEP_BLOCK = 8192
 
 
@@ -60,9 +60,9 @@ class ResistanceReport:
         return [(i + 1, float(v)) for i, v in enumerate(self.values)]
 
 
-def _check_sweep_modulus(q: object) -> int:
+def _check_sweep_modulus(q: object, name: str = "modulus") -> int:
     span = f"[2, {MAX_SWEEP_MODULUS}] (exhaustive sweeps are capped there)"
-    return _check_int(q, "modulus", 2, MAX_SWEEP_MODULUS, span)
+    return _check_int(q, name, 2, MAX_SWEEP_MODULUS, span)
 
 
 def _report_from_values(q: int, values: np.ndarray) -> ResistanceReport:

@@ -28,7 +28,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -41,6 +41,11 @@ MAX_PARAMS = 20
 # about 2**1020, and an int past 2**1024 has no float at all. The cap keeps
 # every accepted q, and every float conversion of 4*pi*q, clear of both.
 MAX_MODULUS = 2**1000
+
+# Largest modulus an exhaustive sweep or `verify` accepts. Up to here the
+# angle and phase numerators of a residue array reduce in int64: each
+# factor of a product is below 2q <= 2**21, so the product is below 2**42.
+MAX_SWEEP_MODULUS = 1 << 20
 
 # One input residue, or a 1-D array of them for a batched circuit.
 Inputs = Union[int, Sequence[int], np.ndarray]
@@ -164,33 +169,43 @@ def derive_biased_set(params: ParamSet) -> BiasedSet:
     return BiasedSet(params.q, sums)
 
 
-def _angle_4pi(k: int, q: int) -> float:
-    # 4*pi*k/q with k reduced mod q; exact because Ry has period 4*pi.
-    return 4.0 * math.pi * (k % q) / q
+# Angle forms as (scale, p / q): scale*pi*k/q, with k reduced mod p first.
+# Ry has period 4*pi, so mod q is exact for the 4*pi form and mod 2q for
+# the 2*pi form.
+_TURN_4PI = (4.0 * math.pi, 1)
+_TURN_2PI = (2.0 * math.pi, 2)
 
 
-def _angle_2pi(k: int, q: int) -> float:
-    # 2*pi*k/q with k reduced mod 2q; the same 4*pi periodicity argument.
-    return 2.0 * math.pi * (k % (2 * q)) / q
-
-
-def _inputs(x: Inputs) -> int | list[int]:
-    # One x as a Python int, or a batch as a list of Python ints, so the
-    # numerators s * x below are exact however large they grow.
+def _inputs(x: Inputs, q: int) -> int | list[int] | np.ndarray:
+    # One x as a Python int. A batch of signed integers in an ndarray, for
+    # q <= MAX_SWEEP_MODULUS, as an int64 array; any other batch as a list
+    # of Python ints. Either way the numerators below are exact however
+    # large s * x grows.
     if np.ndim(x) == 0:
         return _check_int(x, "x", None)
     if np.ndim(x) != 1:
         raise ValueError(f"inputs must be one integer or a 1-D array, got {x!r}")
+    signed = isinstance(x, np.ndarray) and x.dtype.kind == "i"
+    if signed and q <= MAX_SWEEP_MODULUS:
+        return x.astype(np.int64, copy=False)
     return [_check_int(v, "x", None) for v in x]
 
 
 def _angles(
-    angle: Callable[[int, int], float], factor: int, x: int | list[int], q: int
+    turn: tuple[float, int], factor: int, x: int | list[int] | np.ndarray, q: int
 ) -> float | np.ndarray:
-    # angle(factor * x, q) for one x; a (B,) array of them for a batch.
+    # scale*pi * (factor*x mod p) / q for one x; a (B,) array for a batch.
+    # An int64 batch reduces each factor mod p before the product, which
+    # stays below p**2 <= 2**42; the float operations are the same, in the
+    # same order, as for Python ints, so both paths agree bitwise.
+    scale, periods = turn
+    p = periods * q
+    if isinstance(x, np.ndarray):
+        residues = ((factor % p) * (x % p)) % p
+        return scale * residues.astype(np.float64) / q
     if isinstance(x, list):
-        return np.array([angle(factor * v, q) for v in x], dtype=np.float64)
-    return angle(factor * x, q)
+        return np.array([scale * (factor * v % p) / q for v in x], dtype=np.float64)
+    return scale * (factor * x % p) / q
 
 
 def standard_hash_circuit(biased: BiasedSet, x: Inputs) -> tuple[GateOp, ...]:
@@ -201,15 +216,15 @@ def standard_hash_circuit(biased: BiasedSet, x: Inputs) -> tuple[GateOp, ...]:
     if d & (d - 1):
         raise ValueError(f"set size must be a power of two, got {d}")
     n = d.bit_length() - 1
-    x = _inputs(x)
+    x = _inputs(x, biased.q)
     ops = [GateOp("h", target=k) for k in range(n)]
-    angles = [_angles(_angle_4pi, b, x, biased.q) for b in biased.elements]
+    angles = [_angles(_TURN_4PI, b, x, biased.q) for b in biased.elements]
     ops.append(
         GateOp(
             "ucr",
             target=n,
             control_qubits=tuple(range(n)),
-            angles=np.stack(angles, axis=-1) if isinstance(x, list) else tuple(angles),
+            angles=np.stack(angles, axis=-1) if np.ndim(x) else tuple(angles),
         )
     )
     return tuple(ops)
@@ -226,7 +241,7 @@ def shallow_hash_circuit(params: ParamSet, x: Inputs) -> tuple[GateOp, ...]:
     rotation per parameter, all targeting the last qubit. For a 1-D array
     of x each angle is an array, one per x."""
     n = params.size
-    x = _inputs(x)
+    x = _inputs(x, params.q)
     ops = [GateOp("h", target=k) for k in range(n)]
     for k, s in enumerate(params.elements):
         ops.append(
@@ -234,7 +249,7 @@ def shallow_hash_circuit(params: ParamSet, x: Inputs) -> tuple[GateOp, ...]:
                 "cry",
                 target=n,
                 controls=((k, 1),),
-                angle=_angles(_angle_4pi, s, x, params.q),
+                angle=_angles(_TURN_4PI, s, x, params.q),
             )
         )
     return tuple(ops)
@@ -252,12 +267,12 @@ def single_qubit_hash_circuit(
     """Gate list for the entanglement-free form: one Ry per parameter, each
     on its own qubit, plus one more for sum(S) when requested. Depth 1.
     For a 1-D array of x each angle is an array, one per x."""
-    x = _inputs(x)
+    x = _inputs(x, params.q)
     factors = list(params.elements)
     if include_sum_qubit:
         factors.append(params.total)
     return tuple(
-        GateOp("ry", target=j, angle=_angles(_angle_2pi, s, x, params.q))
+        GateOp("ry", target=j, angle=_angles(_TURN_2PI, s, x, params.q))
         for j, s in enumerate(factors)
     )
 

@@ -510,6 +510,7 @@ class TestVerifyInputs:
             ["--n-max", "0"],
             ["--n-max", "21"],
             ["--seed", "-1"],
+            ["--q-max", str(2**20 + 1)],
         ],
     )
     def test_inputs_that_check_nothing_exit_2(self, capsys, monkeypatch, flags):

@@ -8,9 +8,15 @@ from numpy.testing import assert_allclose
 
 from zqhash.analysis import bias
 from zqhash.hashing import (
+    _TURN_2PI,
+    _TURN_4PI,
     MAX_MODULUS,
+    MAX_PARAMS,
+    MAX_SWEEP_MODULUS,
     BiasedSet,
     ParamSet,
+    _angles,
+    _inputs,
     build_shallow_hash,
     build_single_qubit_hash,
     build_standard_hash,
@@ -422,3 +428,60 @@ class TestBatchedCircuits:
     def test_rejects_two_dimensional_inputs(self):
         with pytest.raises(ValueError):
             shallow_hash_circuit(ParamSet(8, (1,)), np.zeros((2, 2), dtype=int))
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestInt64Angles:
+    # A signed-integer array of x reduces its numerators in int64 when
+    # q <= MAX_SWEEP_MODULUS; it must match the Python-int path bit for bit.
+
+    @given(
+        q=st.one_of(st.integers(2, 400), st.integers(2, MAX_SWEEP_MODULUS)),
+        xs=st.lists(
+            st.one_of(
+                INT64,
+                st.integers(-(2**63), -(2**63) + 9),
+                st.integers(2**63 - 10, 2**63 - 1),
+            ),
+            max_size=20,
+        ),
+        elements=st.lists(st.integers(0, 2**70), min_size=1, max_size=MAX_PARAMS),
+        turn=st.sampled_from([_TURN_4PI, _TURN_2PI]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_python_ints_bitwise(self, q, xs, elements, turn):
+        params = ParamSet(q, elements)
+        array = np.array(xs, dtype=np.int64)
+        assert isinstance(_inputs(array, q), np.ndarray)
+        # Factors at and past q: the raw elements, and the sum of the
+        # reduced ones, as the sum qubit uses it.
+        for factor in [*elements, params.total, params.total * q + 1]:
+            fast = _angles(turn, factor, _inputs(array, q), q)
+            exact = _angles(turn, factor, [int(v) for v in xs], q)
+            assert fast.dtype == exact.dtype == np.float64
+            assert fast.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize(
+        "xs, q",
+        [
+            (np.array([0, 1, 2**64 - 1], dtype=np.uint64), 101),
+            (np.array([0, 2**70 + 3], dtype=object), 101),
+            (np.arange(4), MAX_SWEEP_MODULUS + 1),
+            ([0, 1, 2], 101),
+        ],
+    )
+    def test_other_batches_take_python_ints(self, xs, q):
+        batch = _inputs(xs, q)
+        assert isinstance(batch, list)
+        assert all(type(v) is int for v in batch)
+        assert batch == [int(v) for v in xs]
+
+    def test_narrow_signed_arrays_widen_to_int64(self):
+        batch = _inputs(np.array([-128, 127], dtype=np.int8), 101)
+        assert batch.dtype == np.int64
+        fast = _angles(_TURN_2PI, 100, batch, 101)
+        assert fast.tolist() == [
+            _angles(_TURN_2PI, 100, x, 101) for x in (-128, 127)
+        ]

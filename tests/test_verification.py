@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from zqhash import analysis, verification
 from zqhash.hashing import (
     MAX_PARAMS,
+    MAX_SWEEP_MODULUS,
     ParamSet,
     shallow_hash_circuit,
     single_qubit_hash_circuit,
 )
 from zqhash.statevec import run_circuit, scale_angles, zero_state
 from zqhash.verification import (
-    _built_gram,
+    _stacked_grams,
     check_inner_products,
     check_ucr_decomposition,
     run_all_checks,
@@ -91,7 +92,8 @@ class TestFaultInjection:
     def test_equivalence_catches_a_missing_sum_factor(self, monkeypatch):
         # Without its sum factor the closed form no longer equals the
         # subset-sum mean: the check fails with an infinite deviation and
-        # names the first set that broke the identity.
+        # names the first set, in draw order, that broke the identity. The
+        # two q = 2 sets keep it; the first q = 3 set is the first to break.
         closed = analysis._closed_inner_values
 
         def without_sum(q, elements, dx, with_sum):
@@ -103,7 +105,10 @@ class TestFaultInjection:
         ]
         assert not result.passed
         assert result.max_deviation == float("inf")
-        assert "S=" in result.detail
+        assert result.detail == (
+            "sum-factor closed form diverged from the subset-sum mean "
+            "for q=3, S=(2, 0, 1, 2)"
+        )
 
 
 class TestCheckGranularity:
@@ -124,23 +129,30 @@ class TestCheckGranularity:
             "subset-sum mean within 1e-12"
         )
 
-    def test_each_set_drawn_once_and_built_three_times(self, monkeypatch):
-        calls = {"draws": 0, "builds": 0}
-        draw, build = verification._random_params, verification._built_gram
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default_budget", "budget_1"])
+    def test_each_set_drawn_once_and_three_runs_per_chunk(self, monkeypatch, budget):
+        # Sets of one size share one run per circuit while they fit the
+        # amplitude budget, as all ten do here (at most 6 rows of at most
+        # 16 amplitudes each); a budget of 1 runs every set alone.
+        if budget is not None:
+            monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", budget)
+        drawn, runs = [], [0]
+        draw, run = verification._random_params, verification.run_circuit
 
         def counted_draw(*args):
-            calls["draws"] += 1
-            return draw(*args)
+            drawn.append(draw(*args))
+            return drawn[-1]
 
-        def counted_build(*args):
-            calls["builds"] += 1
-            return build(*args)
+        def counted_run(*args):
+            runs[0] += 1
+            return run(*args)
 
         monkeypatch.setattr(verification, "_random_params", counted_draw)
-        monkeypatch.setattr(verification, "_built_gram", counted_build)
+        monkeypatch.setattr(verification, "run_circuit", counted_run)
         run_all_checks(q_max=6, n_max=3, trials=2)
-        sets = 5 * 2
-        assert calls == {"draws": sets, "builds": 3 * sets}
+        assert [p.q for p in drawn] == [q for q in range(2, 7) for _ in range(2)]
+        chunks = len(drawn) if budget else len({p.size for p in drawn})
+        assert runs[0] == 3 * chunks
 
 
 def per_x_gram(q, num_qubits, circuit_for_x, gate_angle_scale):
@@ -162,27 +174,62 @@ def gram_cases(draw):
     return params, form, scale
 
 
+def circuit_of(form):
+    # (qubits beyond the n parameter qubits, builder) of a verify circuit.
+    if form == "shallow":
+        return 1, shallow_hash_circuit
+    with_sum = form == "single+sum"
+    return with_sum, partial(single_qubit_hash_circuit, include_sum_qubit=with_sum)
+
+
 class TestBatchedGram:
     @given(gram_cases())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_x_runs_bitwise(self, case):
         params, form, scale = case
-        if form == "shallow":
-            width, circuit = params.size + 1, partial(shallow_hash_circuit, params)
-        else:
-            with_sum = form == "single+sum"
-            width = params.size + with_sum
-            circuit = partial(
-                single_qubit_hash_circuit, params, include_sum_qubit=with_sum
+        extra, circuit = circuit_of(form)
+        width = params.size + extra
+        batched = _stacked_grams(width, circuit, [params], scale)[0]
+        reference = per_x_gram(params.q, width, partial(circuit, params), scale)
+        assert np.array_equal(batched, reference)
+
+    @given(
+        n=st.integers(1, 5),
+        qs=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+        form=st.sampled_from(["shallow", "single", "single+sum"]),
+        scale=st.sampled_from([1.0, 0.5, 1.0 + 1e-6]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_blocks_equal_per_x_runs_bitwise(self, n, qs, form, scale, data):
+        # Sets of one size and mixed moduli in one run: each set's block
+        # of rows gives the Gram matrix of its own per-x runs.
+        param_sets = [
+            ParamSet(q, [data.draw(st.integers(0, q - 1)) for _ in range(n)])
+            for q in qs
+        ]
+        extra, circuit = circuit_of(form)
+        grams = _stacked_grams(n + extra, circuit, param_sets, scale)
+        assert len(grams) == len(param_sets)
+        for params, gram in zip(param_sets, grams):
+            reference = per_x_gram(
+                params.q, n + extra, partial(circuit, params), scale
             )
-        batched = _built_gram(params.q, width, circuit, scale)
-        assert np.array_equal(batched, per_x_gram(params.q, width, circuit, scale))
+            assert gram.tobytes() == reference.tobytes()
 
     def test_ucr_check_is_independent_of_batching(self, monkeypatch):
         whole = check_ucr_decomposition(n_max=4, vectors_per_n=3, seed=5)
-        monkeypatch.setattr(verification, "_UCR_BATCH_AMPLITUDES", 8)
+        monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", 8)
         chunked = check_ucr_decomposition(n_max=4, vectors_per_n=3, seed=5)
         assert chunked == whole
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_checks_are_independent_of_the_budget(self, monkeypatch, scale):
+        # A budget of 1 runs every basis input and every set alone.
+        whole = run_all_checks(q_max=14, n_max=4, trials=3, gate_angle_scale=scale)
+        monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", 1)
+        alone = run_all_checks(q_max=14, n_max=4, trials=3, gate_angle_scale=scale)
+        assert alone == whole
 
 
 class TestRunAllChecksInputs:
@@ -209,6 +256,7 @@ class TestRunAllChecksInputs:
             {"seed": 1.5},
             {"seed": -1},
             {"seed": "7"},
+            {"q_max": MAX_SWEEP_MODULUS + 1},
         ],
     )
     def test_rejects_inputs_that_check_nothing(self, kwargs):
