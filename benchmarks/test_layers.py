@@ -85,6 +85,24 @@ def test_dumps_report(benchmark):
     assert text.count("], [") == (1 << 17) - 2
 
 
+def test_dumps_bias_table(benchmark):
+    # The bias-sweep workload's document: a 65,536-row table.
+    biased = BiasedSet(65537, _residues(65537, 200, 1))
+    report = epsilon_of_biased_set(biased)
+    document = {"command": "bias", "outputs": _report_outputs(report)}
+    text = benchmark(dumps_report, document)
+    assert text.count("], [") == 65536 - 1
+
+
+def test_dumps_small_table(benchmark):
+    # A search-small document: the winner's 100-row table at q = 101.
+    params = ParamSet(101, _residues(101, 4, 7))
+    report = collision_resistance(params, HashForm.SINGLE_QUBIT)
+    document = {"command": "search", "outputs": _report_outputs(report)}
+    text = benchmark(dumps_report, document)
+    assert text.count("], [") == 100 - 1
+
+
 def test_random_search(benchmark):
     # The search-small workload's request: 2,000 trials at q = 101, n = 4.
     config = SearchConfig(q=101, n=4, trials=2000, seed=7)

@@ -56,9 +56,6 @@ class ResistanceReport:
     worst_x: int
     values: np.ndarray
 
-    def table(self) -> list[tuple[int, float]]:
-        return [(i + 1, float(v)) for i, v in enumerate(self.values)]
-
 
 def _check_sweep_modulus(q: object, name: str = "modulus") -> int:
     span = f"[2, {MAX_SWEEP_MODULUS}] (exhaustive sweeps are capped there)"

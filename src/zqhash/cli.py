@@ -2,9 +2,10 @@
 
 Every command emits one JSON report document with the same top-level
 shape: schema_version, command, inputs, outputs, timing_seconds. Floats
-are printed with 17 significant digits so documents from identical inputs
-are byte-identical apart from the timing field. Exit codes: 0 on success,
-1 when a verification check fails, 2 on bad input.
+are printed as `%.17g` prints them, with ".0" appended to an integral
+value that shows no exponent (see `floattext`), so documents from
+identical inputs are byte-identical apart from the timing field. Exit
+codes: 0 on success, 1 when a verification check fails, 2 on bad input.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .analysis import (
     collision_resistance,
     epsilon_of_biased_set,
 )
+from .floattext import format_floats, join_floats
 from .hashing import (
     BiasedSet,
     HashForm,
@@ -53,28 +55,9 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-def _format_floats(values: Any) -> list[str]:
-    """Text of each float in `values`: 17 significant digits, ".0" appended
-    to an integral value that prints without an exponent, so it reads back
-    as a float. The one float rule of every document; non-finite values
-    raise ValueError. All values go through one %-format call; only the
-    integral ones, few in any document, are looked at one by one."""
-    values = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = float(values[~finite][0])
-        raise ValueError(f"cannot serialize non-finite value {bad!r}")
-    texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
-    texts.pop()
-    for i in np.flatnonzero(values == np.floor(values)).tolist():
-        if "e" not in texts[i]:
-            texts[i] += ".0"
-    return texts
-
-
 class _Table(NamedTuple):
     """A per-x table: `values[i]` belongs to x = i + 1. Serialized as
-    [[1, v1], [2, v2], ...] in one pass over the array."""
+    [[1, v1], [2, v2], ...] by `join_floats`."""
 
     values: np.ndarray
 
@@ -85,7 +68,7 @@ def _fragment(value: Any, indent: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_floats((value,))[0]
+        return format_floats((value,))[0]
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -100,13 +83,9 @@ def _fragment(value: Any, indent: int) -> str:
         )
         return "{\n" + rows + "\n" + "  " * indent + "}"
     if isinstance(value, np.ndarray):
-        return "[" + ", ".join(_format_floats(value)) + "]"
+        return join_floats(value, indexed=False)
     if isinstance(value, _Table):  # before the tuple branch: a _Table is one
-        texts = _format_floats(value.values)
-        pairs = [None] * (2 * len(texts))
-        pairs[0::2] = range(1, len(texts) + 1)
-        pairs[1::2] = texts
-        return "[" + ", ".join(["[%d, %s]"] * len(texts)) % tuple(pairs) + "]"
+        return join_floats(value.values, indexed=True)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fragment(item, indent) for item in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

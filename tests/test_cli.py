@@ -4,6 +4,8 @@ import json
 import math
 import re
 import time
+import tracemalloc
+from decimal import Decimal
 
 import jsonschema
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zqhash import cli, search
+from zqhash import cli, floattext, search
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
 from zqhash.verification import CheckResult
@@ -79,7 +81,68 @@ def scalar_rule(value):
     return text
 
 
+def table_oracle(values):
+    # The join `join_floats` replaced: every value through the %-format
+    # rule of `format_floats`, then one "[%d, %s]" per row.
+    texts = floattext.format_floats(values)
+    pairs = [None] * (2 * len(texts))
+    pairs[0::2] = range(1, len(texts) + 1)
+    pairs[1::2] = texts
+    return "[" + ", ".join(["[%d, %s]"] * len(texts)) % tuple(pairs) + "]"
+
+
+def array_oracle(values):
+    # The same for a plain array of floats, such as the amplitudes.
+    return "[" + ", ".join(floattext.format_floats(values)) + "]"
+
+
+def kernel_texts(values):
+    # The text `write_floats` gives each value: the bytes of its row that
+    # are not NUL.
+    values = np.asarray(values, dtype=np.float64)
+    out = np.full((values.size, floattext._FIELD), 0xAA, np.uint8)
+    floattext.write_floats(values, out)
+    return [row[row != 0].tobytes().decode("ascii") for row in out]
+
+
+def float_bits(patterns):
+    # Raw 64-bit patterns viewed as float64, non-finite ones dropped.
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def neighbours(value, steps):
+    # `value` and `steps` doubles on each side of it.
+    below = above = value
+    out = [value]
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# Any 64-bit pattern; and patterns with a biased exponent in [1009, 1022],
+# which are the doubles with 2**-14 <= |v| < 1: the fixed-notation rows.
+any_bits = st.integers(0, 2**64 - 1)
+fixed_bits = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.integers(1009, 1022),
+    st.integers(0, 2**52 - 1),
+)
+# Doubles printed as a power of ten that they are below: 17 digits round
+# them up into the next decade. None lies in [1e-4, 1).
+ROUND_UP_TO_POWER = [1e-305, 1e-79, 1e-14, 1e98, 1e220]
+# Exact ties: m / 2**j with m odd has j decimals, so 18 significant digits
+# ending in 5 when 10**(17 - j) <= v < 10**(18 - j). One decade each of
+# [1e-4, 1), the third one negated.
+TIES = [
+    np.arange(26215, 1 << 18, 2) / 2.0**18,
+    np.arange(5243, 52429, 2) / 2.0**19,
+    -np.arange(1049, 10486, 2) / 2.0**20,
+    np.arange(211, 2098, 2) / 2.0**21,
+]
 
 FORMAT_CASES = [
     0.0, -0.0, 1.0, -1.0, 2.0**60, 1e16, -1e16, 1e17, 5e-324,
@@ -91,23 +154,23 @@ class TestFloatFormatter:
     @given(finite_floats)
     @settings(max_examples=500, deadline=None)
     def test_matches_scalar_rule(self, value):
-        assert cli._format_floats(np.array([value])) == [scalar_rule(value)]
+        assert floattext.format_floats(np.array([value])) == [scalar_rule(value)]
 
     @given(st.lists(finite_floats | st.sampled_from(FORMAT_CASES), max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_array_matches_scalar_rule_entrywise(self, values):
-        texts = cli._format_floats(np.array(values, dtype=np.float64))
+        texts = floattext.format_floats(np.array(values, dtype=np.float64))
         assert texts == [scalar_rule(v) for v in values]
         assert [float(t) for t in texts] == values
 
     @pytest.mark.parametrize("value", FORMAT_CASES)
     def test_explicit_cases(self, value):
-        (text,) = cli._format_floats(np.array([value]))
+        (text,) = floattext.format_floats(np.array([value]))
         assert text == scalar_rule(value)
         assert math.copysign(1.0, float(text)) == math.copysign(1.0, value)
 
     def test_negative_zero_keeps_its_sign_and_point(self):
-        assert cli._format_floats(np.array([-0.0, 0.0, 1e16])) == [
+        assert floattext.format_floats(np.array([-0.0, 0.0, 1e16])) == [
             "-0.0", "0.0", "10000000000000000.0",
         ]
 
@@ -126,6 +189,116 @@ class TestFloatFormatter:
     def test_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             dumps_report({"outputs": {"amplitudes": np.array([bad, 1.0])}})
+
+
+class TestFloatKernel:
+    @given(st.lists(any_bits | fixed_bits, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_bit_patterns_match_scalar_rule(self, patterns):
+        values = float_bits(patterns)
+        assert kernel_texts(values) == [scalar_rule(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            *TIES,
+            [v for p in range(-6, 2) for v in neighbours(10.0**p, 8)],
+            [-v for p in range(-6, 2) for v in neighbours(10.0**p, 8)],
+            neighbours(1e-4, 30) + neighbours(1.0, 30),
+            ROUND_UP_TO_POWER + [-v for v in ROUND_UP_TO_POWER],
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310],
+        ],
+        ids=[
+            "ties-18", "ties-19", "ties-20", "ties-21",
+            "powers-of-ten", "negative-powers-of-ten", "edges", "round-up",
+            "zero-subnormal",
+        ],
+    )
+    def test_explicit_cases_match_scalar_rule(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert kernel_texts(values) == [scalar_rule(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("j, values", enumerate(TIES, 18))
+    def test_ties_are_exact_and_both_parities_occur(self, j, values):
+        # Each tie case is an exact half at the 17th digit, and half of
+        # them round down, so rounding ties up is caught.
+        magnitude = np.abs(values)
+        assert np.all((10.0 ** (17 - j) <= magnitude) & (magnitude < 10.0 ** (18 - j)))
+        exact = [abs(Decimal(v)) * 10 ** (j - 1) for v in values.tolist()]
+        assert all(x % 1 == Decimal("0.5") for x in exact)
+        assert {int(x) % 2 for x in exact} == {0, 1}
+
+    def test_round_up_cases_are_below_their_power(self):
+        for value in ROUND_UP_TO_POWER:
+            assert Decimal(value) < Decimal(10) ** round(math.log10(value))
+            assert scalar_rule(value).split("e")[0] == "1"
+
+    def test_carry_into_the_next_decade(self):
+        # No double in [1e-4, 1) carries, so the rounding step is fed
+        # the integer part and fraction of v * 10**(16 - k) directly.
+        whole = np.array([10**17 - 1, 10**17 - 1, 10**17 - 2, 10**17 - 1])
+        frac = np.array([0.5, 0.75, 0.5, 0.25])
+        r, k = floattext._round_half_even(whole, frac, np.array([-3, -2, -2, -1]))
+        assert r.tolist() == [10**16, 10**16, 10**17 - 2, 10**17 - 1]
+        assert k.tolist() == [-2, -1, -2, -1]
+
+    @given(st.lists(fixed_bits, min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_rows_never_take_the_format(self, patterns):
+        # Every value in [1e-4, 1) gets its digits computed, including
+        # those whose log10 rounds across a power of ten.
+        values = float_bits(patterns)
+        values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1.0)]
+        # 1e-4 and the doubles above it; the doubles below 1.
+        edges = neighbours(1e-4, 4)[::2] + neighbours(1.0, 4)[1::2]
+        powers = [v for p in range(-3, 0) for v in neighbours(10.0**p, 8)]
+        values = np.concatenate([values, edges, powers])
+        expected = [scalar_rule(v) for v in values.tolist()]
+        format_floats = floattext.format_floats
+        floattext.format_floats = None  # any call fails
+        try:
+            assert kernel_texts(values) == expected
+        finally:
+            floattext.format_floats = format_floats
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 4095, 4096, 4097, 8193])
+    def test_join_equals_the_per_value_join(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.uniform(-1.0, 1.0, size)
+        values[::7] *= 1e-6
+        values[::11] = 0.0
+        values[::13] = 1.0
+        values[::17] = -0.0
+        text = dumps_report({"table": cli._Table(values), "amplitudes": values})
+        assert text == (
+            '{\n  "table": ' + table_oracle(values)
+            + ',\n  "amplitudes": ' + array_oracle(values) + "\n}\n"
+        )
+
+    def test_tables_render_in_blocks(self, monkeypatch):
+        sizes = []
+        write = floattext.write_floats
+
+        def recorded(values, out):
+            sizes.append(values.size)
+            write(values, out)
+
+        monkeypatch.setattr(floattext, "write_floats", recorded)
+        values = np.full(8193, 0.25)
+        assert floattext.join_floats(values, indexed=True) == table_oracle(values)
+        assert sizes == [4096, 4096, 1]
+
+    def test_table_memory_is_the_text_and_one_buffer(self):
+        # The bytes of the text are held twice at the end: in the buffer
+        # and in the decoded str. A whole-table byte matrix measured 6.5x.
+        values = np.random.default_rng(3).uniform(0.0, 1.0, 1 << 17)
+        tracemalloc.start()
+        try:
+            text = floattext.join_floats(values, indexed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
 
 
 # dumps_report joins top-level keys with ",\n" at an indent of two spaces.
@@ -181,6 +354,21 @@ GOLDEN_DIGESTS = [
     (  # every check's max_deviation and detail
         "verify --q-max 12 --n-max 4 --trials 2",
         "b16d9e0e98258a5d0d6fec3a1ea948a610b46e8d6189175a35dc1119173737f5",
+    ),
+    # At workload size, recorded from the per-value %-format join that the
+    # byte-matrix join replaced: a 2**17 - 1 row table, a 2**16 row table,
+    # and 8192 amplitudes, each across several blocks of rows.
+    (
+        "resist --q 131072 --s 12345,67891,23456,78901,34567,89012 --form shallow",
+        "fc7000cff277583a496ad7f9e958a95cb4f71503ef7a183852c3d9e20433c0e9",
+    ),
+    (
+        "bias --q 65537 --b 0,1,2,3,5,8,13,21,34,55",
+        "be4073026dc1e58c03aef9d27bb77f4513fa4ffb4724589139e560381c2e52f4",
+    ),
+    (
+        "hash --q 65537 --form standard --s 3,5,7,11,13,17,19,23,29,31,37,41 --x 12345",
+        "294b23e0b388ad26b771c900e301053722c53c34fb937c5534bacce38b60610b",
     ),
 ]
 
