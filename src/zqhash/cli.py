@@ -62,39 +62,52 @@ class _Table(NamedTuple):
     values: np.ndarray
 
 
-def _fragment(value: Any, indent: int) -> str:
+def _fragment(value: Any, indent: int, parts: list[str]) -> None:
+    # Appends the text of `value` to `parts`, so a large table's text is
+    # copied once, by the one join in dumps_report.
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_floats((value,))[0]
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(str(value))
+    elif isinstance(value, float):
+        parts.append(format_floats((value,))[0])
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            parts.append("{}")
+            return
         pad = "  " * (indent + 1)
-        rows = ",\n".join(
-            f"{pad}{json.dumps(str(key))}: {_fragment(item, indent + 1)}"
-            for key, item in value.items()
-        )
-        return "{\n" + rows + "\n" + "  " * indent + "}"
-    if isinstance(value, np.ndarray):
-        return join_floats(value, indexed=False)
-    if isinstance(value, _Table):  # before the tuple branch: a _Table is one
-        return join_floats(value.values, indexed=True)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fragment(item, indent) for item in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        separator = "{\n"
+        for key, item in value.items():
+            parts.append(f"{separator}{pad}{json.dumps(str(key))}: ")
+            _fragment(item, indent + 1, parts)
+            separator = ",\n"
+        parts.append("\n" + "  " * indent + "}")
+    elif isinstance(value, np.ndarray):
+        parts.append(join_floats(value, indexed=False))
+    elif isinstance(value, _Table):  # before the tuple branch: a _Table is one
+        parts.append(join_floats(value.values, indexed=True))
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for index, item in enumerate(value):
+            if index:
+                parts.append(", ")
+            _fragment(item, indent, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps_report(document: dict[str, Any]) -> str:
     """Serialize a report document deterministically, floats at 17
     significant digits, keys in insertion order."""
-    return _fragment(document, 0) + "\n"
+    parts: list[str] = []
+    _fragment(document, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_residues(text: str) -> list[int]:
@@ -105,6 +118,8 @@ def parse_residues(text: str) -> list[int]:
     try:
         if path.is_file():
             source = path.read_text()
+    except UnicodeDecodeError:
+        raise ValueError(f"could not read {text} as text") from None
     except OSError:
         pass
     tokens = source.replace(",", " ").split()
@@ -138,10 +153,15 @@ class _Command:
         )
         # Read after rendering, so the field covers everything but itself;
         # it goes last, as one more top-level key in dumps_report's layout.
-        seconds = _fragment(time.perf_counter() - self.started, 1)
+        seconds = format_floats((time.perf_counter() - self.started,))[0]
         text = body[: -len("\n}\n")] + f',\n  "timing_seconds": {seconds}\n}}\n'
         if self.args.out:
-            Path(self.args.out).write_text(text)
+            try:
+                Path(self.args.out).write_text(text)
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot write {self.args.out}: {exc.strerror}"
+                ) from None
             if not self.args.quiet:
                 print(f"wrote {self.args.out}", file=sys.stderr)
         else:
@@ -166,6 +186,7 @@ def _report_outputs(report: ResistanceReport) -> dict[str, Any]:
 def cmd_hash(args: argparse.Namespace) -> int:
     command = _Command(args)
     form = HashForm(args.form)
+    _check_int(args.q, "modulus")
     _check_int(args.x, "x", 0, args.q - 1, f"[0, q) with q={args.q}")
     if form is not HashForm.STANDARD and args.b is not None:
         raise ValueError(f"--b only applies to the standard form, not {form.value}")

@@ -22,7 +22,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -250,23 +250,3 @@ def run_circuit(state: StateVector, ops: Iterable[GateOp]) -> StateVector:
         raise ValueError(f"state norm drifted from 1 by {float(np.max(drift))!r}")
     return state
 
-
-def scale_angles(ops: Iterable[GateOp], factor: float) -> tuple[GateOp, ...]:
-    """Copy of `ops` with every rotation angle multiplied by `factor`.
-    Hadamards are untouched. Used by verification as a fault-injection hook."""
-    if factor == 1.0:
-        return tuple(ops)
-    out = []
-    for op in ops:
-        if op.kind == "ucr":
-            angles = op.angles
-            if isinstance(angles, np.ndarray):
-                angles = angles * factor
-            else:
-                angles = tuple(a * factor for a in angles)
-            out.append(replace(op, angles=angles))
-        elif op.kind in ("ry", "cry"):
-            out.append(replace(op, angle=op.angle * factor))
-        else:
-            out.append(op)
-    return tuple(out)

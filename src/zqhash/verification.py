@@ -25,9 +25,10 @@ is one block of rows of one run. The multiplexed-Ry check likewise runs
 all angle draws of one width as rows of one batch. `_BATCH_AMPLITUDES`
 caps the amplitudes of any one run.
 
-`gate_angle_scale` is a fault-injection hook: it multiplies the angles of
-one of the two routes, so anything but 1.0 must make the checks fail. It
-exists to prove the checks can fail.
+Tests prove each check can fail by substituting a faulty angle rule
+(`hashing._TURN_4PI` or `_TURN_2PI`, which the circuit builders read at
+call time and the closed forms never read) or a faulty `apply_ry` in the
+flat route.
 """
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ from .statevec import (
     apply_ry,
     apply_ucr,
     run_circuit,
-    scale_angles,
     zero_state,
 )
 
@@ -88,7 +88,6 @@ def check_ucr_decomposition(
     n_max: int = 6,
     vectors_per_n: int = 50,
     seed: int = DEFAULT_SEED,
-    gate_angle_scale: float = 1.0,
 ) -> CheckResult:
     """Multiplexed Ry with branch angles base + sum of per-bit parts versus
     the flat circuit of one Ry(base) and n controlled Ry(part_k), compared
@@ -125,11 +124,9 @@ def check_ucr_decomposition(
             multiplexed = StateVector(n + 1, basis.copy())
             apply_ucr(multiplexed, range(n), n, thetas[draw])
             flat = StateVector(n + 1, basis)
-            apply_ry(flat, n, base[draw] * gate_angle_scale)
+            apply_ry(flat, n, base[draw])
             for k in range(n):
-                apply_controlled_ry(
-                    flat, [(k, 1)], n, parts[draw, k] * gate_angle_scale
-                )
+                apply_controlled_ry(flat, [(k, 1)], n, parts[draw, k])
             worst = max(worst, _gap(multiplexed.amplitudes, flat.amplitudes))
         cases += total
     return _result(
@@ -145,45 +142,36 @@ def _random_params(rng: np.random.Generator, q: int, n_max: int) -> ParamSet:
 
 
 def _stacked_grams(
-    num_qubits: int,
     circuit: Callable[[ParamSet, np.ndarray], Sequence[GateOp]],
     param_sets: Sequence[ParamSet],
-    gate_angle_scale: float,
 ) -> list[np.ndarray]:
     # The Gram matrix of the states of x = 0..q-1 for each set, from one
     # batched run. Sets of one size give gate lists of one structure, so
-    # their per-row angle arrays concatenate into one gate list.
+    # their per-row angle arrays concatenate into one gate list. The last
+    # gate targets the last qubit in every verify circuit.
     built = [circuit(params, np.arange(params.q)) for params in param_sets]
-    ops = scale_angles(
-        [
-            replace(op, angle=np.concatenate([gates[i].angle for gates in built]))
-            if isinstance(op.angle, np.ndarray)
-            else op
-            for i, op in enumerate(built[0])
-        ],
-        gate_angle_scale,
-    )
+    ops = [
+        replace(op, angle=np.concatenate([gates[i].angle for gates in built]))
+        if isinstance(op.angle, np.ndarray)
+        else op
+        for i, op in enumerate(built[0])
+    ]
     qs = [params.q for params in param_sets]
-    mat = run_circuit(zero_state(num_qubits, batch=sum(qs)), ops).amplitudes
+    mat = run_circuit(zero_state(ops[-1].target + 1, batch=sum(qs)), ops).amplitudes
     return [block @ block.T for block in np.split(mat, np.cumsum(qs)[:-1])]
 
 
 def _stacked_gaps(
     chunk: Sequence[tuple[ParamSet, np.ndarray, np.ndarray]],
-    gate_angle_scale: float,
 ) -> list[float]:
     # The worst of the three gaps of check_inner_products over a chunk of
     # sets of one size, from one batched run per circuit.
     param_sets = [params for params, _, _ in chunk]
-    n = param_sets[0].size
     grams = zip(
-        _stacked_grams(n, single_qubit_hash_circuit, param_sets, gate_angle_scale),
-        _stacked_grams(n + 1, shallow_hash_circuit, param_sets, gate_angle_scale),
+        _stacked_grams(single_qubit_hash_circuit, param_sets),
+        _stacked_grams(shallow_hash_circuit, param_sets),
         _stacked_grams(
-            n + 1,
-            partial(single_qubit_hash_circuit, include_sum_qubit=True),
-            param_sets,
-            1.0,
+            partial(single_qubit_hash_circuit, include_sum_qubit=True), param_sets
         ),
     )
     worst = [0.0, 0.0, 0.0]
@@ -215,15 +203,13 @@ def check_inner_products(
     sets_per_q: int = 20,
     n_max: int = 5,
     seed: int = DEFAULT_SEED,
-    gate_angle_scale: float = 1.0,
 ) -> list[CheckResult]:
     """The single_qubit_inner_product, shallow_inner_product and
     resistance_equivalence results, from one pass over random parameter
     sets: each set is drawn once, its closed forms are evaluated once, and
     the sets of one size are simulated together, one batched run per
     circuit and per chunk of at most _BATCH_AMPLITUDES amplitudes (a set
-    larger than that runs alone). `gate_angle_scale` scales the
-    single-qubit and shallow builds, not the sum-qubit one."""
+    larger than that runs alone)."""
     worst = [0.0, 0.0, 0.0]
     pairs = sets = 0
     diverged = None
@@ -245,14 +231,14 @@ def check_inner_products(
             chunk = pending.setdefault(params.size, [])
             rows = q + sum(drawn[0].q for drawn in chunk)
             if chunk and rows << (params.size + 1) > _BATCH_AMPLITUDES:
-                gaps = _stacked_gaps(chunk, gate_angle_scale)
+                gaps = _stacked_gaps(chunk)
                 worst = [max(w, g) for w, g in zip(worst, gaps)]
                 chunk.clear()
             chunk.append((params, closed, closed_sum))
             pairs += q * q
             sets += 1
     for chunk in pending.values():
-        gaps = _stacked_gaps(chunk, gate_angle_scale)
+        gaps = _stacked_gaps(chunk)
         worst = [max(w, g) for w, g in zip(worst, gaps)]
     pair_detail = f"{pairs} residue pairs, all pairs per set"
     equivalence_detail = (
@@ -273,7 +259,6 @@ def run_all_checks(
     n_max: int = 5,
     seed: int = DEFAULT_SEED,
     trials: int = 5,
-    gate_angle_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Run the four checks over q in [2, q_max]. `trials` sets the number
     of random parameter sets per modulus and angle draws per width. Raises
@@ -285,12 +270,8 @@ def run_all_checks(
     n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
     seed = _check_int(seed, "seed", 0, None)
     return [
-        check_ucr_decomposition(
-            n_max=n_max, vectors_per_n=trials, seed=seed,
-            gate_angle_scale=gate_angle_scale,
-        ),
+        check_ucr_decomposition(n_max=n_max, vectors_per_n=trials, seed=seed),
         *check_inner_products(
-            range(2, q_max + 1), sets_per_q=trials, n_max=n_max, seed=seed,
-            gate_angle_scale=gate_angle_scale,
+            range(2, q_max + 1), sets_per_q=trials, n_max=n_max, seed=seed
         ),
     ]

@@ -1,7 +1,9 @@
 import cmath
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -465,6 +467,24 @@ class TestHashCommand:
         assert code == 2
         assert "x must be in [0, q)" in err
 
+    @pytest.mark.parametrize("q", ["0", "-3"])
+    def test_small_modulus_is_named_before_x(self, capsys, q):
+        code, out, err = run_cli(
+            capsys, ["hash", "--q", q, "--form", "shallow", "--s", "1", "--x", "0"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: modulus must be in [2, 2**1000], got {q}\n"
+
+    def test_non_text_set_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "set.bin"
+        path.write_bytes(b"1, 2\xff")
+        code, out, err = run_cli(
+            capsys,
+            ["hash", "--q", "8", "--form", "shallow", "--s", str(path), "--x", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: could not read {path} as text\n"
+
     def test_non_power_of_two_set_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -517,6 +537,19 @@ class TestHashCommand:
         assert out == ""
         document = json.loads(path.read_text())
         jsonschema.validate(document, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "where, error",
+        [(".", errno.EISDIR), ("missing/report.json", errno.ENOENT)],
+        ids=["directory", "missing_parent"],
+    )
+    def test_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path, where, error):
+        path = tmp_path / where
+        code, out, err = run_cli(
+            capsys, ["resist", "--q", "7", "--s", "3", "--out", str(path)]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: {os.strerror(error)}\n"
 
 
 class TestBiasCommand:

@@ -23,7 +23,6 @@ from zqhash.statevec import (
     basis_state,
     inner_product,
     run_circuit,
-    scale_angles,
     zero_state,
 )
 
@@ -258,18 +257,6 @@ class TestCircuits:
         with pytest.raises(ValueError):
             apply_gate(zero_state(1), GateOp("cz", target=0))
 
-    def test_scale_angles_hits_rotations_only(self):
-        ops = [
-            GateOp("h", target=0),
-            GateOp("ry", target=1, angle=0.4),
-            GateOp("ucr", target=2, control_qubits=(0, 1), angles=(0.1, 0.2, 0.3, 0.4)),
-        ]
-        scaled = scale_angles(ops, 2.0)
-        assert scaled[0] == ops[0]
-        assert scaled[1].angle == 0.8
-        assert scaled[2].angles == (0.2, 0.4, 0.6, 0.8)
-        assert scale_angles(ops, 1.0) == tuple(ops)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_norm_preserved_by_random_circuits(self, seed):
@@ -339,23 +326,15 @@ def _random_batched_circuit(rng, num_qubits, batch, length):
 
 
 class TestBatch:
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 6),
-        st.sampled_from([1.0, 0.5, 1.0 + 1e-6]),
-    )
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_batch_equals_single_runs_bitwise(self, seed, batch, factor):
+    def test_batch_equals_single_runs_bitwise(self, seed, batch):
         rng = np.random.default_rng(seed)
         starts = np.stack([random_state(rng, 4).amplitudes for _ in range(batch)])
         batched_ops, row_ops = _random_batched_circuit(rng, 4, batch, 12)
-        batched = run_circuit(
-            StateVector(4, starts.copy()), scale_angles(batched_ops, factor)
-        )
+        batched = run_circuit(StateVector(4, starts.copy()), batched_ops)
         for b in range(batch):
-            single = run_circuit(
-                StateVector(4, starts[b].copy()), scale_angles(row_ops[b], factor)
-            )
+            single = run_circuit(StateVector(4, starts[b].copy()), row_ops[b])
             assert np.array_equal(batched.amplitudes[b], single.amplitudes)
 
     def test_zero_state_batch(self):

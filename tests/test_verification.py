@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqhash import analysis, verification
+from zqhash import analysis, hashing, verification
 from zqhash.hashing import (
     MAX_PARAMS,
     MAX_SWEEP_MODULUS,
@@ -13,7 +13,7 @@ from zqhash.hashing import (
     shallow_hash_circuit,
     single_qubit_hash_circuit,
 )
-from zqhash.statevec import run_circuit, scale_angles, zero_state
+from zqhash.statevec import run_circuit, zero_state
 from zqhash.verification import (
     _stacked_grams,
     check_inner_products,
@@ -31,6 +31,23 @@ CHECK_NAMES = [
 
 def by_name(results):
     return {result.name: result for result in results}
+
+
+def scale_turn(monkeypatch, name, scale):
+    # Scales one angle form of the circuit builders, which read it at call
+    # time; the closed forms never read it.
+    turn, periods = getattr(hashing, name)
+    monkeypatch.setattr(hashing, name, (scale * turn, periods))
+
+
+def scale_flat_ry(monkeypatch, scale):
+    # Only the flat route of the multiplexed-Ry check calls apply_ry.
+    ry = verification.apply_ry
+
+    def scaled(state, target, theta):
+        return ry(state, target, scale * theta)
+
+    monkeypatch.setattr(verification, "apply_ry", scaled)
 
 
 class TestCleanRun:
@@ -58,35 +75,31 @@ class TestFaultInjection:
     # A corrupted angle convention must be caught; these prove the checks
     # are able to fail.
 
-    def test_ucr_check_catches_scaled_angles(self):
-        result = check_ucr_decomposition(
-            n_max=3, vectors_per_n=3, gate_angle_scale=0.5
-        )
+    def test_ucr_check_catches_scaled_angles(self, monkeypatch):
+        scale_flat_ry(monkeypatch, 0.5)
+        result = check_ucr_decomposition(n_max=3, vectors_per_n=3)
         assert not result.passed
         assert result.max_deviation > 1e-3
 
-    def test_single_qubit_check_catches_scaled_angles(self):
-        results = by_name(
-            check_inner_products([5, 9], sets_per_q=3, gate_angle_scale=0.5)
-        )
+    def test_single_qubit_check_catches_scaled_angles(self, monkeypatch):
+        scale_turn(monkeypatch, "_TURN_2PI", 0.5)
+        results = by_name(check_inner_products([5, 9], sets_per_q=3))
         assert not results["single_qubit_inner_product"].passed
 
-    def test_shallow_check_catches_scaled_angles(self):
-        results = by_name(
-            check_inner_products([5, 9], sets_per_q=3, gate_angle_scale=0.5)
-        )
+    def test_shallow_check_catches_scaled_angles(self, monkeypatch):
+        scale_turn(monkeypatch, "_TURN_4PI", 0.5)
+        results = by_name(check_inner_products([5, 9], sets_per_q=3))
         assert not results["shallow_inner_product"].passed
 
-    def test_equivalence_check_catches_scaled_angles(self):
-        results = by_name(
-            check_inner_products([5, 9], sets_per_q=3, gate_angle_scale=0.5)
-        )
+    def test_equivalence_check_catches_scaled_angles(self, monkeypatch):
+        # The shallow circuit drifts; the sum-qubit circuit does not.
+        scale_turn(monkeypatch, "_TURN_4PI", 0.5)
+        results = by_name(check_inner_products([5, 9], sets_per_q=3))
         assert not results["resistance_equivalence"].passed
 
-    def test_tiny_corruption_still_detected(self):
-        results = by_name(
-            check_inner_products([8], sets_per_q=4, gate_angle_scale=1.0 + 1e-6)
-        )
+    def test_tiny_corruption_still_detected(self, monkeypatch):
+        scale_turn(monkeypatch, "_TURN_4PI", 1.0 + 1e-6)
+        results = by_name(check_inner_products([8], sets_per_q=4))
         assert not results["shallow_inner_product"].passed
 
     def test_equivalence_catches_a_missing_sum_factor(self, monkeypatch):
@@ -155,12 +168,11 @@ class TestCheckGranularity:
         assert runs[0] == 3 * chunks
 
 
-def per_x_gram(q, num_qubits, circuit_for_x, gate_angle_scale):
+def per_x_gram(q, num_qubits, circuit_for_x):
     # Reference: one circuit build and one single-state run per x.
     mat = np.empty((q, 1 << num_qubits))
     for x in range(q):
-        ops = scale_angles(circuit_for_x(x), gate_angle_scale)
-        mat[x] = run_circuit(zero_state(num_qubits), ops).amplitudes
+        mat[x] = run_circuit(zero_state(num_qubits), circuit_for_x(x)).amplitudes
     return mat @ mat.T
 
 
@@ -170,8 +182,7 @@ def gram_cases(draw):
     n = draw(st.integers(1, 5))
     params = ParamSet(q, tuple(draw(st.integers(0, q - 1)) for _ in range(n)))
     form = draw(st.sampled_from(["shallow", "single", "single+sum"]))
-    scale = draw(st.sampled_from([1.0, 0.5, 1.0 + 1e-6]))
-    return params, form, scale
+    return params, form
 
 
 def circuit_of(form):
@@ -186,22 +197,20 @@ class TestBatchedGram:
     @given(gram_cases())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_x_runs_bitwise(self, case):
-        params, form, scale = case
+        params, form = case
         extra, circuit = circuit_of(form)
-        width = params.size + extra
-        batched = _stacked_grams(width, circuit, [params], scale)[0]
-        reference = per_x_gram(params.q, width, partial(circuit, params), scale)
+        batched = _stacked_grams(circuit, [params])[0]
+        reference = per_x_gram(params.q, params.size + extra, partial(circuit, params))
         assert np.array_equal(batched, reference)
 
     @given(
         n=st.integers(1, 5),
         qs=st.lists(st.integers(2, 40), min_size=1, max_size=6),
         form=st.sampled_from(["shallow", "single", "single+sum"]),
-        scale=st.sampled_from([1.0, 0.5, 1.0 + 1e-6]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_stacked_blocks_equal_per_x_runs_bitwise(self, n, qs, form, scale, data):
+    def test_stacked_blocks_equal_per_x_runs_bitwise(self, n, qs, form, data):
         # Sets of one size and mixed moduli in one run: each set's block
         # of rows gives the Gram matrix of its own per-x runs.
         param_sets = [
@@ -209,12 +218,10 @@ class TestBatchedGram:
             for q in qs
         ]
         extra, circuit = circuit_of(form)
-        grams = _stacked_grams(n + extra, circuit, param_sets, scale)
+        grams = _stacked_grams(circuit, param_sets)
         assert len(grams) == len(param_sets)
         for params, gram in zip(param_sets, grams):
-            reference = per_x_gram(
-                params.q, n + extra, partial(circuit, params), scale
-            )
+            reference = per_x_gram(params.q, n + extra, partial(circuit, params))
             assert gram.tobytes() == reference.tobytes()
 
     def test_ucr_check_is_independent_of_batching(self, monkeypatch):
@@ -226,9 +233,14 @@ class TestBatchedGram:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_checks_are_independent_of_the_budget(self, monkeypatch, scale):
         # A budget of 1 runs every basis input and every set alone.
-        whole = run_all_checks(q_max=14, n_max=4, trials=3, gate_angle_scale=scale)
+        scale_flat_ry(monkeypatch, scale)
+        scale_turn(monkeypatch, "_TURN_4PI", scale)
+        whole = run_all_checks(q_max=14, n_max=4, trials=3)
+        failed = {result.name for result in whole if not result.passed}
+        broken = set(CHECK_NAMES) - {"single_qubit_inner_product"}
+        assert failed == (broken if scale != 1.0 else set())
         monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", 1)
-        alone = run_all_checks(q_max=14, n_max=4, trials=3, gate_angle_scale=scale)
+        alone = run_all_checks(q_max=14, n_max=4, trials=3)
         assert alone == whole
 
 
