@@ -18,10 +18,10 @@ from zqhash.hashing import (
     BiasedSet,
     HashForm,
     ParamSet,
+    _block_circuits,
     derive_biased_set,
-    shallow_hash_circuit,
 )
-from zqhash.search import SearchConfig, _draw_block, random_search
+from zqhash.search import SearchConfig, _draw_block, _draw_rows, random_search
 from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
 from zqhash.verification import check_inner_products
 
@@ -69,11 +69,23 @@ def test_gate_kernel(benchmark):
     assert state.amplitudes.shape == (527, 64)
 
 
-def test_circuit_build(benchmark):
-    # One batched shallow circuit of 5 parameters over x = 0..31.
-    params = ParamSet(32, _residues(32, 5, 6))
-    ops = benchmark(shallow_hash_circuit, params, np.arange(32))
-    assert ops[-1].angle.shape == (32,)
+def test_block_circuits(benchmark):
+    # One size group at verify-sim's shape: 31 sets of 5 parameters, one
+    # per q = 2..32, so each of the three circuits has 527 batch rows.
+    q = np.arange(2, 33)
+    factors = np.random.default_rng(6).integers(0, q[:, None], size=(31, 5))
+    circuits = benchmark(_block_circuits, factors, q)
+    assert [op.angle.shape for op in circuits[1][5:]] == [(527,)] * 5
+
+
+def test_draw_sets(benchmark):
+    # verify-sim's parameter sets: 5 for each q = 2..32, of sizes 1..5,
+    # drawn as one block.
+    q = np.repeat(np.arange(2, 33), 5)
+    index = np.tile(np.arange(5, dtype=np.uint64), 31)
+    span = q[:, None].astype(np.uint64)
+    sizes, factors = benchmark(_draw_rows, (12345, q), index, span, 5, True)
+    assert factors.shape == (155, 5) and 1 <= sizes.min() <= sizes.max() <= 5
 
 
 def test_dumps_report(benchmark):

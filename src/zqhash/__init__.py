@@ -13,7 +13,6 @@ from .analysis import (
     collision_resistance,
     cosine_sum_check,
     epsilon_of_biased_set,
-    equality_test_prob,
     shift_normalize,
     simulated_inner,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "cosine_sum_check",
     "derive_biased_set",
     "epsilon_of_biased_set",
-    "equality_test_prob",
     "exhaustive_search",
     "inner_product",
     "linear_combination",

@@ -38,7 +38,7 @@ from .hashing import (
     build_standard_hash,
     derive_biased_set,
 )
-from .statevec import StateVector, inner_product
+from .statevec import inner_product
 
 _SWEEP_BLOCK = 8192
 
@@ -120,16 +120,17 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
 
 
 def _closed_inner_values(
-    q: int,
+    q: int | np.ndarray,
     rows: tuple[int, ...] | np.ndarray,
     dx: int | np.ndarray,
     with_sum: bool,
 ) -> np.ndarray:
     # Signed inner products of parameter rows at differences dx. `rows` is
     # one row as a tuple of Python ints, or a (K, n) int64 block of rows,
-    # one result row each. `dx` is one Python int, reduced exactly at any
-    # size, or an array of sweep differences, where |dx| <= q <= 2**20
-    # keeps s*dx, sum factor included, inside int64. One cosine factor per
+    # one result row each, whose modulus `q` may be a (K, 1) int64 column,
+    # one per row. `dx` is one Python int, reduced exactly at any size, or
+    # an array of sweep differences, where |dx| <= q <= 2**20 keeps s*dx,
+    # sum factor included, inside int64. One cosine factor per
     # parameter, multiplied in parameter order, so scalar, sweep and block
     # callers agree bitwise.
     if isinstance(rows, tuple):
@@ -230,9 +231,3 @@ def cosine_sum_check(biased: BiasedSet, x: int) -> tuple[float, float]:
     mean = _phase_mean(biased.q, biased.elements, x)
     return float(abs(mean.real)), float(abs(mean))
 
-
-def equality_test_prob(a: StateVector, b: StateVector) -> float:
-    """Probability that a swap-style equality test accepts the pair:
-    (1 + <a|b>**2) / 2. Equal states give 1, orthogonal ones 1/2."""
-    ip = inner_product(a, b)
-    return (1.0 + ip * ip) / 2.0

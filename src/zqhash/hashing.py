@@ -192,12 +192,17 @@ def _inputs(x: Inputs, q: int) -> int | list[int] | np.ndarray:
 
 
 def _angles(
-    turn: tuple[float, int], factor: int, x: int | list[int] | np.ndarray, q: int
+    turn: tuple[float, int],
+    factor: int | np.ndarray,
+    x: int | list[int] | np.ndarray,
+    q: int | np.ndarray,
 ) -> float | np.ndarray:
     # scale*pi * (factor*x mod p) / q for one x; a (B,) array for a batch.
     # An int64 batch reduces each factor mod p before the product, which
     # stays below p**2 <= 2**42; the float operations are the same, in the
-    # same order, as for Python ints, so both paths agree bitwise.
+    # same order, as for Python ints, so both paths agree bitwise. The
+    # int64 path also takes a (B, m) factor block with x and q as (B, 1)
+    # columns, one column of angles per factor.
     scale, periods = turn
     p = periods * q
     if isinstance(x, np.ndarray):
@@ -275,6 +280,32 @@ def single_qubit_hash_circuit(
         GateOp("ry", target=j, angle=_angles(_TURN_2PI, s, x, params.q))
         for j, s in enumerate(factors)
     )
+
+
+def _block_circuits(
+    factors: np.ndarray, q: np.ndarray
+) -> tuple[tuple[GateOp, ...], ...]:
+    """The single-qubit, shallow and sum-qubit circuits of a (K, n) int64
+    block of parameter rows, row k over the residues mod q[k] (a (K,)
+    int64 array, each q[k] <= MAX_SWEEP_MODULUS). The batch holds
+    x = 0..q[k]-1 of each set, set after set. Each angle form is one
+    `_angles` expression over the block, one column per gate, so every
+    batch row equals that set's own circuit for its x bitwise. The angle
+    forms are read at call time."""
+    n = factors.shape[1]
+    x = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
+    q_rows = np.repeat(q, q)[:, None]
+    rows = np.repeat(np.column_stack([factors, factors.sum(axis=1)]), q, axis=0)
+    half_turns = _angles(_TURN_2PI, rows, x[:, None], q_rows)
+    turns = _angles(_TURN_4PI, rows[:, :n], x[:, None], q_rows)
+    with_sum = tuple(
+        GateOp("ry", target=j, angle=half_turns[:, j]) for j in range(n + 1)
+    )
+    shallow = tuple(GateOp("h", target=k) for k in range(n)) + tuple(
+        GateOp("cry", target=n, controls=((k, 1),), angle=turns[:, k])
+        for k in range(n)
+    )
+    return with_sum[:n], shallow, with_sum
 
 
 def build_single_qubit_hash(

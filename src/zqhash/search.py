@@ -11,10 +11,12 @@ The stream is the package's own numpy port of what
 `np.random.default_rng([seed, trial]).integers(1, q, size=n)` draws:
 SeedSequence mixing, PCG64 seeding and its XSL-RR output (O'Neill 2014),
 and Lemire's bounded 32-bit draw (Lemire 2019). The port computes a whole
-block of trials at once. NumPy does not promise that `Generator` streams
-stay the same across versions (NEP 19); a test pins this stream to
-`default_rng` at the installed numpy, and if a future numpy breaks that
-pin, this stream is the contract.
+block of trials at once. `verify` draws its parameter sets from the same
+port (`_draw_rows`), keyed by (seed, q, index), with a size draw before
+the entries. NumPy does not promise that `Generator` streams stay the
+same across versions (NEP 19); tests pin both uses to `default_rng` at
+the installed numpy, and if a future numpy breaks that pin, this stream
+is the contract.
 
 Both searches scan candidates in blocks: one cosine-product sweep per
 block, in parameter order, so every row is bit-identical to
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,18 +109,37 @@ class SearchResult:
     history: list[tuple[int, float]]
 
 
-def _seed_words(seed: int, trials: np.ndarray) -> list[np.ndarray]:
-    # SeedSequence([seed, trial]).generate_state(4, np.uint64) of each
-    # trial, as its eight uint32 words. The seed enters as its one or two
-    # 32-bit words, low first, and each trial as two: with at most four
-    # entropy words nothing exceeds the pool, and a pool slot past the
-    # entropy hashes a 0 word, so a zero high word of the trial mixes
-    # exactly like numpy's shorter entropy.
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(trials.size, word, dtype=np.uint32) for word in seed_words]
-    entropy += [(trials & np.uint64(_MASK32)).astype(np.uint32)]
-    entropy += [(trials >> np.uint64(32)).astype(np.uint32)]
-    entropy += [np.zeros(trials.size, dtype=np.uint32)] * (_POOL - len(entropy))
+def _int_words(value: int) -> list[int]:
+    # numpy's 32-bit words of a non-negative int, low first; 0 is one word.
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(
+    keys: Sequence[int | np.ndarray], index: np.ndarray
+) -> list[np.ndarray]:
+    # SeedSequence([*keys, index]).generate_state(4, np.uint64) of each
+    # row, as its eight uint32 words. A key is a Python int, as its 32-bit
+    # words low first, or a per-row array below 2**32, as one word. The
+    # uint64 index enters as its low word, then its high word where that
+    # is nonzero. Inside the pool a zero high word mixes exactly like
+    # numpy's shorter entropy, since a pool slot past the entropy hashes a
+    # 0 word. Past the pool, where long seeds push it, rows without it
+    # skip the last mixing step.
+    rows = index.size
+    entropy = []
+    for key in keys:
+        if isinstance(key, np.ndarray):
+            entropy.append(key.astype(np.uint32))
+        else:
+            entropy += [np.full(rows, word, np.uint32) for word in _int_words(key)]
+    entropy.append((index & np.uint64(_MASK32)).astype(np.uint32))
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    entropy.append(high)
+    entropy += [np.zeros(rows, dtype=np.uint32)] * (_POOL - len(entropy))
     const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -128,14 +149,20 @@ def _seed_words(seed: int, trials: np.ndarray) -> list[np.ndarray]:
         value = value * np.uint32(const)
         return value ^ (value >> np.uint32(16))
 
-    pool = [hashmix(word) for word in entropy]
+    def mix(dst: int, src: np.ndarray) -> np.ndarray:
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * src
+        return mixed ^ (mixed >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                hashed = hashmix(pool[src])
-                mixed = np.uint32(_MIX_MULT_L) * pool[dst]
-                mixed = mixed - np.uint32(_MIX_MULT_R) * hashed
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+                pool[dst] = mix(dst, hashmix(pool[src]))
+    for position in range(_POOL, len(entropy)):
+        last = position == len(entropy) - 1
+        for dst in range(_POOL):
+            mixed = mix(dst, hashmix(entropy[position]))
+            pool[dst] = np.where(high != 0, mixed, pool[dst]) if last else mixed
     const = _INIT_B
     words = []
     for i in range(2 * _POOL):
@@ -176,15 +203,15 @@ def _xsl_rr(state: list[np.ndarray]) -> np.ndarray:
     return (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Candidates of trials [start, stop) as a (stop - start, n) int64
-    array: row i equals default_rng([seed, start + i]).integers(1, q, n)."""
-    rows = stop - start
-    if q == 2:  # a one-value range: numpy returns it without drawing
-        return np.ones((rows, n), dtype=np.int64)
+def _words(
+    keys: Sequence[int | np.ndarray], index: np.ndarray
+) -> Iterator[np.ndarray]:
+    # The 32-bit words PCG64 seeded by SeedSequence([*keys, index]) gives
+    # each row, one column at a time: each 64-bit output gives its low
+    # half first. numpy's bounded draws on 32-bit spans read this one
+    # stream, and one call continues where the last one stopped.
     mask = np.uint64(_MASK32)
-    trials = np.uint64(start) + np.arange(rows, dtype=np.uint64)
-    words = [word.astype(np.uint64) for word in _seed_words(seed, trials)]
+    words = [word.astype(np.uint64) for word in _seed_words(keys, index)]
     # PCG64 seeding: the state is the first two uint64 words (high, low),
     # the stream the last two, shifted up with the low bit set.
     initstate = [words[2], words[3], words[0], words[1]]
@@ -200,27 +227,75 @@ def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:
         total = state[k] + initstate[k] + carry
         state[k], carry = total & mask, total >> np.uint64(32)
     state = _lcg_step(state, inc)
-
-    # Lemire's bounded draw on 32-bit words, each 64-bit output giving its
-    # low half first: m = word * (q - 1), value 1 + (m >> 32), redrawn
-    # while the low half of m is below 2**32 mod (q - 1). A row that
-    # rejects a word takes its values from the next accepted ones.
-    span = np.uint64(q - 1)
-    threshold = np.uint64((1 << 32) % (q - 1))
-    columns: list[np.ndarray] = []
     while True:
         state = _lcg_step(state, inc)
         output = _xsl_rr(state)
-        columns += [output & mask, output >> np.uint64(32)]
-        if len(columns) >= n:
-            scaled = np.stack(columns, axis=1) * span
-            rejected = (scaled & mask) < threshold
-            if rejected.sum(axis=1).max() <= len(columns) - n:
-                break
-    if rejected.any():
-        order = np.argsort(rejected, axis=1, kind="stable")
-        scaled = np.take_along_axis(scaled, order, axis=1)
-    return (scaled[:, :n] >> np.uint64(32)).astype(np.int64) + 1
+        yield output & mask
+        yield output >> np.uint64(32)
+
+
+def _lemire(
+    words: np.ndarray, span: np.uint64 | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Lemire's bounded draw on 32-bit words: m = word * span gives the
+    # value m >> 32, accepted where the low half of m is at least
+    # 2**32 mod span, else redrawn from the next word.
+    scaled = words * span
+    accepted = (scaled & np.uint64(_MASK32)) >= np.uint64(1 << 32) % span
+    return scaled >> np.uint64(32), accepted
+
+
+def _draw_rows(
+    keys: Sequence[int | np.ndarray],
+    index: np.ndarray,
+    span: np.uint64 | np.ndarray,
+    n: int,
+    sized: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of default_rng([*keys, index[i]]) for each row i: with
+    `sized`, first its size n_i = integers(1, n + 1), else n_i = n; then
+    integers(0, span, size=n_i), with a span above 1, one for all rows or
+    a (rows, 1) column. Returns (sizes, values): int64 arrays of shape
+    (rows,) and (rows, n), whose row i holds its n_i values first."""
+    draw_size = sized and n > 1  # numpy draws nothing for a one-value range
+    sizes = np.full(index.size, n)
+    first = -1  # the word each row's size came from
+    columns: list[np.ndarray] = []
+    stream = _words(keys, index)
+    while True:
+        columns += [next(stream), next(stream)]
+        if len(columns) < n + draw_size:
+            continue
+        words = np.stack(columns, axis=1)
+        values, accepted = _lemire(words, span)
+        if draw_size:
+            drawn, size_accepted = _lemire(words, np.uint64(n))
+            if not size_accepted.any(axis=1).all():
+                continue
+            first = np.argmax(size_accepted, axis=1)
+            sizes = np.take_along_axis(drawn, first[:, None], axis=1)[:, 0]
+            sizes = sizes.astype(np.int64) + 1
+            accepted &= np.arange(len(columns)) > first[:, None]
+        if (accepted.sum(axis=1) >= sizes).all():
+            break
+    # A row that rejects a word takes its later values from the next
+    # accepted ones.
+    lead = int(draw_size)
+    if not (np.all(first == lead - 1) and accepted[:, lead : lead + n].all()):
+        order = np.argsort(~accepted, axis=1, kind="stable")
+        values = np.take_along_axis(values, order, axis=1)
+        lead = 0
+    return sizes, values[:, lead : lead + n].astype(np.int64)
+
+
+def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Candidates of trials [start, stop) as a (stop - start, n) int64
+    array: row i equals default_rng([seed, start + i]).integers(1, q, n)."""
+    rows = stop - start
+    if q == 2:  # a one-value range: numpy returns it without drawing
+        return np.ones((rows, n), dtype=np.int64)
+    trials = np.uint64(start) + np.arange(rows, dtype=np.uint64)
+    return _draw_rows((seed,), trials, np.uint64(q - 1), n)[1] + 1
 
 
 def draw_candidate(seed: int, trial: int, q: int, n: int) -> tuple[int, ...]:

@@ -17,13 +17,18 @@ and reports the worst deviation seen:
     deviation). Its reported deviation is the worst gap between the
     simulated |inner products| of the shallow and sum-qubit circuits.
 
-The last three share one pass: each random parameter set is drawn once and
-its closed forms are evaluated once. The sets of one size are simulated
-together, one batched run per circuit whose rows are the q inputs of each
-set in turn, so each set's single-qubit, shallow and sum-qubit Gram matrix
-is one block of rows of one run. The multiplexed-Ry check likewise runs
-all angle draws of one width as rows of one batch. `_BATCH_AMPLITUDES`
-caps the amplitudes of any one run.
+The last three share one pass over random parameter sets. Set `index` of
+modulus q is what default_rng([seed, q, index]) draws: a size in
+[1, n_max], then its entries in [0, q). The sets are drawn a block at a
+time from the package's port of that stream (`search._draw_rows`). The
+sets of one size are then checked together, in chunks of at most
+`_BATCH_AMPLITUDES` amplitudes per run: `hashing._block_circuits` writes
+the angles of all their circuits at once, one batched run per circuit
+gives each set's single-qubit, shallow and sum-qubit Gram matrix from its
+own block of rows, and their closed forms and subset-sum means are
+evaluated for the whole chunk at once. The multiplexed-Ry check likewise runs all angle
+draws of one width as rows of one batch. `MAX_VERIFY_WORK` bounds the
+work of a whole request.
 
 Tests prove each check can fail by substituting a faulty angle rule
 (`hashing._TURN_4PI` or `_TURN_2PI`, which the circuit builders read at
@@ -32,23 +37,15 @@ flat route.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .analysis import _check_sweep_modulus, _closed_inner_values
-from .hashing import (
-    MAX_PARAMS,
-    ParamSet,
-    _check_int,
-    derive_biased_set,
-    shallow_hash_circuit,
-    single_qubit_hash_circuit,
-)
+from .hashing import MAX_PARAMS, _block_circuits, _check_int
+from .search import _draw_rows
 from .statevec import (
-    GateOp,
     StateVector,
     apply_controlled_ry,
     apply_ry,
@@ -67,6 +64,23 @@ IDENTITY_TOL = 1e-12
 # bounded at any width and any number of sets.
 _BATCH_AMPLITUDES = 1 << 14
 
+# Work a verify request may take, in the units of `_verify_work`. On a
+# 2-vCPU x86 VM a unit took 2-6 ns in the Gram checks and 5-7 ns in the
+# multiplexed-Ry check, so the largest accepted request runs about a
+# minute. The Gram work grows as q_max**3 and the multiplexed-Ry work as
+# 4**n_max, so without a bound `verify --q-max 20000` or `--n-max 20`
+# would not finish.
+MAX_VERIFY_WORK = 10**10
+# A set's fixed cost (about 20 us: its share of the draw, the builds and
+# the comparisons), and a residue pair's comparisons beside its Gram
+# product, in the same units.
+_SET_WORK = 1 << 12
+_PAIR_WORK = 16
+
+# Parameter sets drawn and checked per block, so the draw's working arrays
+# stay bounded however many sets a request has.
+_SET_BLOCK = 1 << 12
+
 
 @dataclass
 class CheckResult:
@@ -81,7 +95,8 @@ def _result(name: str, max_deviation: float, detail: str) -> CheckResult:
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+    diff = a - b
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def check_ucr_decomposition(
@@ -136,66 +151,91 @@ def check_ucr_decomposition(
     )
 
 
-def _random_params(rng: np.random.Generator, q: int, n_max: int) -> ParamSet:
-    n = int(rng.integers(1, n_max + 1))
-    return ParamSet(q, tuple(int(v) for v in rng.integers(0, q, size=n)))
+def _stacked_grams(factors: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    # The single-qubit, shallow and sum-qubit Gram matrices, in that order,
+    # of the states of x = 0..q[k]-1 for each row k of a (K, n) block of
+    # parameter sets: one batched run per circuit, whose blocks of rows
+    # are the sets. Each circuit gives one flat array holding every set's
+    # q[k] x q[k] matrix in turn, row-major, each `block @ block.T`
+    # written in place. The last gate of every verify circuit targets its
+    # last qubit, so it gives the width.
+    stops = np.cumsum(q).tolist()
+    grams = []
+    for ops in _block_circuits(factors, q):
+        state = zero_state(ops[-1].target + 1, batch=stops[-1])
+        mat = run_circuit(state, ops).amplitudes
+        flat = np.empty(int((q * q).sum()))
+        cell = 0
+        for stop, m in zip(stops, q.tolist()):
+            block = mat[stop - m : stop]
+            np.matmul(block, block.T, out=flat[cell : cell + m * m].reshape(m, m))
+            cell += m * m
+        grams.append(flat)
+    return grams
 
 
-def _stacked_grams(
-    circuit: Callable[[ParamSet, np.ndarray], Sequence[GateOp]],
-    param_sets: Sequence[ParamSet],
-) -> list[np.ndarray]:
-    # The Gram matrix of the states of x = 0..q-1 for each set, from one
-    # batched run. Sets of one size give gate lists of one structure, so
-    # their per-row angle arrays concatenate into one gate list. The last
-    # gate targets the last qubit in every verify circuit.
-    built = [circuit(params, np.arange(params.q)) for params in param_sets]
-    ops = [
-        replace(op, angle=np.concatenate([gates[i].angle for gates in built]))
-        if isinstance(op.angle, np.ndarray)
-        else op
-        for i, op in enumerate(built[0])
-    ]
-    qs = [params.q for params in param_sets]
-    mat = run_circuit(zero_state(ops[-1].target + 1, batch=sum(qs)), ops).amplitudes
-    return [block @ block.T for block in np.split(mat, np.cumsum(qs)[:-1])]
+def _subset_sum_means(
+    factors: np.ndarray, q: np.ndarray, dx: np.ndarray
+) -> np.ndarray:
+    # The standard form's inner product for each row of a (K, n) block,
+    # with q a (K, 1) column, at every dx: the mean of cos(2*pi*b*dx/q)
+    # over the subset sums b of the row, in the address order of
+    # `derive_biased_set`, each b*dx reduced mod q before the float
+    # division. b, dx < q <= MAX_SWEEP_MODULUS = 2**20, the cap
+    # run_all_checks puts on q_max, so b*dx < 2**40 fits int64.
+    sums = np.zeros((factors.shape[0], 1), dtype=np.int64)
+    for j in reversed(range(factors.shape[1])):
+        sums = np.concatenate([sums, sums + factors[:, j, None]], axis=1)
+    sums %= q
+    q = q[:, :, None]
+    residues = (sums[:, :, None] * dx) % q
+    return np.cos((2.0 * np.pi / q) * residues).mean(axis=1)
 
 
-def _stacked_gaps(
-    chunk: Sequence[tuple[ParamSet, np.ndarray, np.ndarray]],
-) -> list[float]:
-    # The worst of the three gaps of check_inner_products over a chunk of
-    # sets of one size, from one batched run per circuit.
-    param_sets = [params for params, _, _ in chunk]
-    grams = zip(
-        _stacked_grams(single_qubit_hash_circuit, param_sets),
-        _stacked_grams(shallow_hash_circuit, param_sets),
-        _stacked_grams(
-            partial(single_qubit_hash_circuit, include_sum_qubit=True), param_sets
-        ),
-    )
-    worst = [0.0, 0.0, 0.0]
-    for (params, closed, closed_sum), (single, shallow, with_sum) in zip(chunk, grams):
-        span = np.arange(params.q)
-        dx = np.abs(span[:, None] - span[None, :])
-        gaps = (
-            _gap(single, closed[dx]),
-            _gap(shallow, closed_sum[dx]),
-            _gap(np.abs(shallow), np.abs(with_sum)),
-        )
-        worst = [max(w, g) for w, g in zip(worst, gaps)]
-    return worst
+def _chunk_gaps(
+    factors: np.ndarray, q: np.ndarray
+) -> tuple[list[float], np.ndarray]:
+    # The three gaps of check_inner_products over a chunk of sets of one
+    # size, and the positions of the sets whose closed forms break the
+    # identity. The closed forms of the chunk are evaluated at once, up to
+    # its largest q. Each set's Gram entry (i, j) is compared with its
+    # closed form at |i - j|, all sets' entries in one flat array laid out
+    # as `_stacked_grams` lays out the Grams.
+    dx = np.arange(q.max())
+    column = q[:, None]
+    closed = _closed_inner_values(column, factors, dx, False)
+    closed_sum = _closed_inner_values(column, factors, dx, True)
+    means = _subset_sum_means(factors, column, dx)
+    identity = np.where(dx < column, np.abs(means - closed_sum), 0.0).max(axis=1)
+    distance = np.abs(dx[:, None] - dx[None, :])
+    single, shallow, with_sum = _stacked_grams(factors, q)
+    expected, expected_sum = np.empty_like(single), np.empty_like(single)
+    cell = 0
+    for k, m in enumerate(q.tolist()):
+        at, cells = distance[:m, :m], slice(cell, cell + m * m)
+        np.take(closed[k], at, out=expected[cells].reshape(m, m), mode="clip")
+        np.take(closed_sum[k], at, out=expected_sum[cells].reshape(m, m), mode="clip")
+        cell += m * m
+    gaps = [_gap(single, expected), _gap(shallow, expected_sum)]
+    # The last use of these Grams: take magnitudes in place, so a large set
+    # holds fewer q x q arrays at once.
+    gaps.append(_gap(np.abs(shallow, out=shallow), np.abs(with_sum, out=with_sum)))
+    return gaps, np.flatnonzero(~(identity <= IDENTITY_TOL))
 
 
-def _subset_sum_means(params: ParamSet) -> np.ndarray:
-    # The standard form's inner product at every dx in [0, q): the mean of
-    # cos(2*pi*b*dx/q) over the subset sums b of S, each b*dx reduced mod q
-    # before the float division. b, dx < q <= MAX_SWEEP_MODULUS = 2**20,
-    # the cap run_all_checks puts on q_max, so b*dx < 2**40 fits int64.
-    sums = np.array(derive_biased_set(params).elements, dtype=np.int64)
-    dx = np.arange(params.q, dtype=np.int64)
-    residues = (sums[:, None] * dx[None, :]) % params.q
-    return np.cos((2.0 * np.pi / params.q) * residues).mean(axis=0)
+def _chunks(
+    members: np.ndarray, q: np.ndarray, size: int
+) -> Iterator[np.ndarray]:
+    # Runs of consecutive sets of one size whose rows fit
+    # _BATCH_AMPLITUDES at the widest circuit, n + 1 qubits; a set larger
+    # than that runs alone.
+    start = rows = 0
+    for i, count in enumerate(q[members].tolist()):
+        if i > start and (rows + count) << (size + 1) > _BATCH_AMPLITUDES:
+            yield members[start:i]
+            start, rows = i, 0
+        rows += count
+    yield members[start:]
 
 
 def check_inner_products(
@@ -206,43 +246,39 @@ def check_inner_products(
 ) -> list[CheckResult]:
     """The single_qubit_inner_product, shallow_inner_product and
     resistance_equivalence results, from one pass over random parameter
-    sets: each set is drawn once, its closed forms are evaluated once, and
-    the sets of one size are simulated together, one batched run per
-    circuit and per chunk of at most _BATCH_AMPLITUDES amplitudes (a set
-    larger than that runs alone)."""
+    sets. Set `index` of modulus q is drawn by default_rng([seed, q,
+    index]): a size in [1, n_max], then its entries in [0, q). The sets
+    are drawn in blocks of _SET_BLOCK; within a block the sets of one size
+    are simulated together, one batched run per circuit and per chunk of
+    at most _BATCH_AMPLITUDES amplitudes, and their closed forms are
+    evaluated together per chunk."""
+    q_values = np.fromiter(q_values, dtype=np.int64)
+    count = q_values.size * sets_per_q
     worst = [0.0, 0.0, 0.0]
-    pairs = sets = 0
     diverged = None
-    # Drawn sets not yet simulated, by size, with their closed forms.
-    pending: dict[int, list[tuple[ParamSet, np.ndarray, np.ndarray]]] = {}
-    for q in q_values:
-        span = np.arange(q)
-        for index in range(sets_per_q):
-            params = _random_params(np.random.default_rng([seed, q, index]), q, n_max)
-            closed = _closed_inner_values(q, params.elements, span, False)
-            closed_sum = _closed_inner_values(q, params.elements, span, True)
-            if diverged is None and not (
-                _gap(_subset_sum_means(params), closed_sum) <= IDENTITY_TOL
-            ):
-                diverged = (
-                    f"sum-factor closed form diverged from the subset-sum mean "
-                    f"for q={q}, S={params.elements}"
-                )
-            chunk = pending.setdefault(params.size, [])
-            rows = q + sum(drawn[0].q for drawn in chunk)
-            if chunk and rows << (params.size + 1) > _BATCH_AMPLITUDES:
-                gaps = _stacked_gaps(chunk)
+    for start in range(0, count, _SET_BLOCK):
+        drawn = np.arange(start, min(start + _SET_BLOCK, count))
+        q = q_values[drawn // sets_per_q]
+        index = (drawn % sets_per_q).astype(np.uint64)
+        span = q[:, None].astype(np.uint64)
+        sizes, factors = _draw_rows((seed, q), index, span, n_max, sized=True)
+        broken: list[int] = []
+        for size in np.unique(sizes).tolist():
+            for chunk in _chunks(np.flatnonzero(sizes == size), q, size):
+                gaps, breaks = _chunk_gaps(factors[chunk, :size], q[chunk])
                 worst = [max(w, g) for w, g in zip(worst, gaps)]
-                chunk.clear()
-            chunk.append((params, closed, closed_sum))
-            pairs += q * q
-            sets += 1
-    for chunk in pending.values():
-        gaps = _stacked_gaps(chunk)
-        worst = [max(w, g) for w, g in zip(worst, gaps)]
+                broken += chunk[breaks].tolist()
+        if broken and diverged is None:
+            first = min(broken)
+            elements = tuple(factors[first, : sizes[first]].tolist())
+            diverged = (
+                f"sum-factor closed form diverged from the subset-sum mean "
+                f"for q={q[first]}, S={elements}"
+            )
+    pairs = sets_per_q * int((q_values**2).sum())
     pair_detail = f"{pairs} residue pairs, all pairs per set"
     equivalence_detail = (
-        f"{sets} parameter sets, sum-factor closed form equals the "
+        f"{count} parameter sets, sum-factor closed form equals the "
         f"subset-sum mean within {IDENTITY_TOL:g}"
     )
     if diverged is not None:
@@ -252,6 +288,18 @@ def check_inner_products(
         _result("shallow_inner_product", worst[1], pair_detail),
         _result("resistance_equivalence", worst[2], equivalence_detail),
     ]
+
+
+def _verify_work(q_max: int, n_max: int, trials: int) -> int:
+    # Work units of run_all_checks, per trial: each set of modulus q
+    # compares q**2 Gram entries, each a product over up to 2**(n_max + 1)
+    # amplitudes plus _PAIR_WORK of comparisons, and has a fixed cost of
+    # _SET_WORK; each multiplexed-Ry draw of width n runs 2**(n + 1) basis
+    # inputs of 2**(n + 1) amplitudes through n + 1 gates.
+    squares = q_max * (q_max + 1) * (2 * q_max + 1) // 6 - 1
+    grams = squares * ((2 << n_max) + _PAIR_WORK) + (q_max - 1) * _SET_WORK
+    ucr = sum((n + 1) << (2 * n + 2) for n in range(1, n_max + 1))
+    return trials * (grams + ucr)
 
 
 def run_all_checks(
@@ -264,11 +312,18 @@ def run_all_checks(
     of random parameter sets per modulus and angle draws per width. Raises
     ValueError, before any work, when a check would have nothing to check,
     `q_max` is above the sweep cap MAX_SWEEP_MODULUS, `n_max` is outside
-    [1, MAX_PARAMS] or `seed` is not a non-negative integer."""
+    [1, MAX_PARAMS], `seed` is not a non-negative integer or the request
+    needs more than MAX_VERIFY_WORK work units."""
     q_max = _check_sweep_modulus(q_max, "q_max")
     trials = _check_int(trials, "trials", 1, None)
     n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
     seed = _check_int(seed, "seed", 0, None)
+    work = _verify_work(q_max, n_max, trials)
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(
+            f"q_max, n_max and trials need {work:.2e} work units, above the "
+            f"{MAX_VERIFY_WORK:.0e} budget"
+        )
     return [
         check_ucr_decomposition(n_max=n_max, vectors_per_n=trials, seed=seed),
         *check_inner_products(

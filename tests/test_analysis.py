@@ -17,12 +17,10 @@ from zqhash.analysis import (
     collision_resistance,
     cosine_sum_check,
     epsilon_of_biased_set,
-    equality_test_prob,
     shift_normalize,
     simulated_inner,
 )
 from zqhash.hashing import BiasedSet, HashForm, ParamSet
-from zqhash.statevec import StateVector, basis_state, zero_state
 
 
 def bias_oracle(biased, x):
@@ -343,29 +341,6 @@ class TestCosineSumCheck:
         biased = BiasedSet(12, (0, 2, 5))
         for x in range(1, 12):
             assert cosine_sum_check(biased, x)[1] == bias(biased, x)
-
-
-class TestEqualityTestProb:
-    def test_identical_states_accept(self):
-        state = basis_state(2, 3)
-        assert equality_test_prob(state, state) == 1.0
-
-    def test_orthogonal_states_coin_flip(self):
-        assert equality_test_prob(zero_state(1), basis_state(1, 1)) == 0.5
-
-    def test_partial_overlap(self):
-        a = StateVector(1, np.array([1.0, 0.0]))
-        b = StateVector(1, np.array([0.25, math.sqrt(1 - 0.0625)]))
-        assert equality_test_prob(a, b) == 0.53125
-
-    def test_sign_of_overlap_is_invisible(self):
-        a = StateVector(1, np.array([1.0, 0.0]))
-        b = StateVector(1, np.array([-0.25, math.sqrt(1 - 0.0625)]))
-        assert equality_test_prob(a, b) == 0.53125
-
-    def test_rejects_width_mismatch(self):
-        with pytest.raises(ValueError):
-            equality_test_prob(zero_state(1), zero_state(2))
 
 
 class TestLargeModulusExactness:

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 from zqhash import cli, floattext, search
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
-from zqhash.verification import CheckResult
+from zqhash.verification import MAX_VERIFY_WORK, CheckResult, _verify_work
 
 
 def run_cli(capsys, argv):
@@ -356,6 +356,22 @@ GOLDEN_DIGESTS = [
     (  # every check's max_deviation and detail
         "verify --q-max 12 --n-max 4 --trials 2",
         "b16d9e0e98258a5d0d6fec3a1ea948a610b46e8d6189175a35dc1119173737f5",
+    ),
+    # Recorded from the per-set draws, builds and closed forms that the
+    # block path replaced: the benchmark's verify size, a seed of 2**70
+    # (three entropy words, so long indices mix past SeedSequence's
+    # pool), and n_max = 1, where no size is drawn.
+    (
+        "verify --q-max 32 --n-max 5 --trials 5 --seed 12345",
+        "022a7f2f5a73bafb6b9ce41c68dd679f13d9f918f031676dc2fca3e4c55ca7c1",
+    ),
+    (
+        "verify --q-max 12 --n-max 3 --trials 2 --seed 1180591620717411303424",
+        "a78d87b984b60e963d3ebc30108a197f7c6764b7664b8c577383ac9df37bf67a",
+    ),
+    (
+        "verify --q-max 16 --n-max 1 --trials 3",
+        "b00a2db11be456e602d15852a1271cc6bdddc2e4cef469c130e4df230312f2ed",
     ),
     # At workload size, recorded from the per-value %-format join that the
     # byte-matrix join replaced: a 2**17 - 1 row table, a 2**16 row table,
@@ -743,6 +759,30 @@ class TestVerifyInputs:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # One trial more than the budget holds at the default sizes.
+            ["--trials", str(MAX_VERIFY_WORK // _verify_work(64, 5, 1) + 1)],
+            ["--q-max", "2000", "--n-max", "1", "--trials", "1"],
+            ["--n-max", "20", "--q-max", "2", "--trials", "1"],
+        ],
+    )
+    def test_past_the_work_budget_exits_2_with_one_line(
+        self, capsys, monkeypatch, flags
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ["check_ucr_decomposition", "check_inner_products"]:
+            monkeypatch.setattr(f"zqhash.verification.{name}", started)
+        code, out, err = run_cli(capsys, ["verify", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestLargeModulusExactness:

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqhash import analysis, hashing, verification
+from zqhash import analysis, hashing, search, verification
 from zqhash.hashing import (
     MAX_PARAMS,
     MAX_SWEEP_MODULUS,
     ParamSet,
+    derive_biased_set,
     shallow_hash_circuit,
     single_qubit_hash_circuit,
 )
+from zqhash.search import _draw_rows
 from zqhash.statevec import run_circuit, zero_state
 from zqhash.verification import (
+    MAX_VERIFY_WORK,
     _stacked_grams,
+    _verify_work,
     check_inner_products,
     check_ucr_decomposition,
     run_all_checks,
@@ -123,6 +127,13 @@ class TestFaultInjection:
             "for q=3, S=(2, 0, 1, 2)"
         )
 
+    @pytest.mark.parametrize("set_block", [1, 3])
+    def test_first_divergence_named_across_set_blocks(self, monkeypatch, set_block):
+        # The same set is named when the sets are drawn in smaller blocks,
+        # with the first broken set alone in its block or behind others.
+        monkeypatch.setattr(verification, "_SET_BLOCK", set_block)
+        self.test_equivalence_catches_a_missing_sum_factor(monkeypatch)
+
 
 class TestCheckGranularity:
     def test_single_modulus_sweep(self):
@@ -150,22 +161,84 @@ class TestCheckGranularity:
         if budget is not None:
             monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", budget)
         drawn, runs = [], [0]
-        draw, run = verification._random_params, verification.run_circuit
+        draw, run = verification._draw_rows, verification.run_circuit
 
-        def counted_draw(*args):
-            drawn.append(draw(*args))
-            return drawn[-1]
+        def counted_draw(keys, index, *args, **kwargs):
+            sizes, factors = draw(keys, index, *args, **kwargs)
+            drawn.extend(zip(keys[1].tolist(), index.tolist(), sizes.tolist()))
+            return sizes, factors
 
         def counted_run(*args):
             runs[0] += 1
             return run(*args)
 
-        monkeypatch.setattr(verification, "_random_params", counted_draw)
+        monkeypatch.setattr(verification, "_draw_rows", counted_draw)
         monkeypatch.setattr(verification, "run_circuit", counted_run)
         run_all_checks(q_max=6, n_max=3, trials=2)
-        assert [p.q for p in drawn] == [q for q in range(2, 7) for _ in range(2)]
-        chunks = len(drawn) if budget else len({p.size for p in drawn})
+        assert [(q, i) for q, i, _ in drawn] == [
+            (q, i) for q in range(2, 7) for i in range(2)
+        ]
+        chunks = len(drawn) if budget else len({size for _, _, size in drawn})
         assert runs[0] == 3 * chunks
+
+
+def default_rng_set(seed, q, index, n_max):
+    # The per-set draw the block draw replaced: a size, then the entries,
+    # from one generator per (seed, q, index).
+    rng = np.random.default_rng([seed, q, index])
+    n = int(rng.integers(1, n_max + 1))
+    return [int(v) for v in rng.integers(0, q, size=n)]
+
+
+def block_sets(seed, qs, index, n_max):
+    qs = np.array(qs, dtype=np.int64)
+    index = np.array(index, dtype=np.uint64)
+    span = qs[:, None].astype(np.uint64)
+    sizes, values = _draw_rows((seed, qs), index, span, n_max, sized=True)
+    return [row[:size] for row, size in zip(values.tolist(), sizes.tolist())]
+
+
+class TestSetStream:
+    # Each set of check_inner_products comes from one row of the block
+    # stream, pinned here to numpy's default_rng at the installed numpy
+    # (see search.TestBlockStream for why the port is the contract).
+    @given(
+        seed=st.one_of(st.integers(0, 1 << 33), st.integers(0, 2**70)),
+        start=st.one_of(
+            st.integers(0, 1 << 16), st.integers((1 << 32) - 4, (1 << 32) + 4)
+        ),
+        qs=st.lists(
+            st.one_of(st.integers(2, 300), st.integers(2, MAX_SWEEP_MODULUS)),
+            min_size=1,
+            max_size=3,
+        ),
+        n_max=st.integers(1, MAX_PARAMS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_default_rng(self, seed, start, qs, n_max):
+        index = [start + i for i in range(len(qs))]
+        expected = [default_rng_set(seed, q, i, n_max) for q, i in zip(qs, index)]
+        assert block_sets(seed, qs, index, n_max) == expected
+
+    def test_size_draw_rejects_a_word(self):
+        # This set's first 32-bit word is rejected by the size draw: the
+        # low half of word * 20 falls below 2**32 mod 20 = 16. So its size
+        # comes from the second word and its entries from the third on.
+        seed, q, index, n_max = 0, 101, 162136941, 20
+        words = search._words((seed, np.array([q])), np.array([index], np.uint64))
+        first = next(words)
+        assert int(first[0]) * n_max % 2**32 < 2**32 % n_max
+        expected = default_rng_set(seed, q, index, n_max)
+        assert block_sets(seed, [q], [index], n_max) == [expected]
+
+    def test_one_parameter_draws_no_size(self):
+        # integers(1, 2) draws nothing, so the entries start at the first
+        # word.
+        expected = [default_rng_set(5, q, 0, 1) for q in (2, 3, 1000)]
+        assert block_sets(5, [2, 3, 1000], [0, 0, 0], 1) == expected
+
+
+FORMS = ["single", "shallow", "single+sum"]
 
 
 def per_x_gram(q, num_qubits, circuit_for_x):
@@ -181,7 +254,7 @@ def gram_cases(draw):
     q = draw(st.integers(2, 40))
     n = draw(st.integers(1, 5))
     params = ParamSet(q, tuple(draw(st.integers(0, q - 1)) for _ in range(n)))
-    form = draw(st.sampled_from(["shallow", "single", "single+sum"]))
+    form = draw(st.sampled_from(FORMS))
     return params, form
 
 
@@ -193,20 +266,73 @@ def circuit_of(form):
     return with_sum, partial(single_qubit_hash_circuit, include_sum_qubit=with_sum)
 
 
+def stacked_grams(param_sets, form):
+    # The block Gram matrices of one circuit form, one per set.
+    factors = np.array([params.elements for params in param_sets], dtype=np.int64)
+    q = np.array([params.q for params in param_sets], dtype=np.int64)
+    flat = _stacked_grams(factors, q)[FORMS.index(form)]
+    pieces = np.split(flat, np.cumsum(q * q)[:-1])
+    return [piece.reshape(m, m) for piece, m in zip(pieces, q.tolist())]
+
+
+def subset_sum_means_oracle(params):
+    # The per-set subset-sum means the block form replaced: the subset sums
+    # of `derive_biased_set`, each b*dx reduced mod q, one set at a time.
+    sums = np.array(derive_biased_set(params).elements, dtype=np.int64)
+    dx = np.arange(params.q, dtype=np.int64)
+    residues = (sums[:, None] * dx[None, :]) % params.q
+    return np.cos((2.0 * np.pi / params.q) * residues).mean(axis=0)
+
+
+class TestBlockClosedForms:
+    # A chunk's closed forms come from one block with a modulus per row,
+    # padded to the largest q; each row must equal its own set's values.
+    @given(
+        n=st.integers(1, 6),
+        qs=st.lists(
+            st.one_of(st.integers(2, 40), st.integers(2, 3000)),
+            min_size=1,
+            max_size=5,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_per_set_values_bitwise(self, n, qs, data):
+        param_sets = [
+            ParamSet(q, [data.draw(st.integers(0, q - 1)) for _ in range(n)])
+            for q in qs
+        ]
+        factors = np.array([p.elements for p in param_sets], dtype=np.int64)
+        column = np.array(qs, dtype=np.int64)[:, None]
+        dx = np.arange(max(qs))
+        means = verification._subset_sum_means(factors, column, dx)
+        for with_sum in (False, True):
+            block = analysis._closed_inner_values(column, factors, dx, with_sum)
+            for k, params in enumerate(param_sets):
+                span = np.arange(params.q)
+                alone = analysis._closed_inner_values(
+                    params.q, params.elements, span, with_sum
+                )
+                assert block[k, : params.q].tobytes() == alone.tobytes()
+        for k, params in enumerate(param_sets):
+            oracle = subset_sum_means_oracle(params)
+            assert means[k, : params.q].tobytes() == oracle.tobytes()
+
+
 class TestBatchedGram:
     @given(gram_cases())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_x_runs_bitwise(self, case):
         params, form = case
         extra, circuit = circuit_of(form)
-        batched = _stacked_grams(circuit, [params])[0]
+        batched = stacked_grams([params], form)[0]
         reference = per_x_gram(params.q, params.size + extra, partial(circuit, params))
         assert np.array_equal(batched, reference)
 
     @given(
         n=st.integers(1, 5),
         qs=st.lists(st.integers(2, 40), min_size=1, max_size=6),
-        form=st.sampled_from(["shallow", "single", "single+sum"]),
+        form=st.sampled_from(FORMS),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
@@ -218,7 +344,7 @@ class TestBatchedGram:
             for q in qs
         ]
         extra, circuit = circuit_of(form)
-        grams = _stacked_grams(circuit, param_sets)
+        grams = stacked_grams(param_sets, form)
         assert len(grams) == len(param_sets)
         for params, gram in zip(param_sets, grams):
             reference = per_x_gram(params.q, n + extra, partial(circuit, params))
@@ -232,7 +358,8 @@ class TestBatchedGram:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_checks_are_independent_of_the_budget(self, monkeypatch, scale):
-        # A budget of 1 runs every basis input and every set alone.
+        # A budget of 1 runs every basis input and every set alone, and a
+        # set block of 1 draws every set alone.
         scale_flat_ry(monkeypatch, scale)
         scale_turn(monkeypatch, "_TURN_4PI", scale)
         whole = run_all_checks(q_max=14, n_max=4, trials=3)
@@ -240,6 +367,7 @@ class TestBatchedGram:
         broken = set(CHECK_NAMES) - {"single_qubit_inner_product"}
         assert failed == (broken if scale != 1.0 else set())
         monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", 1)
+        monkeypatch.setattr(verification, "_SET_BLOCK", 1)
         alone = run_all_checks(q_max=14, n_max=4, trials=3)
         assert alone == whole
 
@@ -275,3 +403,51 @@ class TestRunAllChecksInputs:
         # The error names the input, whichever one it is.
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
             run_all_checks(**kwargs)
+
+    def test_rejects_a_request_just_past_the_budget(self):
+        # Work is linear in trials, so one more trial than the budget
+        # holds is the smallest request past it.
+        trials = MAX_VERIFY_WORK // _verify_work(64, 5, 1) + 1
+        assert _verify_work(64, 5, trials) > MAX_VERIFY_WORK
+        with pytest.raises(ValueError, match="budget"):
+            run_all_checks(q_max=64, n_max=5, trials=trials)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"q_max": MAX_SWEEP_MODULUS}, {"n_max": MAX_PARAMS}]
+    )
+    def test_rejects_the_caps_past_the_budget(self, kwargs):
+        with pytest.raises(ValueError, match="budget"):
+            run_all_checks(**kwargs)
+
+
+class TestWorkBudget:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # Both checks stubbed: the names of those that started, in order.
+        names = []
+
+        def ucr(**kwargs):
+            names.append("ucr")
+
+        def inner(*args, **kwargs):
+            names.append("inner")
+            return []
+
+        monkeypatch.setattr(verification, "check_ucr_decomposition", ucr)
+        monkeypatch.setattr(verification, "check_inner_products", inner)
+        return names
+
+    @pytest.mark.parametrize(
+        "q_max, n_max, trials",
+        [(64, 5, 5), (32, 5, 5), (8, 3, 2)],
+        ids=["default", "verify_sim", "ci"],
+    )
+    def test_accepts_default_and_benchmark_sizes(self, started, q_max, n_max, trials):
+        run_all_checks(q_max=q_max, n_max=n_max, trials=trials)
+        assert started == ["ucr", "inner"]
+
+    def test_accepts_the_largest_request_of_its_shape(self, started):
+        # One trial fewer than the smallest rejected request.
+        trials = MAX_VERIFY_WORK // _verify_work(64, 5, 1)
+        run_all_checks(q_max=64, n_max=5, trials=trials)
+        assert started == ["ucr", "inner"]
