@@ -28,7 +28,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ MAX_MODULUS = 2**1000
 # angle and phase numerators of a residue array reduce in int64: each
 # factor of a product is below 2q <= 2**21, so the product is below 2**42.
 MAX_SWEEP_MODULUS = 1 << 20
-
-# One input residue, or a 1-D array of them for a batched circuit.
-Inputs = Union[int, Sequence[int], np.ndarray]
-
 
 def _check_int(
     value: object,
@@ -176,60 +172,57 @@ _TURN_4PI = (4.0 * math.pi, 1)
 _TURN_2PI = (2.0 * math.pi, 2)
 
 
-def _inputs(x: Inputs, q: int) -> int | list[int] | np.ndarray:
-    # One x as a Python int. A batch of signed integers in an ndarray, for
-    # q <= MAX_SWEEP_MODULUS, as an int64 array; any other batch as a list
-    # of Python ints. Either way the numerators below are exact however
-    # large s * x grows.
-    if np.ndim(x) == 0:
-        return _check_int(x, "x", None)
-    if np.ndim(x) != 1:
-        raise ValueError(f"inputs must be one integer or a 1-D array, got {x!r}")
-    signed = isinstance(x, np.ndarray) and x.dtype.kind == "i"
-    if signed and q <= MAX_SWEEP_MODULUS:
-        return x.astype(np.int64, copy=False)
-    return [_check_int(v, "x", None) for v in x]
-
-
 def _angles(
     turn: tuple[float, int],
     factor: int | np.ndarray,
-    x: int | list[int] | np.ndarray,
+    x: int | np.ndarray,
     q: int | np.ndarray,
 ) -> float | np.ndarray:
-    # scale*pi * (factor*x mod p) / q for one x; a (B,) array for a batch.
-    # An int64 batch reduces each factor mod p before the product, which
-    # stays below p**2 <= 2**42; the float operations are the same, in the
-    # same order, as for Python ints, so both paths agree bitwise. The
-    # int64 path also takes a (B, m) factor block with x and q as (B, 1)
-    # columns, one column of angles per factor.
+    # scale*pi * (factor*x mod p) / q. One x as a Python int is exact up to
+    # MAX_MODULUS however large s * x grows. Verify's int64 block takes a
+    # (B, m) factor block with x and q as (B, 1) columns, one column of
+    # angles per factor; it reduces each factor mod p before the product,
+    # which stays below p**2 <= 2**42, and does the same float operations
+    # in the same order, so both paths agree bitwise.
     scale, periods = turn
     p = periods * q
     if isinstance(x, np.ndarray):
         residues = ((factor % p) * (x % p)) % p
         return scale * residues.astype(np.float64) / q
-    if isinstance(x, list):
-        return np.array([scale * (factor * v % p) / q for v in x], dtype=np.float64)
     return scale * (factor * x % p) / q
 
 
-def standard_hash_circuit(biased: BiasedSet, x: Inputs) -> tuple[GateOp, ...]:
+def _single_qubit_ops(angles: Sequence) -> tuple[GateOp, ...]:
+    # The single-qubit layout: Ry(angles[j]) on qubit j. Each angle is a
+    # float, or a (B,) array for a batch.
+    return tuple(GateOp("ry", target=j, angle=a) for j, a in enumerate(angles))
+
+
+def _shallow_ops(angles: Sequence) -> tuple[GateOp, ...]:
+    # The shallow layout: H on each address qubit k, then Ry(angles[k]) on
+    # the target qubit n under address qubit k.
+    n = len(angles)
+    return tuple(GateOp("h", target=k) for k in range(n)) + tuple(
+        GateOp("cry", target=n, controls=((k, 1),), angle=a)
+        for k, a in enumerate(angles)
+    )
+
+
+def standard_hash_circuit(biased: BiasedSet, x: int) -> tuple[GateOp, ...]:
     """Gate list for the standard form: H layer on the address register,
-    then one multiplexed Ry on the target. Needs |B| to be a power of two.
-    For a 1-D array of x the ucr angles are a (len(x), |B|) array."""
+    then one multiplexed Ry on the target. Needs |B| to be a power of two."""
     d = biased.size
     if d & (d - 1):
         raise ValueError(f"set size must be a power of two, got {d}")
     n = d.bit_length() - 1
-    x = _inputs(x, biased.q)
+    x = _check_int(x, "x", None)
     ops = [GateOp("h", target=k) for k in range(n)]
-    angles = [_angles(_TURN_4PI, b, x, biased.q) for b in biased.elements]
     ops.append(
         GateOp(
             "ucr",
             target=n,
             control_qubits=tuple(range(n)),
-            angles=np.stack(angles, axis=-1) if np.ndim(x) else tuple(angles),
+            angles=tuple(_angles(_TURN_4PI, b, x, biased.q) for b in biased.elements),
         )
     )
     return tuple(ops)
@@ -241,23 +234,11 @@ def build_standard_hash(biased: BiasedSet, x: int) -> StateVector:
     return run_circuit(zero_state(ops[-1].target + 1), ops)
 
 
-def shallow_hash_circuit(params: ParamSet, x: Inputs) -> tuple[GateOp, ...]:
+def shallow_hash_circuit(params: ParamSet, x: int) -> tuple[GateOp, ...]:
     """Gate list for the shallow form: H layer, then one two-qubit controlled
-    rotation per parameter, all targeting the last qubit. For a 1-D array
-    of x each angle is an array, one per x."""
-    n = params.size
-    x = _inputs(x, params.q)
-    ops = [GateOp("h", target=k) for k in range(n)]
-    for k, s in enumerate(params.elements):
-        ops.append(
-            GateOp(
-                "cry",
-                target=n,
-                controls=((k, 1),),
-                angle=_angles(_TURN_4PI, s, x, params.q),
-            )
-        )
-    return tuple(ops)
+    rotation per parameter, all targeting the last qubit."""
+    x = _check_int(x, "x", None)
+    return _shallow_ops([_angles(_TURN_4PI, s, x, params.q) for s in params.elements])
 
 
 def build_shallow_hash(params: ParamSet, x: int) -> StateVector:
@@ -267,19 +248,15 @@ def build_shallow_hash(params: ParamSet, x: int) -> StateVector:
 
 
 def single_qubit_hash_circuit(
-    params: ParamSet, x: Inputs, include_sum_qubit: bool = False
+    params: ParamSet, x: int, include_sum_qubit: bool = False
 ) -> tuple[GateOp, ...]:
     """Gate list for the entanglement-free form: one Ry per parameter, each
-    on its own qubit, plus one more for sum(S) when requested. Depth 1.
-    For a 1-D array of x each angle is an array, one per x."""
-    x = _inputs(x, params.q)
+    on its own qubit, plus one more for sum(S) when requested. Depth 1."""
+    x = _check_int(x, "x", None)
     factors = list(params.elements)
     if include_sum_qubit:
         factors.append(params.total)
-    return tuple(
-        GateOp("ry", target=j, angle=_angles(_TURN_2PI, s, x, params.q))
-        for j, s in enumerate(factors)
-    )
+    return _single_qubit_ops([_angles(_TURN_2PI, s, x, params.q) for s in factors])
 
 
 def _block_circuits(
@@ -289,23 +266,17 @@ def _block_circuits(
     block of parameter rows, row k over the residues mod q[k] (a (K,)
     int64 array, each q[k] <= MAX_SWEEP_MODULUS). The batch holds
     x = 0..q[k]-1 of each set, set after set. Each angle form is one
-    `_angles` expression over the block, one column per gate, so every
-    batch row equals that set's own circuit for its x bitwise. The angle
-    forms are read at call time."""
+    `_angles` expression over the block, one column per gate, laid out by
+    the public builders' own helpers, so every batch row equals that set's
+    own circuit for its x bitwise. The angle forms are read at call time."""
     n = factors.shape[1]
     x = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
     q_rows = np.repeat(q, q)[:, None]
     rows = np.repeat(np.column_stack([factors, factors.sum(axis=1)]), q, axis=0)
     half_turns = _angles(_TURN_2PI, rows, x[:, None], q_rows)
     turns = _angles(_TURN_4PI, rows[:, :n], x[:, None], q_rows)
-    with_sum = tuple(
-        GateOp("ry", target=j, angle=half_turns[:, j]) for j in range(n + 1)
-    )
-    shallow = tuple(GateOp("h", target=k) for k in range(n)) + tuple(
-        GateOp("cry", target=n, controls=((k, 1),), angle=turns[:, k])
-        for k in range(n)
-    )
-    return with_sum[:n], shallow, with_sum
+    with_sum = _single_qubit_ops(half_turns.T)
+    return with_sum[:n], _shallow_ops(turns.T), with_sum
 
 
 def build_single_qubit_hash(

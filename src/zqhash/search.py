@@ -29,6 +29,7 @@ the random variant can be checked against on small spaces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -88,10 +89,11 @@ class SearchConfig:
             ("seed", _check_int(self.seed, "seed", *_UINT64_SPAN)),
         ):
             object.__setattr__(self, field, checked)
-        if self.target_epsilon is not None and not 0.0 < self.target_epsilon <= 1.0:
-            raise ValueError(
-                f"target epsilon must be in (0, 1], got {self.target_epsilon}"
-            )
+        epsilon = self.target_epsilon
+        if epsilon is not None and not (
+            isinstance(epsilon, numbers.Real) and 0.0 < epsilon <= 1.0
+        ):
+            raise ValueError(f"target epsilon must be in (0, 1], got {epsilon!r}")
         if self.trials * self.q * self.n > MAX_SEARCH_EVALS:
             raise ValueError(
                 f"trials * q * n exceeds the {MAX_SEARCH_EVALS:.0e} budget"

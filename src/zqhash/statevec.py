@@ -214,8 +214,9 @@ class GateOp:
     kind "cry": Ry(angle) on `target` under `controls` (qubit, bit) pairs.
     kind "ucr": multiplexed Ry over `control_qubits` with 2**n `angles`.
 
-    For a batched circuit `angle` is a (B,) array and `angles` a
-    (B, 2**n) array.
+    For a batched circuit `angle` is a (B,) array. `angles` is a tuple:
+    the hash builders make a "ucr" gate for one x at a time (`apply_ucr`
+    itself also takes a (B, 2**n) array).
     """
 
     kind: str
@@ -223,7 +224,7 @@ class GateOp:
     angle: float | np.ndarray = 0.0
     controls: tuple[tuple[int, int], ...] = ()
     control_qubits: tuple[int, ...] = ()
-    angles: tuple[float, ...] | np.ndarray = ()
+    angles: tuple[float, ...] = ()
 
     def is_multi_qubit(self) -> bool:
         return bool(self.controls) or bool(self.control_qubits)

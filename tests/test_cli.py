@@ -388,6 +388,24 @@ GOLDEN_DIGESTS = [
         "hash --q 65537 --form standard --s 3,5,7,11,13,17,19,23,29,31,37,41 --x 12345",
         "294b23e0b388ad26b771c900e301053722c53c34fb937c5534bacce38b60610b",
     ),
+    # Past int64, recorded from the builders before they gave up batches of
+    # x: q = 2**61 - 1, s_0 and x near q, so every s*x numerator is a
+    # Python int of more than 64 bits.
+    (
+        "hash --q 2305843009213693951 --s 1152921504606846977,3,99"
+        " --x 2305843009213693950 --form standard",
+        "b509968a86aada8c6b11a418608dc9a7f0023599efdc993b59452bf62300a58f",
+    ),
+    (
+        "hash --q 2305843009213693951 --s 1152921504606846977,3,99"
+        " --x 2305843009213693950 --form shallow",
+        "b8b173a0b0d926747eb0e8cb73e0dfae73b6b9fc0acd3d5f324840af77648c44",
+    ),
+    (
+        "hash --q 2305843009213693951 --s 1152921504606846977,3,99"
+        " --x 2305843009213693950 --form single-qubit --sum-qubit on",
+        "7becfdde7cef88b4c7846b0b39225a6a4b139dd6b97b9d61265ff7b5f9d4a18a",
+    ),
 ]
 
 

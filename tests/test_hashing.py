@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,12 @@ from numpy.testing import assert_allclose
 
 from zqhash.analysis import bias
 from zqhash.hashing import (
-    _TURN_2PI,
-    _TURN_4PI,
     MAX_MODULUS,
     MAX_PARAMS,
     MAX_SWEEP_MODULUS,
     BiasedSet,
     ParamSet,
-    _angles,
-    _inputs,
+    _block_circuits,
     build_shallow_hash,
     build_single_qubit_hash,
     build_standard_hash,
@@ -359,10 +357,17 @@ class TestModulusValidation:
             build_standard_hash(derive_biased_set(params), x)
 
     def test_rejects_non_integer_input_in_a_batch(self):
+        # Every public builder takes one x; an array or list of x is refused.
         params = ParamSet(7, (3, 5))
-        for batch in (np.array([1.0, 2.0]), [1, 2.5]):
-            with pytest.raises(ValueError, match="x must be an integer"):
-                shallow_hash_circuit(params, batch)
+        builders = [
+            lambda x: standard_hash_circuit(derive_biased_set(params), x),
+            lambda x: shallow_hash_circuit(params, x),
+            lambda x: single_qubit_hash_circuit(params, x, include_sum_qubit=True),
+        ]
+        for batch in (np.arange(3), [0, 1, 2], np.array([1.0, 2.0]), [1, 2.5]):
+            for build in builders:
+                with pytest.raises(ValueError, match="x must be an integer"):
+                    build(batch)
 
     def test_numpy_integer_inputs_are_accepted(self):
         params = ParamSet(7, (3, 5))
@@ -370,9 +375,6 @@ class TestModulusValidation:
             build_shallow_hash(params, np.int64(2)).amplitudes,
             build_shallow_hash(params, 2).amplitudes,
         )
-        batched = single_qubit_hash_circuit(params, np.arange(3, dtype=np.int32))
-        listed = single_qubit_hash_circuit(params, [0, 1, 2])
-        assert all(np.array_equal(a.angle, b.angle) for a, b in zip(batched, listed))
 
     def test_largest_modulus_builds_every_form(self):
         # Every angle and phase float stays finite at the cap.
@@ -389,37 +391,43 @@ class TestModulusValidation:
         assert 0.0 <= bias(BiasedSet(MAX_MODULUS, (0, 1, 5)), x) <= 1.0
 
 
-class TestBatchedCircuits:
-    # A 1-D array of x gives angle arrays whose entries are bitwise the
-    # single-x angles, including numerators far past int64.
+def _gates_equal_bitwise(block, b, scalar):
+    # Gate b of a batched circuit against one x's circuit: same layout, and
+    # the same angle bytes.
+    assert len(block) == len(scalar)
+    for fast, exact in zip(block, scalar):
+        assert replace(fast, angle=0.0) == replace(exact, angle=0.0)
+        angle = fast.angle[b] if np.ndim(fast.angle) else fast.angle
+        assert np.float64(angle).tobytes() == np.float64(exact.angle).tobytes()
 
-    XS = [0, 1, 5, 2**62 + 7, 2**70 + 3]
+
+class TestBatchedCircuits:
+    # Verify's block builder writes each set's circuits for x = 0..q-1, set
+    # after set; row by row they are the public builders' circuits.
+
+    @staticmethod
+    def block(sets):
+        factors = np.array([p.elements for p in sets], dtype=np.int64)
+        return _block_circuits(factors, np.array([p.q for p in sets], dtype=np.int64))
 
     def test_shallow_angles(self):
-        params = ParamSet(2**40 + 15, (3, 2**39 + 1, 0))
-        batched = shallow_hash_circuit(params, np.array(self.XS, dtype=object))
-        for b, x in enumerate(self.XS):
-            single = shallow_hash_circuit(params, x)
-            assert [op.kind for op in single] == [op.kind for op in batched]
-            assert [op.angle for op in single[3:]] == [
-                op.angle[b] for op in batched[3:]
-            ]
+        sets = [ParamSet(101, (3, 50, 0)), ParamSet(65537, (3, 2**15 + 1, 65536))]
+        _, shallow, _ = self.block(sets)
+        start = 0
+        for params in sets:
+            for x in (0, 1, 5, params.q - 1):
+                exact = shallow_hash_circuit(params, x)
+                _gates_equal_bitwise(shallow, start + x, exact)
+            start += params.q
 
     def test_single_qubit_angles(self):
         params = ParamSet(101, (7, 13, 55))
-        xs = np.arange(101, dtype=np.int64)
-        batched = single_qubit_hash_circuit(params, xs, include_sum_qubit=True)
+        single, _, with_sum = self.block([params])
         for x in range(101):
-            single = single_qubit_hash_circuit(params, x, include_sum_qubit=True)
-            assert [op.angle for op in single] == [op.angle[x] for op in batched]
-
-    def test_standard_angles(self):
-        biased = BiasedSet(2**40 + 15, (0, 1, 2**39, 2**40))
-        batched = standard_hash_circuit(biased, self.XS)
-        assert batched[-1].angles.shape == (len(self.XS), 4)
-        for b, x in enumerate(self.XS):
-            single = standard_hash_circuit(biased, x)
-            assert single[-1].angles == tuple(batched[-1].angles[b])
+            exact = single_qubit_hash_circuit(params, x)
+            _gates_equal_bitwise(single, x, exact)
+            exact = single_qubit_hash_circuit(params, x, include_sum_qubit=True)
+            _gates_equal_bitwise(with_sum, x, exact)
 
     def test_separability_defect_rejects_batches(self):
         with pytest.raises(ValueError):
@@ -430,58 +438,50 @@ class TestBatchedCircuits:
             shallow_hash_circuit(ParamSet(8, (1,)), np.zeros((2, 2), dtype=int))
 
 
-INT64 = st.integers(-(2**63), 2**63 - 1)
+# Elements per angle array of one block below, (n + 1) * sum(q): about
+# 16 MB of float64, so a row at MAX_SWEEP_MODULUS takes one parameter.
+BLOCK_BUDGET = 1 << 21
 
 
 class TestInt64Angles:
-    # A signed-integer array of x reduces its numerators in int64 when
-    # q <= MAX_SWEEP_MODULUS; it must match the Python-int path bit for bit.
+    # Verify's block builder reduces its numerators in int64, for every
+    # q <= MAX_SWEEP_MODULUS; each batch row must match the scalar
+    # builders, which use Python ints, gate by gate and bit for bit.
 
-    @given(
-        q=st.one_of(st.integers(2, 400), st.integers(2, MAX_SWEEP_MODULUS)),
-        xs=st.lists(
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_python_ints_bitwise(self, data):
+        # One row of any q up to the cap, and up to two small ones around it.
+        qs = data.draw(st.lists(st.integers(2, 400), max_size=2), label="small q")
+        big = data.draw(
             st.one_of(
-                INT64,
-                st.integers(-(2**63), -(2**63) + 9),
-                st.integers(2**63 - 10, 2**63 - 1),
+                st.integers(2, 400),
+                st.integers(2, MAX_SWEEP_MODULUS),
+                st.just(MAX_SWEEP_MODULUS),
             ),
-            max_size=20,
-        ),
-        elements=st.lists(st.integers(0, 2**70), min_size=1, max_size=MAX_PARAMS),
-        turn=st.sampled_from([_TURN_4PI, _TURN_2PI]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_equals_python_ints_bitwise(self, q, xs, elements, turn):
-        params = ParamSet(q, elements)
-        array = np.array(xs, dtype=np.int64)
-        assert isinstance(_inputs(array, q), np.ndarray)
-        # Factors at and past q: the raw elements, and the sum of the
-        # reduced ones, as the sum qubit uses it.
-        for factor in [*elements, params.total, params.total * q + 1]:
-            fast = _angles(turn, factor, _inputs(array, q), q)
-            exact = _angles(turn, factor, [int(v) for v in xs], q)
-            assert fast.dtype == exact.dtype == np.float64
-            assert fast.tobytes() == exact.tobytes()
-
-    @pytest.mark.parametrize(
-        "xs, q",
-        [
-            (np.array([0, 1, 2**64 - 1], dtype=np.uint64), 101),
-            (np.array([0, 2**70 + 3], dtype=object), 101),
-            (np.arange(4), MAX_SWEEP_MODULUS + 1),
-            ([0, 1, 2], 101),
-        ],
-    )
-    def test_other_batches_take_python_ints(self, xs, q):
-        batch = _inputs(xs, q)
-        assert isinstance(batch, list)
-        assert all(type(v) is int for v in batch)
-        assert batch == [int(v) for v in xs]
-
-    def test_narrow_signed_arrays_widen_to_int64(self):
-        batch = _inputs(np.array([-128, 127], dtype=np.int8), 101)
-        assert batch.dtype == np.int64
-        fast = _angles(_TURN_2PI, 100, batch, 101)
-        assert fast.tolist() == [
-            _angles(_TURN_2PI, 100, x, 101) for x in (-128, 127)
+            label="q",
+        )
+        qs.insert(data.draw(st.integers(0, len(qs)), label="position"), big)
+        top = min(MAX_PARAMS, BLOCK_BUDGET // sum(qs) - 1)
+        n = data.draw(st.integers(1, max(1, top)), label="n")
+        factors = [
+            data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+            for q in qs
         ]
+        block = _block_circuits(
+            np.array(factors, dtype=np.int64), np.array(qs, dtype=np.int64)
+        )
+        start = 0
+        for q, row in zip(qs, factors):
+            params = ParamSet(q, row)
+            xs = {0, 1, q - 1}
+            xs.update(data.draw(st.lists(st.integers(0, q - 1), max_size=3)))
+            for x in sorted(xs):
+                scalar = (
+                    single_qubit_hash_circuit(params, x),
+                    shallow_hash_circuit(params, x),
+                    single_qubit_hash_circuit(params, x, include_sum_qubit=True),
+                )
+                for fast, exact in zip(block, scalar):
+                    _gates_equal_bitwise(fast, start + x, exact)
+            start += q

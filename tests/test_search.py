@@ -84,6 +84,7 @@ class TestSearchConfig:
             {"seed": 1 << 64},
             {"target_epsilon": 0.0},
             {"target_epsilon": 1.5},
+            {"target_epsilon": "0.5"},
             {"q": 7.5},
             {"q": "7"},
             {"q": MAX_MODULUS + 1},
