@@ -131,19 +131,15 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     Those digits are computed, not formatted, and the bytes of the row
     that its text does not use are masked off with a row of `_KEEP`.
     Every other row (zero, subnormals, |v| < 1e-4, |v| >= 1, non-finite,
-    or a row whose exponent does not settle) takes the %-format of
-    `format_floats`."""
+    or a row that rounds up to 1) takes the %-format of `format_floats`."""
     magnitude = np.abs(values)
     fixed = (magnitude >= 1e-4) & (magnitude < 1.0)
     a = np.where(fixed, magnitude, 0.5)  # other rows are overwritten below
-    k = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.int64)
-    whole, frac = _scaled(a, k)
-    off = np.flatnonzero((whole < 10**16) | (whole >= 10**17))
-    if off.size:  # log10 rounded across a power of ten: k is off by one
-        k[off] = np.clip(k[off] + np.where(whole[off] < 10**16, -1, 1), -4, -1)
-        whole[off], frac[off] = _scaled(a[off], k[off])
-        fixed &= (whole >= 10**16) & (whole < 10**17)
-    r, k = _round_half_even(whole, frac, k)
+    # The doubles 1e-4, 0.001, 0.01 and 0.1 each lie above the power of ten
+    # they stand for, so no double falls between the two and these exact
+    # comparisons give the decade: whole is in [10**16, 10**17).
+    k = (-1 - (a < 0.1) - (a < 0.01) - (a < 0.001)).astype(np.int64)
+    r, k = _round_half_even(*_scaled(a, k), k)
     fixed &= k < 0
     out[:, :7] = _TEMPLATE
     out[:, 7] = _write_pairs(r, out.view("<u2")[:, 4:]) + ord("0")

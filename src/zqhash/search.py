@@ -9,8 +9,9 @@ trials are batched, and any single trial can be replayed alone with
 
 The stream is the package's own numpy port of what
 `np.random.default_rng([seed, trial]).integers(1, q, size=n)` draws:
-SeedSequence mixing, PCG64 seeding and its XSL-RR output (O'Neill 2014),
-and Lemire's bounded 32-bit draw (Lemire 2019). The port computes a whole
+SeedSequence mixing, PCG64 seeding and its XSL-RR output (O'Neill 2014)
+on the 128-bit state held as numpy holds it, two uint64 halves (high,
+low), and Lemire's bounded 32-bit draw (Lemire 2019). It computes a whole
 block of trials at once. `verify` draws its parameter sets from the same
 port (`_draw_rows`), keyed by (seed, q, index), with a size draw before
 the entries. NumPy does not promise that `Generator` streams stay the
@@ -62,12 +63,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
 
-# The PCG64 128-bit LCG multiplier as four 32-bit limbs, least significant
-# first.
-_PCG_MULT = tuple(
-    np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32)
-    for k in range(4)
-)
+# The PCG64 128-bit LCG multiplier as its (high, low) uint64 halves.
+_LCG_MULT_HIGH = np.uint64(0x2360ED051FC65DA4)
+_LCG_MULT_LOW = np.uint64(0x4385DF649FCCF645)
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ def _seed_words(
     keys: Sequence[int | np.ndarray], index: np.ndarray
 ) -> list[np.ndarray]:
     # SeedSequence([*keys, index]).generate_state(4, np.uint64) of each
-    # row, as its eight uint32 words. A key is a Python int, as its 32-bit
+    # row, as four uint64 words. A key is a Python int, as its 32-bit
     # words low first, or a per-row array below 2**32, as one word. The
     # uint64 index enters as its low word, then its high word where that
     # is nonzero. Inside the pool a zero high word mixes exactly like
@@ -144,10 +142,10 @@ def _seed_words(
     entropy += [np.zeros(rows, dtype=np.uint32)] * (_POOL - len(entropy))
     const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
         nonlocal const
         value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
+        const = (const * mult) & _MASK32
         value = value * np.uint32(const)
         return value ^ (value >> np.uint32(16))
 
@@ -166,43 +164,30 @@ def _seed_words(
             mixed = mix(dst, hashmix(entropy[position]))
             pool[dst] = np.where(high != 0, mixed, pool[dst]) if last else mixed
     const = _INIT_B
-    words = []
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        words.append(value ^ (value >> np.uint32(16)))
-    return words
+    words = [
+        hashmix(pool[i % _POOL], _MULT_B).astype(np.uint64) for i in range(2 * _POOL)
+    ]
+    # numpy pairs the eight uint32 words, low first, into four uint64 words.
+    return [words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
 
 
-def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
-    # state * multiplier + inc mod 2**128 on 128-bit numbers held as four
-    # uint64 arrays of 32-bit limbs, least significant first. The
-    # 32x32-bit partial products fit uint64; their low and high halves are
-    # summed apart, so no sum overflows.
-    mask = np.uint64(_MASK32)
-    out = []
-    carry = np.uint64(0)
-    for k in range(4):
-        low = inc[k] + carry
-        high = np.uint64(0)
-        for i in range(k + 1):
-            product = state[i] * _PCG_MULT[k - i]
-            low = low + (product & mask)
-            high = high + (product >> np.uint64(32))
-        out.append(low & mask)
-        carry = (low >> np.uint64(32)) + high
-    return out
-
-
-def _xsl_rr(state: list[np.ndarray]) -> np.ndarray:
-    # PCG's XSL-RR output: the two 64-bit halves xored, rotated right by
-    # the state's top six bits.
-    high = (state[3] << np.uint64(32)) | state[2]
-    low = (state[1] << np.uint64(32)) | state[0]
-    folded = high ^ low
-    rot = state[3] >> np.uint64(26)
-    return (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
+def _lcg_step(
+    high: np.ndarray, low: np.ndarray, inc_high: np.ndarray, inc_low: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # state * multiplier + inc mod 2**128 on the (high, low) uint64 halves.
+    # uint64 products wrap mod 2**64, so only carry_out, the high half of
+    # low * multiplier-low, needs 32-bit pieces; no sum of pieces overflows,
+    # since (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64. The low sum carries
+    # into the high half where it wrapped, that is, fell below inc_low.
+    mask, shift = np.uint64(_MASK32), np.uint64(32)
+    low0, low1 = low & mask, low >> shift
+    mult0, mult1 = _LCG_MULT_LOW & mask, _LCG_MULT_LOW >> shift
+    middle = low1 * mult0 + ((low0 * mult0) >> shift)
+    cross = low0 * mult1 + (middle & mask)
+    carry_out = low1 * mult1 + (middle >> shift) + (cross >> shift)
+    new_low = low * _LCG_MULT_LOW + inc_low
+    new_high = carry_out + high * _LCG_MULT_LOW + low * _LCG_MULT_HIGH + inc_high
+    return new_high + (new_low < inc_low).astype(np.uint64), new_low
 
 
 def _words(
@@ -211,28 +196,23 @@ def _words(
     # The 32-bit words PCG64 seeded by SeedSequence([*keys, index]) gives
     # each row, one column at a time: each 64-bit output gives its low
     # half first. numpy's bounded draws on 32-bit spans read this one
-    # stream, and one call continues where the last one stopped.
-    mask = np.uint64(_MASK32)
-    words = [word.astype(np.uint64) for word in _seed_words(keys, index)]
-    # PCG64 seeding: the state is the first two uint64 words (high, low),
-    # the stream the last two, shifted up with the low bit set.
-    initstate = [words[2], words[3], words[0], words[1]]
-    stream = [words[6], words[7], words[4], words[5]]
-    inc = [((stream[0] << np.uint64(1)) | np.uint64(1)) & mask]
-    inc += [
-        ((stream[k] << np.uint64(1)) | (stream[k - 1] >> np.uint64(31))) & mask
-        for k in range(1, 4)
-    ]
-    state = list(inc)  # one step from state 0
-    carry = np.uint64(0)
-    for k in range(4):
-        total = state[k] + initstate[k] + carry
-        state[k], carry = total & mask, total >> np.uint64(32)
-    state = _lcg_step(state, inc)
+    # stream, and one call continues where the last one stopped. Seeding:
+    # the state (high, low) is inc plus the first two seed words, where inc
+    # is the last two shifted up with the low bit set, then one step.
+    seed_high, seed_low, stream_high, stream_low = _seed_words(keys, index)
+    inc_high = (stream_high << np.uint64(1)) | (stream_low >> np.uint64(63))
+    inc_low = (stream_low << np.uint64(1)) | np.uint64(1)
+    low = inc_low + seed_low
+    high = inc_high + seed_high + (low < inc_low).astype(np.uint64)
+    high, low = _lcg_step(high, low, inc_high, inc_low)
     while True:
-        state = _lcg_step(state, inc)
-        output = _xsl_rr(state)
-        yield output & mask
+        high, low = _lcg_step(high, low, inc_high, inc_low)
+        # XSL-RR output (O'Neill 2014): the two halves xored, rotated
+        # right by the state's top six bits.
+        folded = high ^ low
+        rot = high >> np.uint64(58)
+        output = (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
+        yield output & np.uint64(_MASK32)
         yield output >> np.uint64(32)
 
 
@@ -261,7 +241,6 @@ def _draw_rows(
     (rows,) and (rows, n), whose row i holds its n_i values first."""
     draw_size = sized and n > 1  # numpy draws nothing for a one-value range
     sizes = np.full(index.size, n)
-    first = -1  # the word each row's size came from
     columns: list[np.ndarray] = []
     stream = _words(keys, index)
     while True:
@@ -282,12 +261,9 @@ def _draw_rows(
             break
     # A row that rejects a word takes its later values from the next
     # accepted ones.
-    lead = int(draw_size)
-    if not (np.all(first == lead - 1) and accepted[:, lead : lead + n].all()):
-        order = np.argsort(~accepted, axis=1, kind="stable")
-        values = np.take_along_axis(values, order, axis=1)
-        lead = 0
-    return sizes, values[:, lead : lead + n].astype(np.int64)
+    order = np.argsort(~accepted, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    return sizes, values[:, :n].astype(np.int64)
 
 
 def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:

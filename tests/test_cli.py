@@ -133,6 +133,14 @@ fixed_bits = st.builds(
     st.integers(1009, 1022),
     st.integers(0, 2**52 - 1),
 )
+# Patterns within 3,000 doubles of a power of ten from 1e-4 to 1, either
+# sign: the decade edges of the fixed-notation rows.
+near_powers = st.builds(
+    lambda sign, power, step: sign << 63 | power + step,
+    st.integers(0, 1),
+    st.sampled_from(np.array([1e-4, 1e-3, 0.01, 0.1, 1.0]).view(np.uint64).tolist()),
+    st.integers(-3000, 3000),
+)
 # Doubles printed as a power of ten that they are below: 17 digits round
 # them up into the next decade. None lies in [1e-4, 1).
 ROUND_UP_TO_POWER = [1e-305, 1e-79, 1e-14, 1e98, 1e220]
@@ -194,7 +202,7 @@ class TestFloatFormatter:
 
 
 class TestFloatKernel:
-    @given(st.lists(any_bits | fixed_bits, max_size=60))
+    @given(st.lists(any_bits | fixed_bits | near_powers, max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_raw_bit_patterns_match_scalar_rule(self, patterns):
         values = float_bits(patterns)
@@ -248,7 +256,7 @@ class TestFloatKernel:
     @settings(max_examples=100, deadline=None)
     def test_fixed_rows_never_take_the_format(self, patterns):
         # Every value in [1e-4, 1) gets its digits computed, including
-        # those whose log10 rounds across a power of ten.
+        # those next to a power of ten.
         values = float_bits(patterns)
         values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1.0)]
         # 1e-4 and the doubles above it; the doubles below 1.
@@ -372,6 +380,18 @@ GOLDEN_DIGESTS = [
     (
         "verify --q-max 16 --n-max 1 --trials 3",
         "b00a2db11be456e602d15852a1271cc6bdddc2e4cef469c130e4df230312f2ed",
+    ),
+    # Recorded from the stream port on four 32-bit limbs that the uint64
+    # (high, low) one replaced, at the port's edges: the largest accepted
+    # seed (two words) and 2**128 (five words, past SeedSequence's pool).
+    (
+        "search --q 101 --n 4 --trials 300 --seed 18446744073709551615",
+        "831d4f568291566142905c624932609bea9f829eaa37a7aedf51cb72e2b49726",
+    ),
+    (
+        "verify --q-max 10 --n-max 6 --trials 2"
+        " --seed 340282366920938463463374607431768211456",
+        "ca8da8b1ff2cceaa7077099da2f6ddf4397824b86cef7b4e188203aa7e851024",
     ),
     # At workload size, recorded from the per-value %-format join that the
     # byte-matrix join replaced: a 2**17 - 1 row table, a 2**16 row table,

@@ -194,6 +194,29 @@ class TestBlockStream:
             assert draw_candidate(11, 40 + i, 997, 6) == tuple(row)
 
 
+class TestRawStream:
+    # search._words against numpy's PCG64 itself, before any bounded draw:
+    # 64 outputs per row, each as its low then its high 32-bit half. The
+    # indices have high words both zero and nonzero, the seeds 1, 2 and 5
+    # words, and the second key is a per-row q as verify keys its sets.
+    INDEX = [0, 5, 2**32 - 1, 2**32, 2**63 + 9, 2**64 - 1]
+    QS = [2, 101, 65537, 3, 1 << 20, 999]
+
+    @pytest.mark.parametrize("per_row_q", [False, True], ids=["seed", "seed-q"])
+    @pytest.mark.parametrize(
+        "seed", [7, 2**64 - 1, 2**130 + 12345], ids=["1-word", "2-words", "5-words"]
+    )
+    def test_matches_pcg64_raw(self, seed, per_row_q):
+        keys = (seed, np.array(self.QS)) if per_row_q else (seed,)
+        stream = search._words(keys, np.array(self.INDEX, dtype=np.uint64))
+        words = np.stack([next(stream) for _ in range(128)], axis=1)
+        for i, row in enumerate(words.tolist()):
+            entropy = [seed, self.QS[i]] if per_row_q else [seed]
+            bits = np.random.PCG64(np.random.SeedSequence([*entropy, self.INDEX[i]]))
+            raw = bits.random_raw(64).tolist()
+            assert row == [half for x in raw for half in (x & 0xFFFFFFFF, x >> 32)]
+
+
 class TestRandomSearch:
     def test_deterministic(self):
         config = SearchConfig(q=17, n=2, trials=25, seed=123)
