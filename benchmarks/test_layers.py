@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from zqhash.analysis import collision_resistance, epsilon_of_biased_set
+from zqhash.analysis import _sweep, collision_resistance, epsilon_of_biased_set
 from zqhash.cli import _report_outputs, dumps_report
 from zqhash.hashing import (
     BiasedSet,
@@ -120,6 +120,14 @@ def test_random_search(benchmark):
     config = SearchConfig(q=101, n=4, trials=2000, seed=7)
     result = benchmark(random_search, config, HashForm.SINGLE_QUBIT)
     assert result.trials_run == 2000
+
+
+def test_search_block_sweep(benchmark):
+    # One search-small certification block: 1,310 candidates of 4
+    # parameters at q = 101, every nonzero difference.
+    block = _draw_block(7, 101, 4, 0, 1310)
+    values = benchmark(_sweep, 101, block, HashForm.SINGLE_QUBIT, False)
+    assert values.shape == (1310, 100)
 
 
 def test_draw_block(benchmark):

@@ -15,11 +15,17 @@ residues mod q:
 
 Everything depends on x1 and x2 only through (x1 - x2), so sweeps run over
 the difference. Cosine arguments keep their integer numerators reduced mod
-2q before the float division (cos(pi * k / q) has period 2q in k), which
-makes the sweep values bit-identical to the scalar entry points, and to
-the rows of a block of parameter sets swept at once, as search does.
+2q before the float division (cos(pi * k / q) has period 2q in k), so a
+closed-form sweep needs only the 2q values cos(pi * k / q), k in [0, 2q).
+It computes them once per modulus, with the float expression and np.cos
+call a scalar entry point makes for one k, and every factor of every cell
+gathers its value from that table. The sweep values are therefore
+bit-identical to the scalar entry points, and to the rows of a block of
+parameter sets swept at once, as search and verify do.
 
-Sweeps allocate O(q) float arrays and are capped at q <= 2**20.
+Sweeps allocate O(q) arrays and are capped at q <= 2**20. At the cap a
+closed-form sweep holds six q-sized arrays, about 48 MB: the differences,
+the 2q-value table, and the cells, values and product of the factors.
 """
 from __future__ import annotations
 
@@ -119,6 +125,25 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     return _report_from_values(q, np.abs(total / biased.size))
 
 
+def _cosine_table(q: int | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    # cos(pi * k / q) for k in [0, 2q), from the same float expression the
+    # direct call evaluates; the float arange is exact, so a scalar q's
+    # table takes no int64 temporary of its size. A (K, 1) column of q
+    # gets one flat table, one 2q run per distinct modulus, and the
+    # (K, 1) offsets of its rows' runs.
+    if np.ndim(q) == 0:
+        table = np.arange(2 * q, dtype=np.float64)
+        table *= np.pi / q
+        return np.cos(table, out=table), None
+    moduli, inverse = np.unique(q, return_inverse=True)
+    sizes = 2 * moduli
+    starts = np.cumsum(sizes) - sizes
+    table = np.arange(sizes.sum(), dtype=np.float64)
+    table -= np.repeat(starts, sizes)
+    table *= np.repeat(np.pi / moduli, sizes)
+    return np.cos(table, out=table), starts[inverse].reshape(np.shape(q))
+
+
 def _closed_inner_values(
     q: int | np.ndarray,
     rows: tuple[int, ...] | np.ndarray,
@@ -128,24 +153,43 @@ def _closed_inner_values(
     # Signed inner products of parameter rows at differences dx. `rows` is
     # one row as a tuple of Python ints, or a (K, n) int64 block of rows,
     # one result row each, whose modulus `q` may be a (K, 1) int64 column,
-    # one per row. `dx` is one Python int, reduced exactly at any size, or
-    # an array of sweep differences, where |dx| <= q <= 2**20 keeps s*dx,
-    # sum factor included, inside int64. One cosine factor per
-    # parameter, multiplied in parameter order, so scalar, sweep and block
-    # callers agree bitwise.
+    # one per row. One cosine factor per parameter, multiplied in parameter
+    # order, so scalar, sweep and block callers agree bitwise. A Python-int
+    # `dx` is reduced exactly at any size and goes to np.cos directly. An
+    # array `dx` reads each factor's cosine from `_cosine_table` at the
+    # reduced numerator (s * dx) mod 2q. A row's dx may pass its own q, as
+    # verify sweeps every row of a chunk up to the chunk's largest q; the
+    # sweep cap q <= 2**20 keeps s * dx, sum factor included, inside int64.
     if isinstance(rows, tuple):
         factors = list(rows)
         total = sum(rows)
     else:
         factors = [rows[:, j, None] for j in range(rows.shape[1])]
         total = rows.sum(axis=1, keepdims=True)
-    if not isinstance(dx, int):
-        dx = np.asarray(dx, dtype=np.int64)
     if with_sum:
         factors.append(total)
-    out = np.ones(np.shape(dx))
-    for s in factors:
-        out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
+    if isinstance(dx, int):
+        out = np.ones(())
+        for s in factors:
+            out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
+        return out
+    dx = np.asarray(dx, dtype=np.int64)
+    table, offset = _cosine_table(q)
+    # One cell and one value buffer serve every factor. Clip mode gathers
+    # without buffering the output; every index is in range.
+    shape = np.broadcast_shapes(np.shape(factors[0]), dx.shape)
+    cell = np.empty(shape, dtype=np.int64)
+    out, values = np.empty(shape), np.empty(shape)
+    for j, s in enumerate(factors):
+        np.multiply(s, dx, out=cell)
+        cell %= 2 * q
+        if offset is not None:
+            cell += offset
+        if j == 0:
+            np.take(table, cell, out=out, mode="clip")
+        else:
+            np.take(table, cell, out=values, mode="clip")
+            out *= values
     return out
 
 

@@ -20,7 +20,8 @@ the installed numpy, and if a future numpy breaks that pin, this stream
 is the contract.
 
 Both searches scan candidates in blocks: one cosine-product sweep per
-block, in parameter order, so every row is bit-identical to
+block, every factor read from the modulus's table of cos(pi * k / q) and
+multiplied in parameter order, so every row is bit-identical to
 `collision_resistance` of that candidate. The winning epsilon is then
 recomputed from scratch by `collision_resistance`, so the result never
 depends on bookkeeping done during the scan. Exhaustive search enumerates

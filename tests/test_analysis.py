@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from zqhash.analysis import (
     shift_normalize,
     simulated_inner,
 )
-from zqhash.hashing import BiasedSet, HashForm, ParamSet
+from zqhash.hashing import MAX_PARAMS, BiasedSet, HashForm, ParamSet
 
 
 def bias_oracle(biased, x):
@@ -42,6 +43,19 @@ def sweep_oracle(biased):
     for b in biased.elements:
         total += np.exp(1j * ((2.0 * np.pi / q) * ((b * xs) % q)))
     return np.abs(total / biased.size)
+
+
+def closed_oracle(q, rows, dx, with_sum):
+    # The direct closed form: np.cos of every cell of every factor, each
+    # numerator reduced mod 2q first, multiplied in parameter order. The
+    # table-driven form must give exactly these bits.
+    factors = [rows[:, j, None] for j in range(rows.shape[1])]
+    if with_sum:
+        factors.append(rows.sum(axis=1, keepdims=True))
+    out = np.ones(dx.shape)
+    for s in factors:
+        out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
+    return out
 
 
 BLOCK = analysis._SWEEP_BLOCK
@@ -225,6 +239,81 @@ class TestClosedInner:
         )
 
 
+# Cells of one example below, K * len(dx) * (n + 1): about 2**22, so a row
+# at MAX_SWEEP_MODULUS takes up to three parameters.
+CELL_BUDGET = 1 << 22
+
+
+class TestCosineTableBits:
+    # Array sweeps read cos(pi * k / q) from one table per modulus; every
+    # value must equal the direct np.cos of its cell, bit for bit.
+
+    @staticmethod
+    def draw_rows(data, moduli, q_top):
+        top = min(MAX_PARAMS, max(1, CELL_BUDGET // (len(moduli) * q_top) - 1))
+        n = data.draw(st.integers(1, top), label="n")
+        return np.array(
+            [
+                data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+                for q in moduli
+            ],
+            dtype=np.int64,
+        )
+
+    @staticmethod
+    def assert_bitwise(actual, expected):
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+    @given(
+        q=st.one_of(
+            st.integers(2, 400),
+            st.integers(2, MAX_SWEEP_MODULUS),
+            st.just(MAX_SWEEP_MODULUS),
+        ),
+        with_sum=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_modulus_sweep(self, q, with_sum, data):
+        # A search block, or one parameter tuple as `collision_resistance`
+        # passes it, over the sweep differences 1..q-1.
+        count = data.draw(st.integers(1, max(1, min(8, CELL_BUDGET // q))), label="K")
+        rows = self.draw_rows(data, [q] * count, q)
+        dx = np.arange(1, q, dtype=np.int64)
+        expected = closed_oracle(q, rows, dx, with_sum)
+        block = analysis._closed_inner_values(q, rows, dx, with_sum)
+        self.assert_bitwise(block, expected)
+        one = tuple(int(v) for v in rows[0])
+        alone = analysis._closed_inner_values(q, one, dx, with_sum)
+        self.assert_bitwise(alone, expected[0])
+
+    @given(
+        qs=st.lists(
+            st.one_of(st.integers(2, 6), st.integers(2, 400)), min_size=1, max_size=8
+        ),
+        big=st.one_of(
+            st.none(), st.integers(2, MAX_SWEEP_MODULUS), st.just(MAX_SWEEP_MODULUS)
+        ),
+        with_sum=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_modulus_column(self, qs, big, with_sum, data):
+        # Verify's chunks: a (K, 1) column of moduli, repeats included, each
+        # row swept over dx = 0..max(q)-1, past its own q when it is not
+        # the largest.
+        if big is not None:
+            qs = qs[: max(1, (CELL_BUDGET // 2) // big)]
+            qs.insert(data.draw(st.integers(0, len(qs)), label="position"), big)
+        rows = self.draw_rows(data, qs, max(qs))
+        column = np.array(qs, dtype=np.int64)[:, None]
+        dx = np.arange(max(qs))
+        expected = closed_oracle(column, rows, dx, with_sum)
+        actual = analysis._closed_inner_values(column, rows, dx, with_sum)
+        self.assert_bitwise(actual, expected)
+
+
 class TestSimulatedInner:
     @pytest.mark.parametrize(
         "form,with_sum",
@@ -314,6 +403,21 @@ class TestCollisionResistance:
             collision_resistance(
                 ParamSet(MAX_SWEEP_MODULUS + 1, (1,)), HashForm.SINGLE_QUBIT
             )
+
+    def test_memory_at_the_sweep_cap(self):
+        # Six q-sized arrays at the cap: the differences, the 2q cosine
+        # table, the reduced cells, one factor's values and the product.
+        # Measured 48.0 MB = 6 * 8q bytes; direct cosines measured 32.1 MB,
+        # and temporaries not reused between factors 56.0 MB.
+        q = MAX_SWEEP_MODULUS
+        params = ParamSet(q, (12345, 67891, 23456, 78901, 34567, 89012))
+        tracemalloc.start()
+        try:
+            collision_resistance(params, HashForm.SHALLOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.25 * 8 * q
 
 
 class TestCosineSumCheck:

@@ -426,6 +426,13 @@ GOLDEN_DIGESTS = [
         " --x 2305843009213693950 --form single-qubit --sum-qubit on",
         "7becfdde7cef88b4c7846b0b39225a6a4b139dd6b97b9d61265ff7b5f9d4a18a",
     ),
+    # Recorded from the direct per-cell cosines that the cosine table
+    # replaced: two rows per block at q = 65537, twenty blocks, and the
+    # sum factor on.
+    (
+        "search --q 65537 --n 6 --trials 40 --seed 9 --sum-qubit on",
+        "42a98e478cce6161c5cdc3b5079cc1bac01c63cd09e69003936416105638aff3",
+    ),
 ]
 
 
