@@ -30,6 +30,8 @@ the 2q-value table, and the cells, values and product of the factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -104,25 +106,34 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     # The q-th roots of unity once, roots[r] = exp(2*pi*i*r/q) from the
     # same float expression a direct sum evaluates at residue r. Each x
     # then adds roots[(b*x) % q] for every b of B, in B's order, so every
-    # value gets the same IEEE additions as that direct sum. The cap
-    # q <= 2**20 keeps each b*x inside int64; fixed-size blocks of x keep
-    # the working buffers small.
+    # value gets the same IEEE additions as that direct sum. The x run in
+    # fixed-size blocks inside the loop over b, so only b's first block
+    # divides: its residues (b*i) % q for i in [1, width] (the cap
+    # q <= 2**20 keeps b*i inside int64). The block of x = start + i
+    # shifts them by the Python int (b*start) % q, and every shifted
+    # residue is below 2q, which take's wrap mode maps back into [0, q)
+    # by one subtraction.
     roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
     total = np.zeros(q - 1, dtype=np.complex128)
     width = min(_SWEEP_BLOCK, q - 1)
+    steps = np.arange(1, width + 1, dtype=np.int64)
+    first = np.empty(width, dtype=np.int64)
     residues = np.empty(width, dtype=np.int64)
     terms = np.empty(width, dtype=np.complex128)
-    for start in range(1, q, width):
-        stop = min(start + width, q)
-        xs = np.arange(start, stop, dtype=np.int64)
-        acc = total[start - 1 : stop - 1]
-        r, t = residues[: xs.size], terms[: xs.size]
-        for b in biased.elements:
-            np.multiply(xs, b, out=r)
-            np.remainder(r, q, out=r)
-            np.take(roots, r, out=t, mode="clip")
+    for b in biased.elements:
+        np.multiply(steps, b, out=first)
+        np.remainder(first, q, out=first)
+        for start in range(0, q - 1, width):
+            n = min(width, q - 1 - start)
+            acc, r, t = total[start : start + n], residues[:n], terms[:n]
+            np.add(first[:n], (b * start) % q, out=r)
+            roots.take(r, out=t, mode="wrap")
             np.add(acc, t, out=acc)
-    return _report_from_values(q, np.abs(total / biased.size))
+    # The table's last use: free it, then divide in place, so the peak at
+    # the cap is the roots and the total, not a third q-sized complex.
+    del roots
+    total /= biased.size
+    return _report_from_values(q, np.abs(total))
 
 
 def _cosine_table(q: int | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -173,6 +184,32 @@ def _closed_inner_values(
         for s in factors:
             out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
         return out
+    *_, out = _running_products(q, factors, dx)
+    return out
+
+
+def _closed_inner_pair(
+    q: np.ndarray, rows: np.ndarray, dx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # `_closed_inner_values` of a block without and with the sum factor,
+    # from one cosine table and one pass over the factors: the with-sum
+    # product is the bare product times the sum factor, multiplied last as
+    # there, so both keep its bits.
+    n = rows.shape[1]
+    factors = [rows[:, j, None] for j in range(n)]
+    factors.append(rows.sum(axis=1, keepdims=True))
+    products = _running_products(q, factors, dx)
+    bare = next(islice(products, n - 1, None)).copy()
+    return bare, next(products)
+
+
+def _running_products(
+    q: int | np.ndarray, factors: list, dx: np.ndarray
+) -> Iterator[np.ndarray]:
+    # The product of the first j factors' cosines at every cell, yielded
+    # for j = 1, 2, ... in one buffer that the next step multiplies in
+    # place. Each factor reads `_cosine_table` at the reduced numerator
+    # (s * dx) mod 2q.
     dx = np.asarray(dx, dtype=np.int64)
     table, offset = _cosine_table(q)
     # One cell and one value buffer serve every factor. Clip mode gathers
@@ -190,7 +227,7 @@ def _closed_inner_values(
         else:
             np.take(table, cell, out=values, mode="clip")
             out *= values
-    return out
+        yield out
 
 
 def closed_inner_single(

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analysis import _check_sweep_modulus, _closed_inner_values
+from .analysis import _check_sweep_modulus, _closed_inner_pair
 from .hashing import MAX_PARAMS, _block_circuits, _check_int
 from .search import _draw_rows
 from .statevec import (
@@ -203,8 +203,7 @@ def _chunk_gaps(
     # as `_stacked_grams` lays out the Grams.
     dx = np.arange(q.max())
     column = q[:, None]
-    closed = _closed_inner_values(column, factors, dx, False)
-    closed_sum = _closed_inner_values(column, factors, dx, True)
+    closed, closed_sum = _closed_inner_pair(column, factors, dx)
     means = _subset_sum_means(factors, column, dx)
     identity = np.where(dx < column, np.abs(means - closed_sum), 0.0).max(axis=1)
     distance = np.abs(dx[:, None] - dx[None, :])

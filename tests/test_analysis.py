@@ -187,6 +187,21 @@ class TestSweepBits:
         values = epsilon_of_biased_set(biased).values
         assert np.array_equal(values, sweep_oracle(biased))
 
+    def test_memory_at_the_cap(self):
+        # Two q-sized complex arrays at the peak: the roots and the total
+        # while the sweep runs, or the roots and exp's argument while the
+        # roots are built. Measured 32.3 MB, about 4 * 8q bytes; dividing
+        # into a new array with the roots still held measured 56.3 MB.
+        q = MAX_SWEEP_MODULUS
+        biased = BiasedSet(q, (0, 1, 524287, 1048575, 77777))
+        tracemalloc.start()
+        try:
+            epsilon_of_biased_set(biased)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 8 * q
+
 
 class TestClosedInner:
     def test_equal_inputs_give_one(self):
@@ -312,6 +327,9 @@ class TestCosineTableBits:
         expected = closed_oracle(column, rows, dx, with_sum)
         actual = analysis._closed_inner_values(column, rows, dx, with_sum)
         self.assert_bitwise(actual, expected)
+        # Verify takes both products from one pass; each keeps these bits.
+        pair = analysis._closed_inner_pair(column, rows, dx)
+        self.assert_bitwise(pair[with_sum], expected)
 
 
 class TestSimulatedInner:

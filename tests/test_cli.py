@@ -433,6 +433,13 @@ GOLDEN_DIGESTS = [
         "search --q 65537 --n 6 --trials 40 --seed 9 --sum-qubit on",
         "42a98e478cce6161c5cdc3b5079cc1bac01c63cd09e69003936416105638aff3",
     ),
+    # Recorded from the sweep that divided every block of x, before each b
+    # took one remainder: an even modulus, b = 0 and b = q - 1, b sharing
+    # factors with q, and a short last block (q - 1 = 7 * 8192 + 8191).
+    (
+        "bias --q 65536 --b 0,65535,32768,2,4096,12345,65534,8192",
+        "29f33da37d72b356600a3cbeb9aed55a4cfe9a3c991522668cc2e80703ea3045",
+    ),
 ]
 
 

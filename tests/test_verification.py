@@ -111,12 +111,13 @@ class TestFaultInjection:
         # subset-sum mean: the check fails with an infinite deviation and
         # names the first set, in draw order, that broke the identity. The
         # two q = 2 sets keep it; the first q = 3 set is the first to break.
-        closed = analysis._closed_inner_values
+        pair = analysis._closed_inner_pair
 
-        def without_sum(q, elements, dx, with_sum):
-            return closed(q, elements, dx, False)
+        def without_sum(q, rows, dx):
+            bare, _ = pair(q, rows, dx)
+            return bare, bare
 
-        monkeypatch.setattr(verification, "_closed_inner_values", without_sum)
+        monkeypatch.setattr(verification, "_closed_inner_pair", without_sum)
         result = by_name(check_inner_products(range(2, 12), sets_per_q=2))[
             "resistance_equivalence"
         ]
