@@ -14,24 +14,26 @@ residues mod q:
     over nonzero state differences.
 
 Everything depends on x1 and x2 only through (x1 - x2), so sweeps run over
-the difference. Cosine arguments keep their integer numerators reduced mod
-2q before the float division (cos(pi * k / q) has period 2q in k), so a
-closed-form sweep needs only the 2q values cos(pi * k / q), k in [0, 2q).
-It computes them once per modulus, with the float expression and np.cos
-call a scalar entry point makes for one k, and every factor of every cell
-gathers its value from that table. The sweep values are therefore
-bit-identical to the scalar entry points, and to the rows of a block of
-parameter sets swept at once, as search and verify do.
+the difference. Integer numerators are reduced before any float arithmetic:
+the bias term of b at x is the q-th root of unity at (b * x) mod q, and the
+closed-form factor of s at difference d is cos(pi * k / q) at
+k = (s * d) mod 2q, as cos(pi * k / q) has period 2q in k. Two routes
+evaluate them, each written once. The exhaustive sweeps over x in [1, q)
+(bias, and the closed forms of resist and search) gather every term from
+one table per sweep, the q roots or the 2q cosines, computed with the float
+expression and numpy call of a direct evaluation (`_table_sweep`). One
+difference, and verify's chunks, evaluate np.cos directly
+(`_closed_inner_values`). A closed-form sweep is therefore bit-identical to
+the direct route, for one row or for any row of a block.
 
 Sweeps allocate O(q) arrays and are capped at q <= 2**20. At the cap a
-closed-form sweep holds six q-sized arrays, about 48 MB: the differences,
-the 2q-value table, and the cells, values and product of the factors.
+closed-form sweep peaks at about 24 MB, the 2q-value table and the values,
+and a bias sweep at about 32 MB, its complex roots and totals. A bias sweep
+is also bounded in work: |B| * (q - 1) <= MAX_BIAS_EVALS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +51,11 @@ from .hashing import (
 from .statevec import inner_product
 
 _SWEEP_BLOCK = 8192
+
+# Largest |B| * (q - 1) a bias sweep accepts. The sweep adds one gathered
+# root per (b, x) pair, about 10 ns each at q = 2**20, so the budget is
+# about 100 s; the single-x bias is O(|B|) and needs none.
+MAX_BIAS_EVALS = 10**10
 
 
 @dataclass
@@ -99,36 +106,58 @@ def shift_normalize(biased: BiasedSet) -> BiasedSet:
     return BiasedSet(biased.q, tuple(b - first for b in biased.elements))
 
 
+def _table_sweep(
+    table: np.ndarray, modulus: int, q: int, factors: list, combine: np.ufunc
+) -> np.ndarray:
+    # table[(s * x) % modulus] for every factor s at every x in [1, q): the
+    # first factor's values are written and each later factor's combined
+    # into them in order, so every value gets the IEEE operations of the
+    # direct evaluation in that order. A factor is a Python int, or a
+    # (K, 1) int64 column with one result row each. The x run in blocks
+    # inside the loop over factors, in buffers that serve every factor, so
+    # only a factor's first block divides: its residues (s * i) % modulus
+    # for i in [1, width], s reduced first (the cap q <= 2**20 keeps s * i
+    # inside int64). Each later block, x = start + i, gathers at them
+    # shifted by (s * start) % modulus; every shifted residue is below
+    # 2 * modulus, which take's wrap mode maps back into [0, modulus) by one
+    # subtraction.
+    width = min(_SWEEP_BLOCK, q - 1)
+    steps = np.arange(1, width + 1, dtype=np.int64)
+    out = np.empty(np.shape(factors[0])[:-1] + (q - 1,), dtype=table.dtype)
+    first = np.empty(out.shape[:-1] + (width,), dtype=np.int64)
+    residues = np.empty_like(first)
+    terms = np.empty(first.shape, dtype=table.dtype)
+    for j, s in enumerate(factors):
+        s = s % modulus
+        np.multiply(steps, s, out=first)
+        np.remainder(first, modulus, out=first)
+        for start in range(0, q - 1, width):
+            n = min(width, q - 1 - start)
+            acc, r, t = out[..., start : start + n], first[..., :n], terms[..., :n]
+            if start:
+                r = np.add(r, (s * start) % modulus, out=residues[..., :n])
+            if j == 0:
+                table.take(r, out=acc, mode="wrap")
+            else:
+                table.take(r, out=t, mode="wrap")
+                combine(acc, t, out=acc)
+    return out
+
+
 def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
-    """Worst bias of B over all x in [1, q), with the full per-x table."""
+    """Worst bias of B over all x in [1, q), with the full per-x table.
+    Raises ValueError past the sweep cap on q, or when |B| * (q - 1)
+    exceeds MAX_BIAS_EVALS."""
     q = biased.q
     _check_sweep_modulus(q)
+    if biased.size * (q - 1) > MAX_BIAS_EVALS:
+        raise ValueError(f"|B| * (q - 1) exceeds the {MAX_BIAS_EVALS:.0e} budget")
     # The q-th roots of unity once, roots[r] = exp(2*pi*i*r/q) from the
     # same float expression a direct sum evaluates at residue r. Each x
     # then adds roots[(b*x) % q] for every b of B, in B's order, so every
-    # value gets the same IEEE additions as that direct sum. The x run in
-    # fixed-size blocks inside the loop over b, so only b's first block
-    # divides: its residues (b*i) % q for i in [1, width] (the cap
-    # q <= 2**20 keeps b*i inside int64). The block of x = start + i
-    # shifts them by the Python int (b*start) % q, and every shifted
-    # residue is below 2q, which take's wrap mode maps back into [0, q)
-    # by one subtraction.
+    # value gets the same IEEE additions as that direct sum.
     roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
-    total = np.zeros(q - 1, dtype=np.complex128)
-    width = min(_SWEEP_BLOCK, q - 1)
-    steps = np.arange(1, width + 1, dtype=np.int64)
-    first = np.empty(width, dtype=np.int64)
-    residues = np.empty(width, dtype=np.int64)
-    terms = np.empty(width, dtype=np.complex128)
-    for b in biased.elements:
-        np.multiply(steps, b, out=first)
-        np.remainder(first, q, out=first)
-        for start in range(0, q - 1, width):
-            n = min(width, q - 1 - start)
-            acc, r, t = total[start : start + n], residues[:n], terms[:n]
-            np.add(first[:n], (b * start) % q, out=r)
-            roots.take(r, out=t, mode="wrap")
-            np.add(acc, t, out=acc)
+    total = _table_sweep(roots, q, q, list(biased.elements), np.add)
     # The table's last use: free it, then divide in place, so the peak at
     # the cap is the roots and the total, not a third q-sized complex.
     del roots
@@ -136,23 +165,11 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     return _report_from_values(q, np.abs(total))
 
 
-def _cosine_table(q: int | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    # cos(pi * k / q) for k in [0, 2q), from the same float expression the
-    # direct call evaluates; the float arange is exact, so a scalar q's
-    # table takes no int64 temporary of its size. A (K, 1) column of q
-    # gets one flat table, one 2q run per distinct modulus, and the
-    # (K, 1) offsets of its rows' runs.
-    if np.ndim(q) == 0:
-        table = np.arange(2 * q, dtype=np.float64)
-        table *= np.pi / q
-        return np.cos(table, out=table), None
-    moduli, inverse = np.unique(q, return_inverse=True)
-    sizes = 2 * moduli
-    starts = np.cumsum(sizes) - sizes
-    table = np.arange(sizes.sum(), dtype=np.float64)
-    table -= np.repeat(starts, sizes)
-    table *= np.repeat(np.pi / moduli, sizes)
-    return np.cos(table, out=table), starts[inverse].reshape(np.shape(q))
+def _factors(rows: tuple[int, ...] | np.ndarray, with_sum: bool) -> list:
+    # One factor per parameter, then the sum factor when `with_sum`: Python
+    # ints for one row as a tuple, (K, 1) int64 columns for a (K, n) block.
+    factors = list(rows) if isinstance(rows, tuple) else list(rows.T[:, :, None])
+    return factors + [sum(factors)] if with_sum else factors
 
 
 def _closed_inner_values(
@@ -161,73 +178,30 @@ def _closed_inner_values(
     dx: int | np.ndarray,
     with_sum: bool,
 ) -> np.ndarray:
-    # Signed inner products of parameter rows at differences dx. `rows` is
-    # one row as a tuple of Python ints, or a (K, n) int64 block of rows,
-    # one result row each, whose modulus `q` may be a (K, 1) int64 column,
-    # one per row. One cosine factor per parameter, multiplied in parameter
-    # order, so scalar, sweep and block callers agree bitwise. A Python-int
-    # `dx` is reduced exactly at any size and goes to np.cos directly. An
-    # array `dx` reads each factor's cosine from `_cosine_table` at the
-    # reduced numerator (s * dx) mod 2q. A row's dx may pass its own q, as
-    # verify sweeps every row of a chunk up to the chunk's largest q; the
-    # sweep cap q <= 2**20 keeps s * dx, sum factor included, inside int64.
-    if isinstance(rows, tuple):
-        factors = list(rows)
-        total = sum(rows)
-    else:
-        factors = [rows[:, j, None] for j in range(rows.shape[1])]
-        total = rows.sum(axis=1, keepdims=True)
-    if with_sum:
-        factors.append(total)
-    if isinstance(dx, int):
-        out = np.ones(())
-        for s in factors:
-            out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
-        return out
-    *_, out = _running_products(q, factors, dx)
+    # Signed inner products of parameter rows at differences dx, by the
+    # direct route. `rows` is one row as a tuple of Python ints, or a
+    # (K, n) int64 block of rows, one result row each, whose modulus `q`
+    # may be a (K, 1) int64 column. One cosine factor per parameter,
+    # multiplied in parameter order as `_table_sweep` combines them, so
+    # every caller agrees bitwise. A Python-int `dx` is reduced exactly at
+    # any size. A row's array dx may pass its own q, as verify sweeps every
+    # row of a chunk up to the chunk's largest q; the sweep cap q <= 2**20
+    # keeps s * dx, sum factor included, inside int64.
+    out = np.ones(())
+    for s in _factors(rows, with_sum):
+        out = out * np.cos((np.pi / q) * ((s * dx) % (2 * q)))
     return out
 
 
 def _closed_inner_pair(
     q: np.ndarray, rows: np.ndarray, dx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # `_closed_inner_values` of a block without and with the sum factor,
-    # from one cosine table and one pass over the factors: the with-sum
-    # product is the bare product times the sum factor, multiplied last as
-    # there, so both keep its bits.
-    n = rows.shape[1]
-    factors = [rows[:, j, None] for j in range(n)]
-    factors.append(rows.sum(axis=1, keepdims=True))
-    products = _running_products(q, factors, dx)
-    bare = next(islice(products, n - 1, None)).copy()
-    return bare, next(products)
-
-
-def _running_products(
-    q: int | np.ndarray, factors: list, dx: np.ndarray
-) -> Iterator[np.ndarray]:
-    # The product of the first j factors' cosines at every cell, yielded
-    # for j = 1, 2, ... in one buffer that the next step multiplies in
-    # place. Each factor reads `_cosine_table` at the reduced numerator
-    # (s * dx) mod 2q.
-    dx = np.asarray(dx, dtype=np.int64)
-    table, offset = _cosine_table(q)
-    # One cell and one value buffer serve every factor. Clip mode gathers
-    # without buffering the output; every index is in range.
-    shape = np.broadcast_shapes(np.shape(factors[0]), dx.shape)
-    cell = np.empty(shape, dtype=np.int64)
-    out, values = np.empty(shape), np.empty(shape)
-    for j, s in enumerate(factors):
-        np.multiply(s, dx, out=cell)
-        cell %= 2 * q
-        if offset is not None:
-            cell += offset
-        if j == 0:
-            np.take(table, cell, out=out, mode="clip")
-        else:
-            np.take(table, cell, out=values, mode="clip")
-            out *= values
-        yield out
+    # `_closed_inner_values` of a block without and with the sum factor:
+    # the with-sum product is the bare product times the sum factor,
+    # multiplied last as there, so both keep its bits.
+    bare = _closed_inner_values(q, rows, dx, False)
+    total = rows.sum(axis=1, keepdims=True)
+    return bare, bare * _closed_inner_values(q, total, dx, False)
 
 
 def closed_inner_single(
@@ -292,8 +266,14 @@ def _sweep(
     # shallow value, which is single-qubit with the sum factor.
     _check_sweep_modulus(q)
     with_sum = include_sum_qubit if form is HashForm.SINGLE_QUBIT else True
-    dx = np.arange(1, q, dtype=np.int64)
-    return np.abs(_closed_inner_values(q, rows, dx, with_sum))
+    # cos(pi * k / q) for k in [0, 2q), from the same float expression the
+    # direct route evaluates; the float arange is exact, so the table takes
+    # no int64 temporary of its size.
+    table = np.arange(2 * q, dtype=np.float64)
+    table *= np.pi / q
+    np.cos(table, out=table)
+    values = _table_sweep(table, 2 * q, q, _factors(rows, with_sum), np.multiply)
+    return np.abs(values, out=values)
 
 
 def collision_resistance(

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import GateOp, StateVector, run_circuit, zero_state
+from .statevec import MAX_QUBITS, GateOp, StateVector, run_circuit, zero_state
 
 MAX_PARAMS = 20
 
@@ -210,11 +210,13 @@ def _shallow_ops(angles: Sequence) -> tuple[GateOp, ...]:
 
 def standard_hash_circuit(biased: BiasedSet, x: int) -> tuple[GateOp, ...]:
     """Gate list for the standard form: H layer on the address register,
-    then one multiplexed Ry on the target. Needs |B| to be a power of two."""
+    then one multiplexed Ry on the target. Needs |B| to be a power of two,
+    and log2|B| + 1 qubits within MAX_QUBITS, checked before any angle."""
     d = biased.size
     if d & (d - 1):
         raise ValueError(f"set size must be a power of two, got {d}")
     n = d.bit_length() - 1
+    _check_int(n + 1, "qubit count", 1, MAX_QUBITS)
     x = _check_int(x, "x", None)
     ops = [GateOp("h", target=k) for k in range(n)]
     ops.append(

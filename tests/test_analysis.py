@@ -154,6 +154,28 @@ class TestEpsilonSweep:
         assert report.worst_x == 1
         assert_allclose(report.epsilon, abs(math.cos(math.pi / q)), atol=1e-12)
 
+    def test_rejects_a_sweep_past_the_work_budget(self, monkeypatch):
+        # One residue more than the budget holds at the cap: 9537 * (2**20 - 1)
+        # pairs. The sweep is never entered.
+        def entered(*args):
+            raise AssertionError("swept a rejected set")
+
+        monkeypatch.setattr(analysis, "_table_sweep", entered)
+        q = MAX_SWEEP_MODULUS
+        count = analysis.MAX_BIAS_EVALS // (q - 1) + 1
+        assert count == 9537
+        with pytest.raises(ValueError, match="budget"):
+            epsilon_of_biased_set(BiasedSet(q, tuple(range(count))))
+
+    def test_accepts_a_sweep_at_the_work_budget(self, monkeypatch):
+        q = MAX_SWEEP_MODULUS
+        monkeypatch.setattr(
+            analysis, "_table_sweep", lambda *args: np.ones(q - 1, dtype=complex)
+        )
+        count = analysis.MAX_BIAS_EVALS // (q - 1)
+        report = epsilon_of_biased_set(BiasedSet(q, tuple(range(count))))
+        assert report.values.shape == (q - 1,)
+
 
 class TestSweepBits:
     @pytest.mark.parametrize("q", [2, 3, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 2])
@@ -292,16 +314,52 @@ class TestCosineTableBits:
     @settings(max_examples=30, deadline=None)
     def test_scalar_modulus_sweep(self, q, with_sum, data):
         # A search block, or one parameter tuple as `collision_resistance`
-        # passes it, over the sweep differences 1..q-1.
+        # passes it, swept by the table route over the differences 1..q-1.
         count = data.draw(st.integers(1, max(1, min(8, CELL_BUDGET // q))), label="K")
         rows = self.draw_rows(data, [q] * count, q)
         dx = np.arange(1, q, dtype=np.int64)
-        expected = closed_oracle(q, rows, dx, with_sum)
-        block = analysis._closed_inner_values(q, rows, dx, with_sum)
-        self.assert_bitwise(block, expected)
+        expected = np.abs(closed_oracle(q, rows, dx, with_sum))
+        form = HashForm.SINGLE_QUBIT
+        self.assert_bitwise(analysis._sweep(q, rows, form, with_sum), expected)
         one = tuple(int(v) for v in rows[0])
-        alone = analysis._closed_inner_values(q, one, dx, with_sum)
+        self.assert_bitwise(analysis._sweep(q, one, form, with_sum), expected[0])
+
+    @given(
+        q=st.one_of(st.sampled_from([2, 3]), st.integers(2, 700)),
+        block=st.sampled_from([1, 2, 7, 64, BLOCK]),
+        with_sum=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_at_any_block(self, q, block, with_sum, data):
+        # The table route's seams: q - 1 a multiple of the block or not,
+        # blocks of rows over several blocks of x, and elements at q - 1,
+        # so the sum factor often passes 2q.
+        count = data.draw(st.integers(1, 4), label="K")
+        n = data.draw(st.integers(1, 6), label="n")
+        element = st.one_of(st.just(q - 1), st.integers(0, q - 1))
+        row = st.lists(element, min_size=n, max_size=n)
+        rows = np.array(
+            data.draw(st.lists(row, min_size=count, max_size=count), label="rows"),
+            dtype=np.int64,
+        )
+        expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
+        form = HashForm.SINGLE_QUBIT
+        with mock.patch.object(analysis, "_SWEEP_BLOCK", block):
+            values = analysis._sweep(q, rows, form, with_sum)
+            alone = analysis._sweep(q, tuple(rows[0].tolist()), form, with_sum)
+        self.assert_bitwise(values, expected)
         self.assert_bitwise(alone, expected[0])
+
+    @pytest.mark.parametrize("q", [2, 3, BLOCK + 2, 2 * BLOCK + 3])
+    def test_sum_factor_past_2q_at_the_real_block(self, q):
+        # q - 1 not a multiple of the block, and every sum factor 3q - 2.
+        rows = np.array([[q - 1] * 3 + [1], [1] + [q - 1] * 3], dtype=np.int64)
+        expected = np.abs(closed_oracle(q, rows, np.arange(1, q), True))
+        self.assert_bitwise(analysis._sweep(q, rows, HashForm.SHALLOW, False), expected)
+        for k, row in enumerate(rows.tolist()):
+            alone = analysis._sweep(q, tuple(row), HashForm.SHALLOW, False)
+            self.assert_bitwise(alone, expected[k])
 
     @given(
         qs=st.lists(
@@ -423,10 +481,11 @@ class TestCollisionResistance:
             )
 
     def test_memory_at_the_sweep_cap(self):
-        # Six q-sized arrays at the cap: the differences, the 2q cosine
-        # table, the reduced cells, one factor's values and the product.
-        # Measured 48.0 MB = 6 * 8q bytes; direct cosines measured 32.1 MB,
-        # and temporaries not reused between factors 56.0 MB.
+        # Three q-sized float arrays at the cap: the 2q cosine table and
+        # the values, whose magnitudes are taken in place, plus the small
+        # block buffers. Measured 25.4 MB = 3.03 * 8q bytes; the per-cell
+        # gather over all differences at once measured 48.0 MB, direct
+        # cosines 32.1 MB.
         q = MAX_SWEEP_MODULUS
         params = ParamSet(q, (12345, 67891, 23456, 78901, 34567, 89012))
         tracemalloc.start()
@@ -435,7 +494,7 @@ class TestCollisionResistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.25 * 8 * q
+        assert peak < 3.25 * 8 * q
 
 
 class TestCosineSumCheck:

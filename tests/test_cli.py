@@ -333,6 +333,10 @@ GOLDEN_DIGESTS = [
         "bias --q 20011 --b 0,1,3,7,12,20,33,54,88,143,232,376,609,986,1596,2583",
         "756c4c45d768d23add3b17469d064148d45156ef98a3c288766e5ed2228ce464",
     ),
+    (  # q - 1 = 2 * 8192 + 3626, and a sum factor of 59997, past 2q
+        "resist --q 20011 --s 19999,19998,19997,3 --form single-qubit --sum-qubit on",
+        "5c79e17053db33a9cc61238970542240ed00a8398de8c4009ec1b3ec770c7f89",
+    ),
     (
         "search --q 101 --n 4 --trials 200 --seed 7",
         "c2f63dc72cc89dcdf5788fe8cfad2e7b4c6ae2bad07a1d8b7b38fa6e1207d41e",
@@ -516,6 +520,21 @@ class TestHashCommand:
         assert document["outputs"]["biased_set"] == [0, 2, 1, 3]
         assert document["outputs"]["num_qubits"] == 3
 
+    def test_standard_form_past_the_qubit_cap_exits_2_before_any_angle(
+        self, capsys, monkeypatch
+    ):
+        # With the cap at 2 qubits, four residues need 3: rejected before
+        # a single angle is computed, as a set of 2**24 residues would be.
+        def angle(*args):
+            raise AssertionError("computed an angle")
+
+        monkeypatch.setattr("zqhash.hashing.MAX_QUBITS", 2)
+        monkeypatch.setattr("zqhash.hashing._angles", angle)
+        argv = ["hash", "--form", "standard", "--q", "8", "--b", "0,1,2,3", "--x", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: qubit count must be in [1, 2], got 3\n"
+
     def test_sum_qubit_widens_register(self, capsys):
         document, _ = run_json(
             capsys,
@@ -651,6 +670,25 @@ class TestBiasCommand:
         )
         assert code == 2
         assert "capped" in err
+
+    def test_past_the_work_budget_exits_2_with_one_line(self, capsys, monkeypatch):
+        # 9537 residues at q = 2**20, one more than MAX_BIAS_EVALS holds;
+        # the sweep is never entered. The single-x bias has no budget.
+        def entered(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("zqhash.analysis._table_sweep", entered)
+        argv = ["bias", "--q", str(1 << 20), "--b", ",".join(map(str, range(9537)))]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "budget" in err
+        assert err.count("\n") == 1
+        run_json(capsys, argv + ["--x", "5"])
+
+    def test_benchmark_size_is_accepted(self, capsys):
+        residues = ",".join(str(7919 * k % 65537) for k in range(200))
+        document, _ = run_json(capsys, ["bias", "--q", "65537", "--b", residues])
+        assert len(document["outputs"]["table"]) == 65536
 
 
 class TestResistCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from zqhash import hashing
 from zqhash.analysis import bias
 from zqhash.hashing import (
     MAX_MODULUS,
@@ -137,6 +138,24 @@ class TestStandardHash:
         assert [op.kind for op in ops] == ["h", "h", "ucr"]
         assert ops[-1].control_qubits == (0, 1)
         assert len(ops[-1].angles) == 4
+
+    def test_width_checked_before_any_angle(self, monkeypatch):
+        # log2|B| + 1 qubits past MAX_QUBITS is rejected before the |B|
+        # angles are computed; a patched cap stands in for |B| = 2**24.
+        calls = []
+        angles = hashing._angles
+
+        def counted(*args):
+            calls.append(args)
+            return angles(*args)
+
+        monkeypatch.setattr(hashing, "_angles", counted)
+        monkeypatch.setattr(hashing, "MAX_QUBITS", 2)
+        with pytest.raises(ValueError, match=r"qubit count must be in \[1, 2\], got 3"):
+            standard_hash_circuit(BiasedSet(8, (0, 1, 2, 3)), 1)
+        assert calls == []
+        assert len(standard_hash_circuit(BiasedSet(8, (0, 1)), 1)[-1].angles) == 2
+        assert len(calls) == 2
 
 
 class TestShallowHash:
