@@ -20,6 +20,7 @@ from .hashing import (
     BiasedSet,
     HashForm,
     ParamSet,
+    build_hash,
     build_shallow_hash,
     build_single_qubit_hash,
     build_standard_hash,
@@ -68,6 +69,7 @@ __all__ = [
     "apply_ucr",
     "basis_state",
     "bias",
+    "build_hash",
     "build_shallow_hash",
     "build_single_qubit_hash",
     "build_standard_hash",

@@ -43,10 +43,7 @@ from .hashing import (
     HashForm,
     ParamSet,
     _check_int,
-    build_shallow_hash,
-    build_single_qubit_hash,
-    build_standard_hash,
-    derive_biased_set,
+    build_hash,
 )
 from .statevec import inner_product
 
@@ -232,27 +229,10 @@ def simulated_inner(
     """Inner product of the hashes of x1 and x2, measured on simulated
     states built gate by gate. Slow next to the closed forms; this is the
     independent route they are checked against."""
-    if form is HashForm.STANDARD:
-        biased = (
-            hash_set
-            if isinstance(hash_set, BiasedSet)
-            else derive_biased_set(hash_set)
-        )
-        return inner_product(
-            build_standard_hash(biased, x1), build_standard_hash(biased, x2)
-        )
-    if not isinstance(hash_set, ParamSet):
-        raise ValueError(f"{form.value} form needs a parameter set")
-    if form is HashForm.SHALLOW:
-        return inner_product(
-            build_shallow_hash(hash_set, x1), build_shallow_hash(hash_set, x2)
-        )
-    if form is HashForm.SINGLE_QUBIT:
-        return inner_product(
-            build_single_qubit_hash(hash_set, x1, include_sum_qubit),
-            build_single_qubit_hash(hash_set, x2, include_sum_qubit),
-        )
-    raise ValueError(f"unknown form {form!r}")
+    return inner_product(
+        build_hash(form, hash_set, x1, include_sum_qubit),
+        build_hash(form, hash_set, x2, include_sum_qubit),
+    )
 
 
 def _sweep(

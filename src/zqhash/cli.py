@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every command emits one JSON report document with the same top-level
-shape: schema_version, command, inputs, outputs, timing_seconds. Floats
-are printed as `%.17g` prints them, with ".0" appended to an integral
-value that shows no exponent (see `floattext`), so documents from
-identical inputs are byte-identical apart from the timing field. Exit
-codes: 0 on success, 1 when a verification check fails, 2 on bad input.
+Each `cmd_*` handler returns the inputs and outputs of its report, and
+`main`, the one emit path, renders them into one JSON document with the
+same top-level shape for every command: schema_version, command, inputs,
+outputs, timing_seconds. Floats are printed as `%.17g` prints them, with
+".0" appended to an integral value that shows no exponent (see
+`floattext`), so documents from identical inputs are byte-identical apart
+from the timing field. Exit codes: 0 on success, 1 when a verification
+check fails, 2 on bad input.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -31,9 +34,7 @@ from .hashing import (
     HashForm,
     ParamSet,
     _check_int,
-    build_shallow_hash,
-    build_single_qubit_hash,
-    build_standard_hash,
+    build_hash,
     derive_biased_set,
 )
 from .search import SearchConfig, random_search
@@ -131,48 +132,26 @@ def parse_residues(text: str) -> list[int]:
         raise ValueError(f"could not parse {text!r} as an integer list") from None
 
 
-class _Command:
-    """Shared emit plumbing; subcommand handlers return an exit code."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.started = time.perf_counter()
-
-    def warn(self, message: str) -> None:
-        if not self.args.quiet:
-            print(f"warning: {message}", file=sys.stderr)
-
-    def emit(self, command: str, inputs: dict, outputs: dict) -> None:
-        body = dumps_report(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "inputs": inputs,
-                "outputs": outputs,
-            }
-        )
-        # Read after rendering, so the field covers everything but itself;
-        # it goes last, as one more top-level key in dumps_report's layout.
-        seconds = format_floats((time.perf_counter() - self.started,))[0]
-        text = body[: -len("\n}\n")] + f',\n  "timing_seconds": {seconds}\n}}\n'
-        if self.args.out:
-            try:
-                Path(self.args.out).write_text(text)
-            except OSError as exc:
-                raise ValueError(
-                    f"cannot write {self.args.out}: {exc.strerror}"
-                ) from None
-            if not self.args.quiet:
-                print(f"wrote {self.args.out}", file=sys.stderr)
-        else:
-            sys.stdout.write(text)
+def _warn(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
+        print(f"warning: {message}", file=sys.stderr)
 
 
-def _ingest(command: _Command, kind: type, q: int, raw: list[int], noun: str) -> Any:
-    hash_set = kind(q, tuple(raw))
+def _ingest(args: argparse.Namespace, kind: type, raw: list[int], noun: str) -> Any:
+    hash_set = kind(args.q, tuple(raw))
     if list(hash_set.elements) != raw:
-        command.warn(f"{noun} reduced mod {q} to {list(hash_set.elements)}")
+        _warn(args, f"{noun} reduced mod {args.q} to {list(hash_set.elements)}")
     return hash_set
+
+
+def _form(args: argparse.Namespace) -> tuple[HashForm, bool]:
+    # --form, and whether --sum-qubit is on. Only the single-qubit form
+    # reads the flag; the shallow and standard states always carry the sum
+    # factor, so "on" changes nothing there.
+    form, on = HashForm(args.form), args.sum_qubit == "on"
+    if on and form is not HashForm.SINGLE_QUBIT:
+        _warn(args, f"--sum-qubit on is ignored by the {form.value} form")
+    return form, on
 
 
 def _report_outputs(report: ResistanceReport) -> dict[str, Any]:
@@ -183,125 +162,84 @@ def _report_outputs(report: ResistanceReport) -> dict[str, Any]:
     }
 
 
-def cmd_hash(args: argparse.Namespace) -> int:
-    command = _Command(args)
-    form = HashForm(args.form)
+def cmd_hash(args: argparse.Namespace) -> tuple[dict, dict]:
+    form, include_sum_qubit = _form(args)
     _check_int(args.q, "modulus")
     _check_int(args.x, "x", 0, args.q - 1, f"[0, q) with q={args.q}")
     if form is not HashForm.STANDARD and args.b is not None:
         raise ValueError(f"--b only applies to the standard form, not {form.value}")
     inputs: dict[str, Any] = {"form": form.value, "q": args.q, "x": args.x}
-    if form is HashForm.STANDARD and args.b is not None:
+    if args.b is not None:
         if args.s is not None:
             raise ValueError("give either --s or --b, not both")
         raw = parse_residues(args.b)
         inputs["b"] = raw
-        biased = _ingest(command, BiasedSet, args.q, raw, "residues")
-        state = build_standard_hash(biased, args.x)
-        set_info: dict[str, Any] = {"biased_set": list(biased.elements)}
+        hash_set = _ingest(args, BiasedSet, raw, "residues")
+        set_info: dict[str, Any] = {"biased_set": list(hash_set.elements)}
     else:
         if args.s is None:
             raise ValueError(f"the {form.value} form needs --s (or --b for standard)")
         raw = parse_residues(args.s)
         inputs["s"] = raw
-        params = _ingest(command, ParamSet, args.q, raw, "parameters")
+        hash_set = _ingest(args, ParamSet, raw, "parameters")
+        set_info = {"parameters": list(hash_set.elements)}
         if form is HashForm.STANDARD:
-            biased = derive_biased_set(params)
-            state = build_standard_hash(biased, args.x)
-            set_info = {
-                "parameters": list(params.elements),
-                "biased_set": list(biased.elements),
-            }
-        elif form is HashForm.SHALLOW:
-            state = build_shallow_hash(params, args.x)
-            set_info = {"parameters": list(params.elements)}
-        else:
-            inputs["sum_qubit"] = args.sum_qubit == "on"
-            state = build_single_qubit_hash(
-                params, args.x, include_sum_qubit=args.sum_qubit == "on"
-            )
-            set_info = {"parameters": list(params.elements)}
+            hash_set = derive_biased_set(hash_set)
+            set_info["biased_set"] = list(hash_set.elements)
+        elif form is HashForm.SINGLE_QUBIT:
+            inputs["sum_qubit"] = include_sum_qubit
+    state = build_hash(form, hash_set, args.x, include_sum_qubit)
     outputs = {
         "form": form.value,
         **set_info,
         "num_qubits": state.num_qubits,
         "amplitudes": state.amplitudes,
     }
-    command.emit("hash", inputs, outputs)
-    return 0
+    return inputs, outputs
 
 
-def cmd_bias(args: argparse.Namespace) -> int:
-    command = _Command(args)
+def cmd_bias(args: argparse.Namespace) -> tuple[dict, dict]:
     raw = parse_residues(args.b)
     inputs: dict[str, Any] = {"q": args.q, "b": raw}
-    biased = _ingest(command, BiasedSet, args.q, raw, "residues")
-    if args.x is not None:
-        inputs["x"] = args.x
-        value = bias(biased, args.x)
-        outputs: dict[str, Any] = {
-            "mode": "single-x",
-            "biased_set": list(biased.elements),
-            "x": args.x,
-            "bias": value,
-        }
-        if args.x == 0:
-            command.warn("bias at x=0 is always 1; epsilon excludes x=0")
-            outputs["note"] = "x=0 always has bias 1 and is excluded from epsilon"
-    else:
+    biased = _ingest(args, BiasedSet, raw, "residues")
+    if args.x is None:
         report = epsilon_of_biased_set(biased)
-        outputs = {
-            "mode": "sweep",
-            "biased_set": list(biased.elements),
-            **_report_outputs(report),
-        }
-    command.emit("bias", inputs, outputs)
-    return 0
-
-
-def cmd_resist(args: argparse.Namespace) -> int:
-    command = _Command(args)
-    form = HashForm(args.form)
-    raw = parse_residues(args.s)
-    inputs = {
-        "q": args.q,
-        "s": raw,
-        "form": form.value,
-        "sum_qubit": args.sum_qubit == "on",
+        outputs = {"mode": "sweep", "biased_set": list(biased.elements)}
+        return inputs, {**outputs, **_report_outputs(report)}
+    inputs["x"] = args.x
+    outputs = {
+        "mode": "single-x",
+        "biased_set": list(biased.elements),
+        "x": args.x,
+        "bias": bias(biased, args.x),
     }
-    params = _ingest(command, ParamSet, args.q, raw, "parameters")
-    report = collision_resistance(
-        params, form, include_sum_qubit=args.sum_qubit == "on"
-    )
+    if args.x == 0:
+        _warn(args, "bias at x=0 is always 1; epsilon excludes x=0")
+        outputs["note"] = "x=0 always has bias 1 and is excluded from epsilon"
+    return inputs, outputs
+
+
+def cmd_resist(args: argparse.Namespace) -> tuple[dict, dict]:
+    form, include_sum_qubit = _form(args)
+    raw = parse_residues(args.s)
+    inputs = {"q": args.q, "s": raw, "form": form.value, "sum_qubit": include_sum_qubit}
+    params = _ingest(args, ParamSet, raw, "parameters")
+    report = collision_resistance(params, form, include_sum_qubit=include_sum_qubit)
     outputs = {
         "form": form.value,
         "parameters": list(params.elements),
         **_report_outputs(report),
     }
-    command.emit("resist", inputs, outputs)
-    return 0
+    return inputs, outputs
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    command = _Command(args)
-    form = HashForm(args.form)
-    config = SearchConfig(
-        q=args.q,
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        target_epsilon=args.target_epsilon,
-    )
-    inputs = {
-        "q": args.q,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "target_epsilon": args.target_epsilon,
-        "form": form.value,
-        "sum_qubit": args.sum_qubit == "on",
-    }
-    result = random_search(config, form, include_sum_qubit=args.sum_qubit == "on")
+def cmd_search(args: argparse.Namespace) -> tuple[dict, dict]:
+    names = ("q", "n", "trials", "seed", "target_epsilon")
+    settings = {name: getattr(args, name) for name in names}
+    config = SearchConfig(**settings)
+    form, include_sum_qubit = _form(args)
+    inputs = {**settings, "form": form.value, "sum_qubit": include_sum_qubit}
+    result = random_search(config, form, include_sum_qubit=include_sum_qubit)
     outputs = {
         "form": form.value,
         "best_set": list(result.best_set.elements),
@@ -309,35 +247,18 @@ def cmd_search(args: argparse.Namespace) -> int:
         "history": result.history,
         **_report_outputs(result.report),
     }
-    command.emit("search", inputs, outputs)
-    return 0
+    return inputs, outputs
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    command = _Command(args)
-    results = run_all_checks(
-        q_max=args.q_max, n_max=args.n_max, seed=args.seed, trials=args.trials
-    )
-    inputs = {
-        "q_max": args.q_max,
-        "n_max": args.n_max,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, dict]:
+    names = ("q_max", "n_max", "seed", "trials")
+    inputs = {name: getattr(args, name) for name in names}
+    results = run_all_checks(**inputs)
     outputs = {
-        "checks": [
-            {
-                "name": result.name,
-                "passed": result.passed,
-                "max_deviation": result.max_deviation,
-                "detail": result.detail,
-            }
-            for result in results
-        ],
+        "checks": [asdict(result) for result in results],
         "all_passed": all(result.passed for result in results),
     }
-    command.emit("verify", inputs, outputs)
-    return 0 if outputs["all_passed"] else 1
+    return inputs, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,70 +272,57 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--quiet", action="store_true", help="suppress warnings and notes"
     )
+    modulus = argparse.ArgumentParser(add_help=False, parents=[common])
+    modulus.add_argument("--q", type=int, required=True, help="modulus")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_hash = sub.add_parser(
-        "hash", parents=[common], help="build one hash state and dump amplitudes"
-    )
-    p_hash.add_argument("--q", type=int, required=True, help="modulus")
-    p_hash.add_argument(
-        "--form",
-        required=True,
-        choices=[form.value for form in HashForm],
-        help="construction to use",
-    )
+    def command(
+        name: str, handler: Any, summary: str, parent=modulus
+    ) -> argparse.ArgumentParser:
+        p_command = sub.add_parser(name, parents=[parent], help=summary)
+        p_command.set_defaults(func=handler)
+        return p_command
+
+    def add_form(p_command: argparse.ArgumentParser, **required_or_default) -> None:
+        # --form, then --sum-qubit, which only the single-qubit form reads.
+        p_command.add_argument(
+            "--form",
+            choices=[form.value for form in HashForm],
+            help="construction to use",
+            **required_or_default,
+        )
+        p_command.add_argument(
+            "--sum-qubit",
+            choices=["on", "off"],
+            default="off",
+            help="append the sum-parameter qubit (single-qubit form)",
+        )
+
+    p_hash = command("hash", cmd_hash, "build one hash state and dump amplitudes")
+    add_form(p_hash, required=True)
     p_hash.add_argument("--s", help="parameter set, inline or a file path")
     p_hash.add_argument(
         "--b", help="explicit residue set (standard form), inline or a file path"
     )
     p_hash.add_argument("--x", type=int, required=True, help="input residue")
-    p_hash.add_argument(
-        "--sum-qubit",
-        choices=["on", "off"],
-        default="off",
-        help="append the sum-parameter qubit (single-qubit form)",
-    )
-    p_hash.set_defaults(func=cmd_hash)
 
-    p_bias = sub.add_parser(
-        "bias", parents=[common], help="bias of a residue set, one x or a sweep"
-    )
-    p_bias.add_argument("--q", type=int, required=True, help="modulus")
+    p_bias = command("bias", cmd_bias, "bias of a residue set, one x or a sweep")
     p_bias.add_argument(
         "--b", required=True, help="residue set, inline or a file path"
     )
     p_bias.add_argument(
         "--x", type=int, help="single point; omit for the full sweep"
     )
-    p_bias.set_defaults(func=cmd_bias)
 
-    p_resist = sub.add_parser(
-        "resist",
-        parents=[common],
-        help="certified collision resistance of a parameter set",
+    p_resist = command(
+        "resist", cmd_resist, "certified collision resistance of a parameter set"
     )
-    p_resist.add_argument("--q", type=int, required=True, help="modulus")
     p_resist.add_argument(
         "--s", required=True, help="parameter set, inline or a file path"
     )
-    p_resist.add_argument(
-        "--form",
-        choices=[form.value for form in HashForm],
-        default=HashForm.SINGLE_QUBIT.value,
-        help="construction to certify",
-    )
-    p_resist.add_argument(
-        "--sum-qubit",
-        choices=["on", "off"],
-        default="off",
-        help="append the sum-parameter qubit (single-qubit form)",
-    )
-    p_resist.set_defaults(func=cmd_resist)
+    add_form(p_resist, default=HashForm.SINGLE_QUBIT.value)
 
-    p_search = sub.add_parser(
-        "search", parents=[common], help="random search for a low-epsilon set"
-    )
-    p_search.add_argument("--q", type=int, required=True, help="modulus")
+    p_search = command("search", cmd_search, "random search for a low-epsilon set")
     p_search.add_argument(
         "--n", type=int, required=True, help="parameters per candidate"
     )
@@ -429,22 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="stop early at or below this epsilon",
     )
-    p_search.add_argument(
-        "--form",
-        choices=[form.value for form in HashForm],
-        default=HashForm.SINGLE_QUBIT.value,
-        help="construction to certify",
-    )
-    p_search.add_argument(
-        "--sum-qubit",
-        choices=["on", "off"],
-        default="off",
-        help="append the sum-parameter qubit (single-qubit form)",
-    )
-    p_search.set_defaults(func=cmd_search)
+    add_form(p_search, default=HashForm.SINGLE_QUBIT.value)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the simulator self-checks"
+    p_verify = command(
+        "verify", cmd_verify, "run the simulator self-checks", parent=common
     )
     p_verify.add_argument(
         "--q-max", type=int, default=64, help="largest modulus to sweep"
@@ -458,21 +354,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--trials", type=int, default=5, help="random sets per modulus"
     )
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, outputs = args.func(args)
+        body = dumps_report(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "inputs": inputs,
+                "outputs": outputs,
+            }
+        )
+        # Read after rendering, so the field covers everything but itself;
+        # it goes last, as one more top-level key in dumps_report's layout.
+        seconds = format_floats((time.perf_counter() - started,))[0]
+        text = body[: -len("\n}\n")] + f',\n  "timing_seconds": {seconds}\n}}\n'
+        if args.out:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+            if not args.quiet:
+                print(f"wrote {args.out}", file=sys.stderr)
+        else:
+            sys.stdout.write(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if outputs.get("all_passed") is False else 0
 
 
 def entry() -> None:

@@ -289,6 +289,33 @@ def build_single_qubit_hash(
     return run_circuit(zero_state(len(ops)), ops)
 
 
+def build_hash(
+    form: HashForm | str,
+    hash_set: ParamSet | BiasedSet,
+    x: int,
+    include_sum_qubit: bool = False,
+) -> StateVector:
+    """Hash state of x in `form`, a HashForm or its value. The standard
+    form takes a BiasedSet, or a ParamSet expanded by `derive_biased_set`;
+    the shallow and single-qubit forms take a ParamSet. Only the
+    single-qubit form reads `include_sum_qubit`: the shallow state always
+    carries the sum factor. ValueError on an unknown form or a set of the
+    wrong kind."""
+    form = HashForm(form)
+    if form is HashForm.STANDARD and isinstance(hash_set, ParamSet):
+        hash_set = derive_biased_set(hash_set)
+    kind = BiasedSet if form is HashForm.STANDARD else ParamSet
+    if not isinstance(hash_set, kind):
+        raise ValueError(
+            f"the {form.value} form cannot take a {type(hash_set).__name__}"
+        )
+    if form is HashForm.STANDARD:
+        return build_standard_hash(hash_set, x)
+    if form is HashForm.SHALLOW:
+        return build_shallow_hash(hash_set, x)
+    return build_single_qubit_hash(hash_set, x, include_sum_qubit)
+
+
 def separability_defect(state: StateVector) -> float:
     """Largest second singular value over all contiguous bipartitions; zero
     (up to float error) exactly when the state is a full product state."""

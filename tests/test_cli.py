@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import errno
 import hashlib
@@ -444,6 +445,21 @@ GOLDEN_DIGESTS = [
         "bias --q 65536 --b 0,65535,32768,2,4096,12345,65534,8192",
         "29f33da37d72b356600a3cbeb9aed55a4cfe9a3c991522668cc2e80703ea3045",
     ),
+    # Recorded before the handlers returned their documents to one emit
+    # in main and hash built through build_hash: an explicit --b set, a
+    # single-x bias, and a single-x bias at x = 0 with its note.
+    (
+        "hash --q 101 --form standard --b 0,3,5,8 --x 10",
+        "4dc449205375d53cd13f0258cc24b028647a0bc428d61055f72e1d0c5d77542c",
+    ),
+    (
+        "bias --q 1009 --b 0,1,2,3,5,8,13,21 --x 17",
+        "0b2380a21c92dca1fd32774c4bc6390c9ef34b7f3d4e8813e136d68292ebb024",
+    ),
+    (
+        "bias --q 1009 --b 3,5 --x 0",
+        "b59c3e5d2a033b069f83be6b64796bed3ec6d0ddca56cd9ace1c44b35110d92f",
+    ),
 ]
 
 
@@ -816,6 +832,20 @@ class TestVerifyCommand:
         document = json.loads(out)
         assert document["outputs"]["all_passed"] is False
 
+    def test_failed_check_with_out_writes_the_file_and_exits_1(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def fake_checks(**kwargs):
+            return [CheckResult("ucr_decomposition", False, 1.0, "forced")]
+
+        monkeypatch.setattr("zqhash.cli.run_all_checks", fake_checks)
+        path = tmp_path / "verify.json"
+        code, out, err = run_cli(capsys, ["verify", "--out", str(path)])
+        assert (code, out, err) == (1, "", f"wrote {path}\n")
+        document = json.loads(path.read_text())
+        jsonschema.validate(document, REPORT_SCHEMA)
+        assert document["outputs"]["all_passed"] is False
+
 
 class TestTopLevel:
     def test_no_arguments_exits_2(self, capsys):
@@ -826,6 +856,123 @@ class TestTopLevel:
 
     def test_version_exits_0(self, capsys):
         assert run_cli(capsys, ["--version"])[0] == 0
+
+
+FORMS = ("standard", "shallow", "single-qubit")
+
+# Every subcommand's options, recorded from the parser that declared --q,
+# --form and --sum-qubit once per subcommand: dest -> (option strings,
+# default, required, choices, type name). Help text is left out, and so is
+# order, as hash now lists --sum-qubit next to --form.
+PARSER_SURFACE = {
+    "hash": {
+        "out": (("--out",), None, False, None, None),
+        "quiet": (("--quiet",), False, False, None, None),
+        "q": (("--q",), None, True, None, "int"),
+        "form": (("--form",), None, True, FORMS, None),
+        "s": (("--s",), None, False, None, None),
+        "b": (("--b",), None, False, None, None),
+        "x": (("--x",), None, True, None, "int"),
+        "sum_qubit": (("--sum-qubit",), "off", False, ("on", "off"), None),
+    },
+    "bias": {
+        "out": (("--out",), None, False, None, None),
+        "quiet": (("--quiet",), False, False, None, None),
+        "q": (("--q",), None, True, None, "int"),
+        "b": (("--b",), None, True, None, None),
+        "x": (("--x",), None, False, None, "int"),
+    },
+    "resist": {
+        "out": (("--out",), None, False, None, None),
+        "quiet": (("--quiet",), False, False, None, None),
+        "q": (("--q",), None, True, None, "int"),
+        "s": (("--s",), None, True, None, None),
+        "form": (("--form",), "single-qubit", False, FORMS, None),
+        "sum_qubit": (("--sum-qubit",), "off", False, ("on", "off"), None),
+    },
+    "search": {
+        "out": (("--out",), None, False, None, None),
+        "quiet": (("--quiet",), False, False, None, None),
+        "q": (("--q",), None, True, None, "int"),
+        "n": (("--n",), None, True, None, "int"),
+        "trials": (("--trials",), 100, False, None, "int"),
+        "seed": (("--seed",), 12648430, False, None, "int"),
+        "target_epsilon": (("--target-epsilon",), None, False, None, "float"),
+        "form": (("--form",), "single-qubit", False, FORMS, None),
+        "sum_qubit": (("--sum-qubit",), "off", False, ("on", "off"), None),
+    },
+    "verify": {
+        "out": (("--out",), None, False, None, None),
+        "quiet": (("--quiet",), False, False, None, None),
+        "q_max": (("--q-max",), 64, False, None, "int"),
+        "n_max": (("--n-max",), 5, False, None, "int"),
+        "seed": (("--seed",), 12648430, False, None, "int"),
+        "trials": (("--trials",), 5, False, None, "int"),
+    },
+}
+
+
+class TestParserSurface:
+    def test_every_subcommand_keeps_its_options(self):
+        parser = cli.build_parser()
+        (sub,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: {
+                action.dest: (
+                    tuple(action.option_strings),
+                    action.default,
+                    action.required,
+                    tuple(action.choices) if action.choices else None,
+                    getattr(action.type, "__name__", None),
+                )
+                for action in command._actions
+                if action.dest != "help"
+            }
+            for name, command in sub.choices.items()
+        }
+        assert surface == PARSER_SURFACE
+
+
+SUM_QUBIT_IGNORED = [
+    ("hash --q 11 --s 3,5 --x 4 --form shallow", "shallow"),
+    ("hash --q 11 --s 3,5 --x 4 --form standard", "standard"),
+    ("resist --q 7 --s 1,2 --form shallow", "shallow"),
+    ("resist --q 7 --s 1,2 --form standard", "standard"),
+    ("search --q 11 --n 2 --trials 5 --seed 1 --form shallow", "shallow"),
+    ("search --q 11 --n 2 --trials 5 --seed 1 --form standard", "standard"),
+]
+
+
+class TestSumQubitOutsideSingleQubit:
+    @pytest.mark.parametrize("argv, form", SUM_QUBIT_IGNORED)
+    def test_warns_and_changes_no_output(self, capsys, argv, form):
+        on, err = run_json(capsys, argv.split() + ["--sum-qubit", "on"])
+        off, off_err = run_json(capsys, argv.split() + ["--sum-qubit", "off"])
+        assert err == f"warning: --sum-qubit on is ignored by the {form} form\n"
+        assert off_err == ""
+        assert on["outputs"] == off["outputs"]
+
+    def test_quiet_suppresses_the_warning(self, capsys):
+        argv = SUM_QUBIT_IGNORED[0][0].split() + ["--sum-qubit", "on", "--quiet"]
+        _, err = run_json(capsys, argv)
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "hash --q 11 --s 3,5 --x 4",
+            "resist --q 7 --s 1,2",
+            "search --q 11 --n 2 --trials 5 --seed 1",
+        ],
+    )
+    def test_single_qubit_form_does_not_warn(self, capsys, argv):
+        argv = argv.split() + ["--form", "single-qubit", "--sum-qubit", "on"]
+        _, err = run_json(capsys, argv)
+        assert err == ""
 
 
 class TestVerifyInputs:

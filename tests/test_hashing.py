@@ -14,8 +14,10 @@ from zqhash.hashing import (
     MAX_PARAMS,
     MAX_SWEEP_MODULUS,
     BiasedSet,
+    HashForm,
     ParamSet,
     _block_circuits,
+    build_hash,
     build_shallow_hash,
     build_single_qubit_hash,
     build_standard_hash,
@@ -316,6 +318,39 @@ class TestSharedInvariants:
         a = build_shallow_hash(params, -5)
         b = build_shallow_hash(params, 7)
         assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+
+
+class TestBuildHash:
+    @given(param_cases(), st.sampled_from(list(HashForm)), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_form_builder_bitwise(self, case, form, with_sum):
+        params, x = case
+        if form is HashForm.STANDARD:
+            expected = build_standard_hash(derive_biased_set(params), x)
+        elif form is HashForm.SHALLOW:
+            expected = build_shallow_hash(params, x)
+        else:
+            expected = build_single_qubit_hash(params, x, with_sum)
+        for given_form in (form, form.value):
+            state = build_hash(given_form, params, x, include_sum_qubit=with_sum)
+            assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    @given(param_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_standard_from_params_equals_standard_from_derived_set(self, case):
+        params, x = case
+        from_params = build_hash(HashForm.STANDARD, params, x)
+        from_set = build_hash(HashForm.STANDARD, derive_biased_set(params), x)
+        assert from_params.amplitudes.tobytes() == from_set.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("form", [HashForm.SHALLOW, HashForm.SINGLE_QUBIT])
+    def test_biased_set_needs_the_standard_form(self, form):
+        with pytest.raises(ValueError, match="cannot take a BiasedSet"):
+            build_hash(form, BiasedSet(8, (0, 1)), 1)
+
+    def test_unknown_form_raises(self):
+        with pytest.raises(ValueError, match="HashForm"):
+            build_hash("deep", ParamSet(8, (1, 2)), 1)
 
 
 class TestSeparability:
