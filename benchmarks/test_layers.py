@@ -130,6 +130,21 @@ def test_search_block_sweep(benchmark):
     assert values.shape == (1310, 100)
 
 
+def test_search_block_sweep_square_switch(benchmark):
+    # The largest modulus whose full block (514 rows >= 2q) reads the
+    # cosine square, six parameters and the sum factor.
+    block = _draw_block(7, 256, 6, 0, 514)
+    values = benchmark(_sweep, 256, block, HashForm.SINGLE_QUBIT, True)
+    assert values.shape == (514, 255)
+
+
+def test_search_block_sweep_past_switch(benchmark):
+    # One modulus up, whose full block (512 rows < 2q) runs the table loop.
+    block = _draw_block(7, 257, 6, 0, 512)
+    values = benchmark(_sweep, 257, block, HashForm.SINGLE_QUBIT, True)
+    assert values.shape == (512, 256)
+
+
 def test_draw_block(benchmark):
     # The candidate stream of that request: 2,000 trials in one block.
     block = benchmark(_draw_block, 7, 101, 4, 0, 2000)

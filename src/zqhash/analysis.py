@@ -21,15 +21,24 @@ k = (s * d) mod 2q, as cos(pi * k / q) has period 2q in k. Two routes
 evaluate them, each written once. The exhaustive sweeps over x in [1, q)
 (bias, and the closed forms of resist and search) gather every term from
 one table per sweep, the q roots or the 2q cosines, computed with the float
-expression and numpy call of a direct evaluation (`_table_sweep`). One
-difference, and verify's chunks, evaluate np.cos directly
-(`_closed_inner_values`). A closed-form sweep is therefore bit-identical to
+expression and numpy call of a direct evaluation. One difference, and
+verify's chunks, evaluate np.cos directly (`_closed_inner_values`).
+
+A table sweep takes one of two paths. The table loop (`_table_sweep`)
+gathers each factor's terms a block of x at a time; it serves the bias
+sweep, one row, and blocks of rows at large q. A closed-form block of K
+rows with 2q <= K (a full search block at q <= 256) gathers the square
+table[(s * d) mod 2q] for s in [0, 2q) and d in [1, q), no more cells than
+one factor of the loop, and then reads each factor as whole rows of it
+(`_square_sweep`). Both read the same table value for every cell and
+multiply in parameter order, so a closed-form sweep is bit-identical to
 the direct route, for one row or for any row of a block.
 
 Sweeps allocate O(q) arrays and are capped at q <= 2**20. At the cap a
 closed-form sweep peaks at about 24 MB, the 2q-value table and the values,
-and a bias sweep at about 32 MB, its complex roots and totals. A bias sweep
-is also bounded in work: |B| * (q - 1) <= MAX_BIAS_EVALS.
+and a bias sweep at about 32 MB, its complex roots and totals. A square
+block peaks below the table loop's on the same block. A bias sweep is also
+bounded in work: |B| * (q - 1) <= MAX_BIAS_EVALS.
 """
 from __future__ import annotations
 
@@ -252,8 +261,35 @@ def _sweep(
     table = np.arange(2 * q, dtype=np.float64)
     table *= np.pi / q
     np.cos(table, out=table)
-    values = _table_sweep(table, 2 * q, q, _factors(rows, with_sum), np.multiply)
+    factors = _factors(rows, with_sum)
+    if 2 * q <= np.size(factors[0]):
+        values = _square_sweep(table, q, factors)
+    else:
+        values = _table_sweep(table, 2 * q, q, factors, np.multiply)
     return np.abs(values, out=values)
+
+
+def _square_sweep(table: np.ndarray, q: int, factors: list) -> np.ndarray:
+    # A block of K >= 2q rows. The square table[(s * d) % 2q] for s in
+    # [0, 2q), d in [1, q) costs 2q (q - 1) cells, no more than one factor
+    # of the table loop's K (q - 1). Then a factor is a row gather at s % 2q,
+    # since (s % 2q) * d = s * d mod 2q: every cell reads the table value
+    # `_table_sweep` reads and gets its multiplies, in parameter order.
+    index = np.multiply.outer(
+        np.arange(2 * q, dtype=np.int64), np.arange(1, q, dtype=np.int64)
+    )
+    index %= 2 * q
+    square = table.take(index)
+    # Freed before the gathers, so the peak is the square, the values and
+    # one buffer of terms, below the table loop's on the same block.
+    del index
+    values = square.take(factors[0][:, 0] % (2 * q), axis=0)
+    terms = np.empty_like(values)
+    # take copies `out` first in its default raise mode; the rows are in
+    # range, so clip mode gathers the same rows straight into it.
+    for s in factors[1:]:
+        values *= square.take(s[:, 0] % (2 * q), axis=0, out=terms, mode="clip")
+    return values
 
 
 def collision_resistance(

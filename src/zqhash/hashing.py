@@ -58,9 +58,12 @@ def _check_int(
     bound when `high` is None, no bound at all when `low` is None);
     ValueError otherwise. The one integer-input rule of the package.
     `operator.index` takes ints and numpy integers but refuses floats and
-    strings, so nothing is silently truncated. The defaults are the modulus
-    rule; `span` replaces the printed range."""
+    strings, so nothing is silently truncated; bools, which it would take
+    as 0 and 1, are refused too. The defaults are the modulus rule; `span`
+    replaces the printed range."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

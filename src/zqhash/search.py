@@ -22,11 +22,14 @@ is the contract.
 Both searches scan candidates in blocks: one cosine-product sweep per
 block, every factor read from the modulus's table of cos(pi * k / q) and
 multiplied in parameter order, so every row is bit-identical to
-`collision_resistance` of that candidate. The winning epsilon is then
-recomputed from scratch by `collision_resistance`, so the result never
-depends on bookkeeping done during the scan. Exhaustive search enumerates
-the whole candidate space in lexicographic order and is the ground truth
-the random variant can be checked against on small spaces.
+`collision_resistance` of that candidate. A block of at least 2q rows (a
+full block at q <= 256) reads each factor as whole rows of one (2q, q - 1)
+square of that table; smaller blocks and larger moduli run the table loop
+one row uses. The winning epsilon is then recomputed from scratch by
+`collision_resistance`, so the result never depends on bookkeeping done
+during the scan. Exhaustive search enumerates the whole candidate space in
+lexicographic order and is the ground truth the random variant can be
+checked against on small spaces.
 """
 from __future__ import annotations
 
@@ -89,8 +92,9 @@ class SearchConfig:
         ):
             object.__setattr__(self, field, checked)
         epsilon = self.target_epsilon
-        if epsilon is not None and not (
-            isinstance(epsilon, numbers.Real) and 0.0 < epsilon <= 1.0
+        if epsilon is not None and (
+            isinstance(epsilon, bool)
+            or not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon <= 1.0)
         ):
             raise ValueError(f"target epsilon must be in (0, 1], got {epsilon!r}")
         if self.trials * self.q * self.n > MAX_SEARCH_EVALS:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zqhash import analysis
+from zqhash import analysis, search
 from zqhash.analysis import (
     MAX_SWEEP_MODULUS,
     bias,
@@ -362,6 +362,45 @@ class TestCosineTableBits:
             self.assert_bitwise(alone, expected[k])
 
     @given(
+        q=st.one_of(st.sampled_from([2, 3, 256, 257]), st.integers(2, 300)),
+        offset=st.sampled_from([-1, 0, 1]),
+        n=st.integers(1, 6),
+        share=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        with_sum=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_at_the_square_switch(self, q, offset, n, share, seed, with_sum):
+        # Blocks of K = 2q - 1 rows (table loop), 2q and 2q + 1 (square),
+        # with a share of the elements at q - 1, so the sum factor often
+        # passes 2q. Rows come from a drawn seed: K is up to 601.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, q, size=(2 * q + offset, n))
+        rows[rng.random(rows.shape) < share] = q - 1
+        expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
+        form = HashForm.SINGLE_QUBIT
+        self.assert_bitwise(analysis._sweep(q, rows, form, with_sum), expected)
+        for k, row in enumerate(rows.tolist()):
+            alone = analysis._sweep(q, tuple(row), form, with_sum)
+            self.assert_bitwise(alone, expected[k])
+
+    def test_square_route_from_2q_rows(self):
+        # A block of 2q rows never enters the table loop; one row fewer does.
+        q = 101
+        rows = np.arange(2 * q * 3, dtype=np.int64).reshape(2 * q, 3) % q
+
+        def refuse(*args):
+            raise AssertionError("the table loop swept a block of 2q rows")
+
+        with mock.patch.object(analysis, "_table_sweep", refuse):
+            analysis._sweep(q, rows, HashForm.SINGLE_QUBIT, True)
+        with mock.patch.object(
+            analysis, "_table_sweep", wraps=analysis._table_sweep
+        ) as loop:
+            analysis._sweep(q, rows[1:], HashForm.SINGLE_QUBIT, True)
+        assert loop.call_count == 1
+
+    @given(
         qs=st.lists(
             st.one_of(st.integers(2, 6), st.integers(2, 400)), min_size=1, max_size=8
         ),
@@ -495,6 +534,24 @@ class TestCollisionResistance:
         finally:
             tracemalloc.stop()
         assert peak < 3.25 * 8 * q
+
+    def test_memory_of_a_square_block(self):
+        # The largest q on the square route: a full search block of 514
+        # rows at q = 256, six parameters and the sum factor. The table
+        # loop measured 4.34 MB = 4.14 * 8 K (q - 1) bytes on this block;
+        # the square route may not exceed it, and measured 3.16 MB (3.01),
+        # the square, the values and one buffer of terms.
+        q = 256
+        count = search._block_rows(q)
+        assert count >= 2 * q
+        rows = search._draw_block(5, q, 6, 0, count)
+        tracemalloc.start()
+        try:
+            analysis._sweep(q, rows, HashForm.SINGLE_QUBIT, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.15 * 8 * count * (q - 1)
 
 
 class TestCosineSumCheck:

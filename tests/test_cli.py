@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import zqhash
 from zqhash import cli, floattext, search
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
@@ -460,6 +461,18 @@ GOLDEN_DIGESTS = [
         "bias --q 1009 --b 3,5 --x 0",
         "b59c3e5d2a033b069f83be6b64796bed3ec6d0ddca56cd9ace1c44b35110d92f",
     ),
+    # Recorded from the table loop alone, before blocks of at least 2q rows
+    # took the cosine square: at q = 256 two 514-row blocks on the square,
+    # then a 72-row block on the table loop; at q = 257, 512-row blocks,
+    # all on the table loop.
+    (
+        "search --q 256 --n 4 --trials 1100 --seed 3",
+        "a597afe7d94f89804595dcd5c8686b9ea9bee8ea69e05e6414b508d797cd1887",
+    ),
+    (
+        "search --q 257 --n 4 --trials 1100 --seed 3",
+        "c5a81b7a12337eb9894c6054522915a799b54d9f74c9594f8182272efcafaffd",
+    ),
 ]
 
 
@@ -856,6 +869,28 @@ class TestTopLevel:
 
     def test_version_exits_0(self, capsys):
         assert run_cli(capsys, ["--version"])[0] == 0
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # main builds its parser on the first call and reuses it, after a
+        # bad argv too; each document equals a fresh parser's.
+        argvs = [
+            "search --q 101 --n 4 --trials 200 --seed 7",
+            "resist --q 4099 --s 3,5,7,11 --form shallow",
+            "verify --q-max 12 --n-max 4 --trials 2",
+        ]
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            expected = [run_cli(capsys, argv.split()) for argv in argvs]
+        cli._parser.cache_clear()
+        assert run_cli(capsys, ["search", "--q", "101"])[0] == 2
+        for argv, (code, out, _) in zip(argvs, expected):
+            again, text, _ = run_cli(capsys, argv.split())
+            assert again == code == 0
+            assert TIMING_FIELD.sub("", text) == TIMING_FIELD.sub("", out)
+        code, out, _ = run_cli(capsys, ["--version"])
+        assert (code, out.strip()) == (0, zqhash.__version__)
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
 
 
 FORMS = ("standard", "shallow", "single-qubit")

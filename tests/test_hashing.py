@@ -399,9 +399,12 @@ class TestModulusValidation:
         assert params.elements == (2, 3)
         assert [type(s) for s in params.elements] == [int, int]
 
-    @pytest.mark.parametrize("x", [2.5, 2.0, np.float64(2.0), "2", None])
+    @pytest.mark.parametrize(
+        "x", [2.5, 2.0, np.float64(2.0), "2", None, True, False, np.True_]
+    )
     def test_rejects_non_integer_input(self, x):
-        # A float x used to be truncated: 2.5 gave the state of x = 2.
+        # A float x used to be truncated: 2.5 gave the state of x = 2. A
+        # bool passed operator.index: True gave the state of x = 1.
         params = ParamSet(7, (3, 5))
         with pytest.raises(ValueError, match="x must be an integer"):
             build_shallow_hash(params, x)

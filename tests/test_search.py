@@ -91,6 +91,13 @@ class TestSearchConfig:
             {"n": 1.0},
             {"trials": 2.5},
             {"seed": 0.5},
+            # operator.index(True) is 1: n=True used to search with one
+            # parameter, and target_epsilon=True was stored as True.
+            {"n": True},
+            {"n": np.True_},
+            {"trials": True},
+            {"seed": False},
+            {"target_epsilon": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
