@@ -14,6 +14,7 @@ import numpy as np
 
 from zqhash.analysis import _sweep, collision_resistance, epsilon_of_biased_set
 from zqhash.cli import _report_outputs, dumps_report
+from zqhash.floattext import join_floats
 from zqhash.hashing import (
     BiasedSet,
     HashForm,
@@ -104,6 +105,14 @@ def test_dumps_bias_table(benchmark):
     document = {"command": "bias", "outputs": _report_outputs(report)}
     text = benchmark(dumps_report, document)
     assert text.count("], [") == 65536 - 1
+
+
+def test_join_small_floats(benchmark):
+    # A 2**17-row table of values log-uniform in [1e-29, 1e-4): every row
+    # in exponent notation, as the rows of a resist table below 1e-4 are.
+    values = 10.0 ** np.random.default_rng(8).uniform(-29.0, -4.0, 1 << 17)
+    text = benchmark(join_floats, values, True)
+    assert text.count("e-") == 1 << 17
 
 
 def test_dumps_small_table(benchmark):

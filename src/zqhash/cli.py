@@ -64,6 +64,12 @@ class _Table(NamedTuple):
     values: np.ndarray
 
 
+class _Elapsed(NamedTuple):
+    """The seconds since `started`, read when the document renders it."""
+
+    started: float
+
+
 def _fragment(value: Any, indent: int, parts: list[str]) -> None:
     # Appends the text of `value` to `parts`, so a large table's text is
     # copied once, by the one join in dumps_report.
@@ -92,6 +98,8 @@ def _fragment(value: Any, indent: int, parts: list[str]) -> None:
         parts.append(join_floats(value, indexed=False))
     elif isinstance(value, _Table):  # before the tuple branch: a _Table is one
         parts.append(join_floats(value.values, indexed=True))
+    elif isinstance(value, _Elapsed):  # so is an _Elapsed
+        parts.append(format_floats((time.perf_counter() - value.started,))[0])
     elif isinstance(value, (list, tuple)):
         parts.append("[")
         for index, item in enumerate(value):
@@ -371,18 +379,17 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         inputs, outputs = args.func(args)
-        body = dumps_report(
+        text = dumps_report(
             {
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
                 "inputs": inputs,
                 "outputs": outputs,
+                # Read when rendered, after every other field: it covers
+                # all the work but the one join of the text and its write.
+                "timing_seconds": _Elapsed(started),
             }
         )
-        # Read after rendering, so the field covers everything but itself;
-        # it goes last, as one more top-level key in dumps_report's layout.
-        seconds = format_floats((time.perf_counter() - started,))[0]
-        text = body[: -len("\n}\n")] + f',\n  "timing_seconds": {seconds}\n}}\n'
         if args.out:
             try:
                 Path(args.out).write_text(text)

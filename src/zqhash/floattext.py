@@ -4,14 +4,15 @@ float.
 
 `format_floats` gives that text through the %-format, for scalars and a
 few values. `join_floats` renders a whole table or array without a Python
-string per value: the 17 digits of each value in [1e-4, 1), the bulk of a
-bias or resistance table, are computed from an exact double-double
-product v * 10**p (Dekker's TwoProduct) rounded half to even, the few
+string per value: the 17 digits of each value with 1e-29 <= |v| < 1, all
+but a handful of the rows of a bias or resistance table, are computed
+from a double-double product v * 10**p rounded half to even, the few
 other values go through `format_floats`, and each block of rows goes into
 one byte buffer that is decoded once. Both give the same bytes.
 """
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -45,21 +46,28 @@ _FIELD = 24
 # raised the peak RSS of a resist request from 79.5 to 126 MB.
 _BLOCK_ROWS = 4096
 # The ASCII digits of 00..99, little-endian, so that a uint8 view of a
-# uint16 array of pairs reads the two digits in order.
+# uint16 array of pairs reads the two digits in order; and of 0000..9999,
+# in uint32, built from the pairs without a ufunc.
 _PAIRS = np.array(
     [ord(str(i // 10)) | ord(str(i % 10)) << 8 for i in range(100)], dtype="<u2"
 )
+_QUADS = np.empty((100, 100, 2), "<u2")
+_QUADS[:, :, 0] = _PAIRS[:, None]
+_QUADS[:, :, 1] = _PAIRS
+_QUADS = _QUADS.view("<u4").ravel()
 # Veltkamp's splitter, 2**27 + 1: a double is the exact sum of two halves
 # of at most 26 significant bits each, whose products are exact doubles.
 _SPLITTER = 134217729.0
 
 
-def _write_pairs(numbers: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Write the last 2 * m decimal digits of each number into the (n, m)
-    uint16 view `pairs`, two at a time; return the numbers above them."""
-    for column in range(pairs.shape[1] - 1, -1, -1):
-        quotient = numbers // 100
-        pairs[:, column] = _PAIRS[numbers - 100 * quotient]
+def _write_digits(numbers: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Write the last m groups of decimal digits of each number into the
+    (n, m) view `groups`, uint16 for pairs or uint32 for fours; return
+    the numbers above them."""
+    table = _PAIRS if groups.itemsize == 2 else _QUADS
+    for column in range(groups.shape[1] - 1, -1, -1):
+        quotient = numbers // table.size
+        groups[:, column] = table.take(numbers - table.size * quotient)
         numbers = quotient
     return numbers
 
@@ -70,25 +78,70 @@ def _split(x: Any) -> tuple[Any, Any]:
     return high, x - high
 
 
-# 10**17 .. 10**20, the scales 10**(16 - k) for decimal exponents k = -1 ..
-# -4; each is an exact double. Module-level tables are built from Python
-# numbers, so importing the CLI touches no numpy ufunc.
-_SCALES = np.array([10.0**p for p in range(17, 21)])
-_SCALES_HIGH, _SCALES_LOW = np.array([_split(10.0**p) for p in range(17, 21)]).T
+def _at_least(j: int) -> float:
+    # The least double >= 10**-j; Python's int division rounds correctly.
+    d = 1 / 10**j
+    numerator, denominator = d.as_integer_ratio()
+    return d if numerator * 10**j >= denominator else math.nextafter(d, 1.0)
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**(16 - k) exactly, as its integer part (int64) and its
-    fraction in [0, 1). The product is hi + lo, with hi its rounded double
-    and lo the rounding error (Dekker's TwoProduct); hi is an integer,
-    since every product here is at least 10**16 > 2**53."""
+# The computed rows have decimal exponents k = -29 .. -1 and are scaled by
+# 10**p, p = 16 - k = 17 .. 45. As 10**p = 5**p * 2**p with 5**p < 2**106,
+# each scale is an exact double-double high + low, low being 0 up to
+# 10**22. Per p: high and its two halves; and low. Module-level tables
+# are built from Python numbers, so importing the CLI touches no numpy
+# ufunc.
+_SCALES = tuple(
+    np.array(column)
+    for column in zip(*((float(10**p), *_split(float(10**p))) for p in range(17, 46)))
+)
+_SCALES_LOW = np.array([float(10**p - int(float(10**p))) for p in range(17, 46)])
+# The least computed magnitude, the double above 1e-29 (which is below
+# 10**-29), lies in the binade [2**-97, 2**-96). Per binade [2**e,
+# 2**(e + 1)) from there to e = -1: the decade of 2**e, and the least
+# double at or above the one power of ten inside the binade, or 1.0 if
+# none is. A value a in the binade has decimal exponent
+# _DECADE[e] + (a >= _EDGE[e]).
+_LOWEST = _at_least(29)
+_BINADES = range(-97, 0)
+_DECADE = np.array([-len(str(2**-e - 1)) for e in _BINADES])
+_EDGE = np.array(
+    [
+        _at_least(-1 - k) if 2 ** (-1 - e) < 10 ** (-1 - k) else 1.0
+        for e, k in zip(_BINADES, _DECADE.tolist())
+    ]
+)
+# Where low is not 0, the fraction of v * 10**p is found to within 2**-48:
+# two roundings of sums below 32. Rows whose fraction lies within _GUARD,
+# 256 times that, of one half take the %-format, exact ties among them.
+_GUARD = 2.0**-40
+
+
+def _scaled(
+    a: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a * 10**(16 - k) as its integer part (int64) and its fraction in
+    [0, 1), and the rows where that fraction may round the wrong way. The
+    scale is high + low. a * high is p1 + e1, with p1 its rounded double
+    and e1 the rounding error (Dekker's TwoProduct); p1 is an integer,
+    since every product here is at least 10**16 > 2**53. The fraction is
+    that of e1, exact, for k >= -6, where low is 0. Below, it is that of
+    e1 + a * low, to within 2**-48, and the rows returned are those whose
+    fraction lies within `_GUARD` of one half."""
     i = -1 - k
-    scale, s_high, s_low = _SCALES[i], _SCALES_HIGH[i], _SCALES_LOW[i]
+    high, high_high, high_low = (table.take(i) for table in _SCALES)
     a_high, a_low = _split(a)
-    hi = a * scale
-    lo = a_low * s_low - (((hi - a_high * s_high) - a_low * s_high) - a_high * s_low)
-    floor = np.floor(lo)
-    return hi.astype(np.int64) + floor.astype(np.int64), lo - floor
+    p1 = a * high
+    rest = a_low * high_low - (
+        ((p1 - a_high * high_high) - a_low * high_high) - a_high * high_low
+    )
+    inexact = np.flatnonzero(k < -6)
+    if inexact.size:
+        rest[inexact] += a[inexact] * _SCALES_LOW.take(i[inexact])
+    floor = np.floor(rest)
+    frac = rest - floor
+    unsure = inexact[np.abs(frac[inexact] - 0.5) < _GUARD]
+    return p1.astype(np.int64) + floor.astype(np.int64), frac, unsure
 
 
 def _round_half_even(
@@ -101,21 +154,37 @@ def _round_half_even(
     return np.where(carry, 10**16, r), k + carry
 
 
-# The fixed-notation text of a value with 1e-4 <= |v| < 1 is a selection
-# of the 24 bytes "-0.000", a pad byte, and 17 digits: the sign when
-# negative, "0.", z = -1 - k zeros for the decimal exponent k, and the
-# first d digits, d being 17 less the trailing zeros. The pad puts the
-# last 16 digits, written in pairs, at even columns.
+# The text of a computed row is a selection of its 24 bytes, d being the
+# number of its 17 digits left when trailing zeros are dropped.
+# - Fixed notation, k >= -4: the bytes are "-0.000", a pad, and the 17
+#   digits. The text is the sign when negative, "0.", z = -1 - k zeros,
+#   and the first d digits.
+# - Exponent notation, k <= -5: the bytes are "-", the first digit, ".",
+#   a pad, the other 16 digits, and "e-XX". The text is the sign when
+#   negative, the first digit, "." unless d is 1, the next d - 1 digits,
+#   and "e-XX".
+# The 17 digits are written as the first and four groups of four, into
+# columns 7 .. 23; exponent rows then move the last 16 to columns 4 .. 19.
 _TEMPLATE = np.frombuffer(b"-0.000\0", np.uint8)
-# Row (4 * sign + z) * 18 + d of _KEEP keeps (0xFF) the bytes of that
-# text and drops (0) the others.
+_EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % j for j in range(30)), np.uint8)
+_EXPONENTS = _EXPONENTS.reshape(30, 4)
+
+
+def _keep(sign: int, form: int, d: int) -> list[int]:
+    # The bytes a row keeps (0xFF) and drops (0): fixed notation with
+    # `form` zeros after the point, or exponent notation for form 4.
+    if form < 4:
+        body = [0xFF] * (2 + form) + [0] * (4 - form) + [0xFF] * d + [0] * (17 - d)
+    else:
+        after = max(d - 1, 0)  # digits after the first
+        body = [0xFF, 0xFF * (d > 1), 0] + [0xFF] * after + [0] * (16 - after)
+        body += [0xFF] * 4
+    return [0xFF * sign] + body
+
+
+# Row (5 * sign + form) * 18 + d of _KEEP.
 _KEEP = np.array(
-    [
-        [0xFF * sign] + [0xFF] * (2 + z) + [0] * (4 - z) + [0xFF] * d + [0] * (17 - d)
-        for sign in range(2)
-        for z in range(4)
-        for d in range(18)
-    ],
+    [_keep(s, f, d) for s in range(2) for f in range(5) for d in range(18)],
     dtype=np.uint8,
 )
 
@@ -125,30 +194,41 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     (n, _FIELD) uint8 rows of `out`, NUL wherever a byte is dropped; the
     bytes that are not NUL, in order, are the text.
 
-    A value with 1e-4 <= |v| < 1, the bulk of a bias or resistance table,
-    prints as "0.", the zeros after the point, and the 17 digits of
-    |v| * 10**(16 - k) rounded half to even, k being its decimal exponent.
-    Those digits are computed, not formatted, and the bytes of the row
-    that its text does not use are masked off with a row of `_KEEP`.
-    Every other row (zero, subnormals, |v| < 1e-4, |v| >= 1, non-finite,
-    or a row that rounds up to 1) takes the %-format of `format_floats`."""
+    A value with 10**-29 <= |v| < 1, all but a handful of the rows of a
+    bias or resistance table, prints from the 17 digits of
+    |v| * 10**(16 - k) rounded half to even, k being its decimal exponent:
+    as "0.", the zeros after the point and the digits for k >= -4, and as
+    "d.dddddddddddddddde-XX" below. Those digits are computed, not
+    formatted, and the bytes of the row that its text does not use are
+    masked off with a row of `_KEEP`. Every other row takes the %-format
+    of `format_floats`: zero, subnormals, |v| < 10**-29, |v| >= 1,
+    non-finite values, rows that round up to 1, and rows below 10**-6
+    whose scaled fraction lies within `_GUARD` of one half."""
     magnitude = np.abs(values)
-    fixed = (magnitude >= 1e-4) & (magnitude < 1.0)
-    a = np.where(fixed, magnitude, 0.5)  # other rows are overwritten below
-    # The doubles 1e-4, 0.001, 0.01 and 0.1 each lie above the power of ten
-    # they stand for, so no double falls between the two and these exact
-    # comparisons give the decade: whole is in [10**16, 10**17).
-    k = (-1 - (a < 0.1) - (a < 0.01) - (a < 0.001)).astype(np.int64)
-    r, k = _round_half_even(*_scaled(a, k), k)
-    fixed &= k < 0
+    computed = (magnitude >= _LOWEST) & (magnitude < 1.0)
+    a = np.where(computed, magnitude, 0.5)  # other rows are overwritten below
+    binade = (a.view(np.int64) >> 52) - (1023 + _BINADES[0])  # from the exponent bits
+    k = _DECADE.take(binade) + (a >= _EDGE.take(binade))
+    whole, frac, unsure = _scaled(a, k)
+    computed[unsure] = False
+    r, k = _round_half_even(whole, frac, k)
+    computed &= k < 0
     out[:, :7] = _TEMPLATE
-    out[:, 7] = _write_pairs(r, out.view("<u2")[:, 4:]) + ord("0")
-    trailing = np.argmax(out[:, :6:-1] != ord("0"), axis=1)
-    row = ((values < 0) * 4 - 1 - k) * 18 + 17 - trailing
-    # Rows that are not fixed are overwritten below, whatever row of _KEEP
-    # they select; "clip" keeps a row carried to k = 0 in range.
+    out[:, 7] = _write_digits(r, out.view("<u4")[:, 2:]) + ord("0")
+    trailing = np.argmax(out[:, 23:6:-1] != ord("0"), axis=1)
+    small = np.flatnonzero(k < -4)
+    if small.size:  # move them into exponent notation
+        moved = out[small]
+        moved[:, 1] = moved[:, 7]
+        moved[:, 2] = ord(".")
+        moved[:, 4:20] = moved[:, 8:]
+        moved[:, 20:] = _EXPONENTS[-k[small]]
+        out[small] = moved
+    row = ((values < 0) * 5 + np.minimum(-1 - k, 4)) * 18 + 17 - trailing
+    # Rows that are not computed are overwritten below, whatever row of
+    # _KEEP they select; "clip" keeps a row carried to k = 0 in range.
     out &= _KEEP.take(row, axis=0, mode="clip")
-    rest = np.flatnonzero(~fixed)
+    rest = np.flatnonzero(~computed)
     if rest.size:
         texts = np.array(format_floats(values[rest]), dtype=f"S{_FIELD}")
         out[rest] = texts.view(np.uint8).reshape(rest.size, _FIELD)
@@ -157,10 +237,11 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
 def join_floats(values: Any, indexed: bool) -> str:
     """"[v1, v2, ...]", or "[[1, v1], [2, v2], ...]" when `indexed`, with
     each v in the text of `format_floats`. Each block of rows is written
-    into one byte matrix, NUL for every dropped byte, then compressed and
-    appended to one buffer, which is decoded once. Digit pairs are written
-    through uint16 views, so the x digits and each float's field start at
-    an even column of a row of even width."""
+    into one byte matrix, NUL for every dropped byte, whose NULs one
+    `bytes.translate` deletes before the text is appended to one buffer,
+    which is decoded once. Digits are written in groups through uint16
+    and uint32 views, so the x digits and each float's field start at an
+    even column of a row of even width."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n == 0:
@@ -182,16 +263,18 @@ def join_floats(values: Any, indexed: bool) -> str:
         block = values[first : first + _BLOCK_ROWS]
         rows = matrix[: block.size]
         if indexed:
-            x = np.arange(first + 1, first + block.size + 1)
-            _write_pairs(x, rows[:, 2 : 2 + x_width].view("<u2"))
+            # uint32, as no table comes near 2**32 rows: it divides by a
+            # scalar several times faster than int64.
+            x = np.arange(first + 1, first + block.size + 1, dtype=np.uint32)
+            _write_digits(x, rows[:, 2 : 2 + x_width].view("<u2"))
             # x runs up one by one, so each width of x is one run of rows.
             for digits in range(1, x_width):
                 short = 10**digits - 1 - first  # rows with x < 10**digits
                 rows[: max(short, 0), 2 : 2 + x_width - digits] = 0
         write_floats(block, rows[:, start : start + _FIELD])
-        text = rows[rows != 0]
-        buffer[end : end + text.size] = text
-        end += text.size
+        text = rows.tobytes().translate(None, b"\0")
+        buffer[end : end + len(text)] = np.frombuffer(text, np.uint8)
+        end += len(text)
     end -= 2  # the last row's ", "
     buffer[end] = ord("]")
     return str(memoryview(buffer[: end + 1]), "ascii")

@@ -80,10 +80,17 @@ def _check_int(
     return number
 
 
+# The element types `_reduced` refuses, as `_check_int` refuses them.
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _reduced(elements: Sequence[object], q: int, name: str) -> tuple[int, ...]:
-    # One pass over the elements, each through `operator.index` like every
-    # other integer input; search builds thousands of sets per request.
+    # Each element through `operator.index` like every other integer input,
+    # bools refused first. The type scan runs in C: `derive_biased_set`
+    # hands a BiasedSet all 2**n subset sums.
     try:
+        if not _BOOLS.isdisjoint(map(type, elements)):
+            raise TypeError
         return tuple(operator.index(e) % q for e in elements)
     except TypeError:
         raise ValueError(f"{name} must be integers, got {elements!r}") from None
@@ -128,7 +135,7 @@ class BiasedSet:
 
     def __post_init__(self) -> None:
         q = _check_int(self.q, "modulus")
-        if not self.elements:
+        if len(self.elements) == 0:  # a numpy array has no truth value
             raise ValueError("residue set must not be empty")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "elements", _reduced(self.elements, q, "residues"))

@@ -9,6 +9,7 @@ import re
 import time
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -109,6 +110,15 @@ def kernel_texts(values):
     return [row[row != 0].tobytes().decode("ascii") for row in out]
 
 
+def in_guard_band(value):
+    # Whether the 17-digit scaling of `value` is at an inexact scale,
+    # k <= -7, with a fraction within the kernel's guard band of one half.
+    k = Decimal(value).adjusted()
+    scaled = abs(Fraction(value)) * Fraction(10) ** (16 - k)
+    fraction = scaled - math.floor(scaled)
+    return k <= -7 and abs(fraction - Fraction(1, 2)) < floattext._GUARD
+
+
 def float_bits(patterns):
     # Raw 64-bit patterns viewed as float64, non-finite ones dropped.
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
@@ -135,12 +145,21 @@ fixed_bits = st.builds(
     st.integers(1009, 1022),
     st.integers(0, 2**52 - 1),
 )
-# Patterns within 3,000 doubles of a power of ten from 1e-4 to 1, either
-# sign: the decade edges of the fixed-notation rows.
+# Patterns with a biased exponent in [926, 1009], the doubles with
+# 2**-97 <= |v| < 2**-13: the exponent-notation rows from 1e-29 up to 1e-4.
+small_bits = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.integers(926, 1009),
+    st.integers(0, 2**52 - 1),
+)
+# Patterns within 3,000 doubles of a power of ten from 1e-29 to 1, either
+# sign: the decade edges of the computed rows.
+POWERS_OF_TEN = np.array([10.0**p for p in range(-29, 1)])
 near_powers = st.builds(
     lambda sign, power, step: sign << 63 | power + step,
     st.integers(0, 1),
-    st.sampled_from(np.array([1e-4, 1e-3, 0.01, 0.1, 1.0]).view(np.uint64).tolist()),
+    st.sampled_from(POWERS_OF_TEN.view(np.uint64).tolist()),
     st.integers(-3000, 3000),
 )
 # Doubles printed as a power of ten that they are below: 17 digits round
@@ -155,6 +174,11 @@ TIES = [
     -np.arange(1049, 10486, 2) / 2.0**20,
     np.arange(211, 2098, 2) / 2.0**21,
 ]
+# Exact ties where the scale 10**(16 - k) is not a double, k <= -7:
+# m / 2**(17 - k) with m odd, which exist for k = -7 and -8 only. The
+# kernel finds these fractions to within 2**-48, so it sends them to the
+# %-format.
+INEXACT_TIES = [m / 2.0**24 for m in range(3, 16, 2)] + [1 / 2.0**25, 3 / 2.0**25]
 
 FORMAT_CASES = [
     0.0, -0.0, 1.0, -1.0, 2.0**60, 1e16, -1e16, 1e17, 5e-324,
@@ -204,7 +228,7 @@ class TestFloatFormatter:
 
 
 class TestFloatKernel:
-    @given(st.lists(any_bits | fixed_bits | near_powers, max_size=60))
+    @given(st.lists(any_bits | fixed_bits | small_bits | near_powers, max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_raw_bit_patterns_match_scalar_rule(self, patterns):
         values = float_bits(patterns)
@@ -219,11 +243,16 @@ class TestFloatKernel:
             neighbours(1e-4, 30) + neighbours(1.0, 30),
             ROUND_UP_TO_POWER + [-v for v in ROUND_UP_TO_POWER],
             [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310],
+            INEXACT_TIES + [-v for v in INEXACT_TIES],
+            [v for p in range(-31, -6) for v in neighbours(10.0**p, 8)],
+            [-v for v in neighbours(1e-29, 30) + neighbours(1.5e-5, 4)],
+            [1.5e-5, 1.25e-10, 1.5e-99, -1.5e-100, 1.25e-300, 9.5e-30, 2.5e-29],
         ],
         ids=[
             "ties-18", "ties-19", "ties-20", "ties-21",
             "powers-of-ten", "negative-powers-of-ten", "edges", "round-up",
-            "zero-subnormal",
+            "zero-subnormal", "inexact-ties", "small-powers-of-ten",
+            "small-edges", "exponent-widths",
         ],
     )
     def test_explicit_cases_match_scalar_rule(self, values):
@@ -237,6 +266,14 @@ class TestFloatKernel:
         magnitude = np.abs(values)
         assert np.all((10.0 ** (17 - j) <= magnitude) & (magnitude < 10.0 ** (18 - j)))
         exact = [abs(Decimal(v)) * 10 ** (j - 1) for v in values.tolist()]
+        assert all(x % 1 == Decimal("0.5") for x in exact)
+        assert {int(x) % 2 for x in exact} == {0, 1}
+
+    def test_inexact_ties_are_exact_and_both_parities_occur(self):
+        # Each is an exact half at the 17th digit, at k = -7 or -8, where
+        # 10**(16 - k) is not a double.
+        exact = [Decimal(v) * 10 ** (16 - Decimal(v).adjusted()) for v in INEXACT_TIES]
+        assert {Decimal(v).adjusted() for v in INEXACT_TIES} == {-7, -8}
         assert all(x % 1 == Decimal("0.5") for x in exact)
         assert {int(x) % 2 for x in exact} == {0, 1}
 
@@ -272,6 +309,35 @@ class TestFloatKernel:
             assert kernel_texts(values) == expected
         finally:
             floattext.format_floats = format_floats
+
+    @given(st.lists(small_bits, min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_small_rows_never_take_the_format(self, patterns):
+        # Every value in [10**-29, 1e-4) gets its digits computed, those
+        # next to a power of ten too, but for the rows whose fraction at
+        # an inexact scale lies within the guard band of one half.
+        values = float_bits(patterns)
+        magnitude = np.abs(values)
+        values = values[(magnitude >= floattext._LOWEST) & (magnitude < 1e-4)]
+        # The least computed value and the doubles above it.
+        edges = neighbours(floattext._LOWEST, 4)[::2]
+        powers = [v for p in range(-28, -4) for v in neighbours(10.0**p, 8)]
+        values = np.concatenate([values, edges, powers, INEXACT_TIES])
+        expected = [scalar_rule(v) for v in values.tolist()]
+        taken = []
+        format_floats = floattext.format_floats
+
+        def recorded(rest):
+            taken.extend(rest.tolist())
+            return format_floats(rest)
+
+        floattext.format_floats = recorded
+        try:
+            assert kernel_texts(values) == expected
+        finally:
+            floattext.format_floats = format_floats
+        assert all(in_guard_band(v) for v in taken)
+        assert set(INEXACT_TIES) <= set(taken)
 
     @pytest.mark.parametrize("size", [0, 1, 2, 4095, 4096, 4097, 8193])
     def test_join_equals_the_per_value_join(self, size):

@@ -394,6 +394,18 @@ class TestModulusValidation:
         with pytest.raises(ValueError):
             BiasedSet(7, (2, bad))
 
+    @pytest.mark.parametrize(
+        "elements",
+        [(True, 2), (False, True), (2, np.True_), np.array([True, False])],
+        ids=["bool", "bools", "numpy-bool", "numpy-bool-array"],
+    )
+    def test_rejects_bool_elements(self, elements):
+        # operator.index takes a bool as 0 or 1: (True, 2) used to hold (1, 2).
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            ParamSet(101, elements)
+        with pytest.raises(ValueError, match="residues must be integers"):
+            BiasedSet(7, elements)
+
     def test_numpy_integer_elements_become_int(self):
         params = ParamSet(7, (np.int64(9), np.uint8(3)))
         assert params.elements == (2, 3)
