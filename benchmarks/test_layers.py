@@ -59,6 +59,13 @@ def test_verify_one_pass(benchmark):
     assert all(result.passed for result in results)
 
 
+def test_verify_largest_set(benchmark):
+    # The largest single set verify accepts: q = 1,144 at n_max = 1 and
+    # one trial, whose q x q Grams and closed forms fill the chunk.
+    results = benchmark(check_inner_products, [1144], 1, 1)
+    assert all(result.passed for result in results)
+
+
 def test_gate_kernel(benchmark):
     # One controlled Ry with per-row angles on a (527, 64) batch: the rows
     # of every q = 2..32 set of one width in verify-sim's shallow run.

@@ -247,13 +247,15 @@ def simulated_inner(
 def _sweep(
     q: int,
     rows: tuple[int, ...] | np.ndarray,
-    form: HashForm,
+    form: HashForm | str,
     include_sum_qubit: bool,
 ) -> np.ndarray:
     # |inner product| of `rows` (as in `_closed_inner_values`) at every
     # nonzero difference mod q. The standard and shallow forms share the
     # shallow value, which is single-qubit with the sum factor.
     _check_sweep_modulus(q)
+    # A form by value too, as `build_hash` takes it; ValueError if unknown.
+    form = HashForm(form)
     with_sum = include_sum_qubit if form is HashForm.SINGLE_QUBIT else True
     # cos(pi * k / q) for k in [0, 2q), from the same float expression the
     # direct route evaluates; the float arange is exact, so the table takes
@@ -293,10 +295,11 @@ def _square_sweep(table: np.ndarray, q: int, factors: list) -> np.ndarray:
 
 
 def collision_resistance(
-    params: ParamSet, form: HashForm, include_sum_qubit: bool = False
+    params: ParamSet, form: HashForm | str, include_sum_qubit: bool = False
 ) -> ResistanceReport:
     """Worst |inner product| over all nonzero differences mod q, from the
-    closed form. The standard and shallow forms share the shallow value."""
+    closed form, with `form` a HashForm or its value. The standard and
+    shallow forms share the shallow value."""
     values = _sweep(params.q, params.elements, form, include_sum_qubit)
     return _report_from_values(params.q, values)
 

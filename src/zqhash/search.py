@@ -299,7 +299,7 @@ def _scan(
     q: int,
     count: int,
     rows_at: Callable[[int, int], np.ndarray],
-    form: HashForm,
+    form: HashForm | str,
     include_sum_qubit: bool,
     target_epsilon: float | None = None,
 ) -> SearchResult:
@@ -342,7 +342,7 @@ def _scan(
 
 
 def random_search(
-    config: SearchConfig, form: HashForm, include_sum_qubit: bool = False
+    config: SearchConfig, form: HashForm | str, include_sum_qubit: bool = False
 ) -> SearchResult:
     """Scan `config.trials` random candidates and return the best. The
     returned report is re-certified by a fresh exhaustive sweep."""
@@ -370,7 +370,7 @@ def _lexicographic(q: int, n: int, start: int, stop: int) -> np.ndarray:
 def exhaustive_search(
     q: int,
     n: int,
-    form: HashForm,
+    form: HashForm | str,
     include_sum_qubit: bool = False,
 ) -> SearchResult:
     """Certify every candidate in [1, q)**n, lexicographically, and return

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import _check_sweep_modulus, _closed_inner_pair
 from .hashing import MAX_PARAMS, _block_circuits, _check_int
@@ -95,7 +96,8 @@ def _result(name: str, max_deviation: float, detail: str) -> CheckResult:
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
+    # The largest |a - b|, written over b: every caller's last use of it.
+    diff = np.subtract(a, b, out=b)
     return float(np.max(np.abs(diff, out=diff)))
 
 
@@ -107,7 +109,12 @@ def check_ucr_decomposition(
     """Multiplexed Ry with branch angles base + sum of per-bit parts versus
     the flat circuit of one Ry(base) and n controlled Ry(part_k), compared
     componentwise on every basis input. Every (angle draw, basis input)
-    pair of one width is a row of one batch, with its draw's angles."""
+    pair of one width is a row of one batch, with its draw's angles.
+    Raises ValueError, before any work, on an argument run_all_checks
+    would refuse."""
+    n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
+    vectors_per_n = _check_int(vectors_per_n, "vectors_per_n", 1, None)
+    seed = _check_int(seed, "seed", 0, None)
     worst = 0.0
     cases = 0
     for n in range(1, n_max + 1):
@@ -151,29 +158,6 @@ def check_ucr_decomposition(
     )
 
 
-def _stacked_grams(factors: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
-    # The single-qubit, shallow and sum-qubit Gram matrices, in that order,
-    # of the states of x = 0..q[k]-1 for each row k of a (K, n) block of
-    # parameter sets: one batched run per circuit, whose blocks of rows
-    # are the sets. Each circuit gives one flat array holding every set's
-    # q[k] x q[k] matrix in turn, row-major, each `block @ block.T`
-    # written in place. The last gate of every verify circuit targets its
-    # last qubit, so it gives the width.
-    stops = np.cumsum(q).tolist()
-    grams = []
-    for ops in _block_circuits(factors, q):
-        state = zero_state(ops[-1].target + 1, batch=stops[-1])
-        mat = run_circuit(state, ops).amplitudes
-        flat = np.empty(int((q * q).sum()))
-        cell = 0
-        for stop, m in zip(stops, q.tolist()):
-            block = mat[stop - m : stop]
-            np.matmul(block, block.T, out=flat[cell : cell + m * m].reshape(m, m))
-            cell += m * m
-        grams.append(flat)
-    return grams
-
-
 def _subset_sum_means(
     factors: np.ndarray, q: np.ndarray, dx: np.ndarray
 ) -> np.ndarray:
@@ -197,27 +181,36 @@ def _chunk_gaps(
 ) -> tuple[list[float], np.ndarray]:
     # The three gaps of check_inner_products over a chunk of sets of one
     # size, and the positions of the sets whose closed forms break the
-    # identity. The closed forms of the chunk are evaluated at once, up to
-    # its largest q. Each set's Gram entry (i, j) is compared with its
-    # closed form at |i - j|, all sets' entries in one flat array laid out
-    # as `_stacked_grams` lays out the Grams.
+    # identity. One batched run per circuit holds set k's states of x =
+    # 0..q[k]-1 as a block of rows (every verify circuit's last gate
+    # targets its last qubit, so it gives the width). Row r of `cells`
+    # holds every set's q[k] x q[k] matrix r in turn: the three Grams, each
+    # `block @ block.T` in place, then both closed forms.
     dx = np.arange(q.max())
     column = q[:, None]
-    closed, closed_sum = _closed_inner_pair(column, factors, dx)
+    closed = np.stack(_closed_inner_pair(column, factors, dx))
     means = _subset_sum_means(factors, column, dx)
-    identity = np.where(dx < column, np.abs(means - closed_sum), 0.0).max(axis=1)
-    distance = np.abs(dx[:, None] - dx[None, :])
-    single, shallow, with_sum = _stacked_grams(factors, q)
-    expected, expected_sum = np.empty_like(single), np.empty_like(single)
-    cell = 0
-    for k, m in enumerate(q.tolist()):
-        at, cells = distance[:m, :m], slice(cell, cell + m * m)
-        np.take(closed[k], at, out=expected[cells].reshape(m, m), mode="clip")
-        np.take(closed_sum[k], at, out=expected_sum[cells].reshape(m, m), mode="clip")
-        cell += m * m
+    identity = np.where(dx < column, np.abs(means - closed[1]), 0.0).max(axis=1)
+    # Each closed form at |i - j| < q.max() is row i of the reversed
+    # sliding windows over the form mirrored about dx = 0.
+    mirrored = np.concatenate([closed[..., :0:-1], closed], axis=-1)
+    at_distance = sliding_window_view(mirrored, dx.size, axis=-1)[:, :, ::-1]
+    stops = np.cumsum(q).tolist()
+    states = [
+        run_circuit(zero_state(ops[-1].target + 1, batch=stops[-1]), ops).amplitudes
+        for ops in _block_circuits(factors, q)
+    ]
+    cells = np.empty((5, int((q * q).sum())))
+    pieces = np.split(cells, np.cumsum(q * q)[:-1], axis=1)
+    for k, (stop, m, piece) in enumerate(zip(stops, q.tolist(), pieces)):
+        out = piece.reshape(5, m, m)
+        for state, gram in zip(states, out):
+            block = state[stop - m : stop]
+            np.matmul(block, block.T, out=gram)
+        out[3:] = at_distance[:, k, :m, :m]
+    single, shallow, with_sum, expected, expected_sum = cells
     gaps = [_gap(single, expected), _gap(shallow, expected_sum)]
-    # The last use of these Grams: take magnitudes in place, so a large set
-    # holds fewer q x q arrays at once.
+    # Their last use: magnitudes in place, so fewer q x q arrays are held.
     gaps.append(_gap(np.abs(shallow, out=shallow), np.abs(with_sum, out=with_sum)))
     return gaps, np.flatnonzero(~(identity <= IDENTITY_TOL))
 
@@ -250,8 +243,15 @@ def check_inner_products(
     are drawn in blocks of _SET_BLOCK; within a block the sets of one size
     are simulated together, one batched run per circuit and per chunk of
     at most _BATCH_AMPLITUDES amplitudes, and their closed forms are
-    evaluated together per chunk."""
-    q_values = np.fromiter(q_values, dtype=np.int64)
+    evaluated together per chunk. Raises ValueError, before any work, on
+    an argument run_all_checks would refuse or on no moduli."""
+    q_values = np.array(
+        [_check_sweep_modulus(q, "q value") for q in q_values], dtype=np.int64
+    )
+    _check_int(q_values.size, "number of q values", 1, None)
+    sets_per_q = _check_int(sets_per_q, "sets_per_q", 1, None)
+    n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
+    seed = _check_int(seed, "seed", 0, None)
     count = q_values.size * sets_per_q
     worst = [0.0, 0.0, 0.0]
     diverged = None

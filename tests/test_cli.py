@@ -453,6 +453,14 @@ GOLDEN_DIGESTS = [
         "verify --q-max 16 --n-max 1 --trials 3",
         "b00a2db11be456e602d15852a1271cc6bdddc2e4cef469c130e4df230312f2ed",
     ),
+    # Recorded from the two walks over a chunk's sets, one for the Grams
+    # and one for their closed forms, that the one walk replaced. Eleven
+    # sets of size 5 with q > 256 pass _BATCH_AMPLITUDES and run alone;
+    # the other chunks mix moduli.
+    (
+        "verify --q-max 300 --n-max 5 --trials 1 --seed 4",
+        "0e15d7199d37366a58f5c0fae30aadd9f4dddeaf0015c70743e6cd6e041957a1",
+    ),
     # Recorded from the stream port on four 32-bit limbs that the uint64
     # (high, low) one replaced, at the port's edges: the largest accepted
     # seed (two words) and 2**128 (five words, past SeedSequence's pool).

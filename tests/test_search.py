@@ -247,6 +247,29 @@ class TestRandomSearch:
         assert len(set(values)) == len(values)
         assert result.history[-1][1] == result.report.epsilon
 
+    def test_a_form_by_value_equals_its_enum(self):
+        # Both searches certify through the sweep, which takes a form's
+        # value as its enum.
+        def fields(result):
+            report = result.report
+            return result.best_set, result.history, report.values.tobytes()
+
+        config = SearchConfig(q=101, n=3, trials=40, seed=3)
+        by_value = random_search(config, "single-qubit")
+        by_enum = random_search(config, HashForm.SINGLE_QUBIT)
+        assert fields(by_value) == fields(by_enum)
+        by_value = exhaustive_search(23, 2, "single-qubit")
+        by_enum = exhaustive_search(23, 2, HashForm.SINGLE_QUBIT)
+        assert fields(by_value) == fields(by_enum)
+
+    @pytest.mark.parametrize("form", ["bogus", 42])
+    def test_rejects_an_unknown_form(self, form):
+        config = SearchConfig(q=101, n=3, trials=40, seed=3)
+        with pytest.raises(ValueError, match="not a valid HashForm"):
+            random_search(config, form)
+        with pytest.raises(ValueError, match="not a valid HashForm"):
+            exhaustive_search(23, 2, form)
+
     def test_runs_all_trials_without_target(self):
         config = SearchConfig(q=29, n=2, trials=12, seed=5)
         result = random_search(config, HashForm.SHALLOW)

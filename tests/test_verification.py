@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,6 @@ from zqhash.search import _draw_rows
 from zqhash.statevec import run_circuit, zero_state
 from zqhash.verification import (
     MAX_VERIFY_WORK,
-    _stacked_grams,
     _verify_work,
     check_inner_products,
     check_ucr_decomposition,
@@ -268,11 +268,23 @@ def circuit_of(form):
 
 
 def stacked_grams(param_sets, form):
-    # The block Gram matrices of one circuit form, one per set.
+    # The block Gram matrices of one circuit form, one per set, from the
+    # chunk's cells as `_chunk_gaps` hands their first row to its first
+    # gap, before any gap overwrites them.
     factors = np.array([params.elements for params in param_sets], dtype=np.int64)
     q = np.array([params.q for params in param_sets], dtype=np.int64)
-    flat = _stacked_grams(factors, q)[FORMS.index(form)]
-    pieces = np.split(flat, np.cumsum(q * q)[:-1])
+    gap, cells = verification._gap, []
+
+    def first_sees_cells(a, b):
+        if not cells:
+            cells.append(a.base.copy())
+        return gap(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_gap", first_sees_cells)
+        verification._chunk_gaps(factors, q)
+    assert cells[0].shape == (5, int((q * q).sum()))
+    pieces = np.split(cells[0][FORMS.index(form)], np.cumsum(q * q)[:-1])
     return [piece.reshape(m, m) for piece, m in zip(pieces, q.tolist())]
 
 
@@ -419,6 +431,68 @@ class TestRunAllChecksInputs:
     def test_rejects_the_caps_past_the_budget(self, kwargs):
         with pytest.raises(ValueError, match="budget"):
             run_all_checks(**kwargs)
+
+
+class TestCheckInputs:
+    # The public checks refuse what run_all_checks refuses, before any
+    # work: no set is drawn and no basis input is built. Unchecked, a
+    # negative seed would loop forever in the stream port's seed words.
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ["_draw_rows", "StateVector"]:
+            monkeypatch.setattr(verification, name, started)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (([1],), "q value must be in"),
+            (([5, 3.5],), "q value must be an integer"),
+            (([],), "number of q values must be at least 1"),
+            (([5], -1), "sets_per_q must be at least 1"),
+            (([5], 2, 0), "n_max must be in"),
+            (([5], 2, 3, -4), "seed must be at least 0"),
+        ],
+        ids=["q_1", "q_float", "no_q", "negative_sets", "n_max_0", "negative_seed"],
+    )
+    def test_inner_products_rejects(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_inner_products(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0,), "n_max must be in"),
+            ((3, 0), "vectors_per_n must be at least 1"),
+            ((3, 2, -1), "seed must be at least 0"),
+        ],
+        ids=["n_max_0", "no_vectors", "negative_seed"],
+    )
+    def test_ucr_decomposition_rejects(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_ucr_decomposition(*args)
+
+
+class TestMemory:
+    def test_largest_single_set(self):
+        # One set at q = 1,144, the largest q_max accepted at n_max = 1 and
+        # one trial. The chunk's five rows of cells (three Grams, two
+        # closed forms) are the q x q arrays it holds; each gap writes over
+        # its second operand and the closed forms at |i - j| are copied
+        # from sliding windows, so no sixth one appears. Measured 52.5 MB =
+        # 5.02 * 8 q**2 bytes; with a q x q index and a difference buffer
+        # as well it measured 73.3 MB.
+        q = 1144
+        tracemalloc.start()
+        try:
+            results = check_inner_products([q], 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(result.passed for result in results)
+        assert peak < 5.5 * 8 * q * q
 
 
 class TestWorkBudget:
