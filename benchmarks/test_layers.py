@@ -11,6 +11,7 @@ same work.
 import random
 
 import numpy as np
+import pytest
 
 from zqhash.analysis import _sweep, collision_resistance, epsilon_of_biased_set
 from zqhash.cli import _report_outputs, dumps_report
@@ -66,15 +67,26 @@ def test_verify_largest_set(benchmark):
     assert all(result.passed for result in results)
 
 
-def test_gate_kernel(benchmark):
+def test_verify_wide_chunks(benchmark):
+    # Sets whose Grams are wide: q = 560..600 at n <= 2, each over the
+    # chunk's bound on Gram cells, so each runs in a chunk of its own.
+    results = benchmark(check_inner_products, range(560, 601), 1, 2)
+    assert all(result.passed for result in results)
+
+
+@pytest.mark.parametrize("order", ["F", "C"], ids=["amplitude_major", "row_major"])
+def test_gate_kernel(benchmark, order):
     # One controlled Ry with per-row angles on a (527, 64) batch: the rows
-    # of every q = 2..32 set of one width in verify-sim's shallow run.
+    # of every q = 2..32 set of one width in verify-sim's shallow run,
+    # stored as zero_state stores a batch, or row by row.
     state = zero_state(6, batch=527)
+    state.amplitudes = np.asarray(state.amplitudes, order=order)
     for qubit in range(5):
         apply_h(state, qubit)
     angles = np.random.default_rng(5).uniform(0.0, 4.0 * np.pi, size=527)
     state = benchmark(apply_controlled_ry, state, [(2, 1)], 5, angles)
     assert state.amplitudes.shape == (527, 64)
+    assert state.amplitudes.flags[f"{order}_CONTIGUOUS"]
 
 
 def test_block_circuits(benchmark):

@@ -189,6 +189,24 @@ _KEEP = np.array(
 )
 
 
+# The ASCII "0" in every byte of a uint64 word: XOR-ed with it, each digit
+# byte holds its digit, and a "0" is a zero byte.
+_ZEROS = np.uint64(0x3030303030303030)
+
+
+def _trailing_zeros(words: np.ndarray) -> np.ndarray:
+    """The number of "0" digits that end the 16 digits of each row of
+    `words`, their two little-endian uint64 words of eight ASCII digits.
+    A word's zero bytes at the end of its text are its high zero bytes,
+    (64 - bit length) // 8 of them. The bit length is the exponent that
+    np.frexp gives: a word's top byte holds a digit, at most 9, so rounding
+    it to a double moves its bit length by at most one place, within the
+    same byte."""
+    _, bits = np.frexp(np.bitwise_xor(words, _ZEROS).astype(np.float64))
+    zeros = (64 - bits) >> 3
+    return zeros[:, 1] + (zeros[:, 1] == 8) * zeros[:, 0]
+
+
 def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     """Write the text `format_floats` gives each value into the
     (n, _FIELD) uint8 rows of `out`, NUL wherever a byte is dropped; the
@@ -215,7 +233,7 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     computed &= k < 0
     out[:, :7] = _TEMPLATE
     out[:, 7] = _write_digits(r, out.view("<u4")[:, 2:]) + ord("0")
-    trailing = np.argmax(out[:, 23:6:-1] != ord("0"), axis=1)
+    trailing = _trailing_zeros(out.view("<u8")[:, 1:])
     small = np.flatnonzero(k < -4)
     if small.size:  # move them into exponent notation
         moved = out[small]

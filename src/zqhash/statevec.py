@@ -14,6 +14,10 @@ Conventions:
     B registers, shape (B, 2**m). Gates act on every row; an angle is one
     number or a (B,) array, one per row. Each row of a batched run is
     bitwise the single-state run of its input.
+  - Batches are stored amplitude-major: `zero_state` allocates them in
+    Fortran order, so amplitude i of every row is contiguous and the gate
+    kernel's inner loops run over the rows. `StateVector.copy` keeps the
+    order. A C-ordered batch gives the same bits, more slowly.
   - Gate functions mutate the passed state in place and return it.
   - States are plain data; nothing here touches shared globals, so values
     can be handed freely between threads as long as a single state is not
@@ -31,9 +35,10 @@ MAX_QUBITS = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# H applied to a qubit still in |0> (a1 == 0, as in every hash circuit)
-# gives exactly (a0 + a1) * _INV_SQRT2 and (a0 - a1) * _INV_SQRT2.
-_HADAMARD = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
+# The entries m00, m01, m10, m11 of H. Applied to a qubit still in |0>
+# (a1 == 0, as in every hash circuit) they give exactly (a0 + a1) *
+# _INV_SQRT2 and (a0 - a1) * _INV_SQRT2.
+_HADAMARD = (_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
 
 
 @dataclass
@@ -59,7 +64,8 @@ class StateVector:
         return self.amplitudes.shape[:-1]
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
+        # np.copy keeps the memory order; ndarray.copy makes C order.
+        return StateVector(self.num_qubits, np.copy(self.amplitudes, order="K"))
 
     def norm(self) -> float | np.ndarray:
         """Euclidean norm; an array of one per row for a batch."""
@@ -67,13 +73,16 @@ class StateVector:
 
 
 def zero_state(num_qubits: int, batch: int | None = None) -> StateVector:
-    """All-zeros basis state |0...0> on `num_qubits` qubits; `batch`
-    copies of it stacked along a leading axis when given."""
+    """All-zeros basis state |0...0> on `num_qubits` qubits; when `batch`
+    is given, a (batch, 2**num_qubits) batch of copies of it, stored
+    amplitude-major."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(
             f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
-    amps = np.zeros((() if batch is None else (batch,)) + (1 << num_qubits,))
+    amps = np.zeros(
+        (() if batch is None else (batch,)) + (1 << num_qubits,), order="F"
+    )
     amps[..., 0] = 1.0
     return StateVector(num_qubits, amps)
 
@@ -101,35 +110,39 @@ def _check_wires(num_qubits: int, target: int, controls, mux) -> None:
             raise ValueError(f"control polarity must be 0 or 1, got {bit!r}")
 
 
-def _ry_matrix(theta) -> np.ndarray:
-    # Shape (2, 2) + shape of theta. The entry -s makes the kernel's
-    # c*a0 + (-s)*a1 bit-equal to c*a0 - s*a1.
+def _ry_entries(theta) -> tuple[np.ndarray, ...]:
+    # The entries m00, m01, m10, m11 of Ry(theta), each of theta's shape.
+    # The entry -s makes the kernel's c*a0 + (-s)*a1 bit-equal to
+    # c*a0 - s*a1.
     half = np.asarray(theta, dtype=np.float64) / 2.0
     if not np.isfinite(half).all():
         raise ValueError("rotation angles must be finite")
     cos_half, sin_half = np.cos(half), np.sin(half)
-    return np.array([[cos_half, -sin_half], [sin_half, cos_half]])
+    return cos_half, -sin_half, sin_half, cos_half
 
 
 def _apply_2x2(
-    state: StateVector, target: int, controls, mux, matrix: np.ndarray
+    state: StateVector, target: int, controls, mux, entries
 ) -> StateVector:
-    """The one gate kernel: real 2x2 `matrix` [[m00, m01], [m10, m11]] on
-    `target`, on the subspace where each (qubit, bit) of `controls` holds
-    its bit. `matrix` has shape (2, 2) + lead + (2,) * len(mux): lead is ()
-    for one matrix or (B,) for one per row, and the last axes pick the
-    matrix by the value of each multiplexer qubit in `mux`."""
+    """The one gate kernel: the real 2x2 matrix [[m00, m01], [m10, m11]] of
+    `entries` on `target`, on the subspace where each (qubit, bit) of
+    `controls` holds its bit. Each entry has shape (2,) * len(mux) + lead:
+    the first axes pick the matrix by the value of each multiplexer qubit
+    in `mux`, and lead is () for one matrix or (B,) for one per row."""
     m = state.num_qubits
     mux = tuple(mux)
     _check_wires(m, target, controls, mux)
-    # The matrix's batch shape; one unlike the state's fails to broadcast.
-    lead = matrix.shape[2 : matrix.ndim - len(mux)]
+    batch = state.batch
+    lead = np.shape(entries[0])[len(mux) :]
+    if lead and lead != batch:
+        raise ValueError(f"angles of batch shape {lead} for a state of {batch}")
     # View the amplitudes with one axis per gate wire and one per run of
-    # the other qubits, so a pair slice has few, long axes: the batch axis,
-    # then the runs and the multiplexer wires, which `entry` sizes.
+    # the other qubits, then the batch axis, so a pair slice has few, long
+    # axes: the runs and the multiplexer wires, which `entry` sizes, then
+    # the rows, which amplitude-major storage keeps contiguous.
     pinned = dict(controls)
     shape: list[int] = []
-    lo: list[object] = [Ellipsis]
+    lo: list[object] = []
     entry: list[int] = []
     in_run = False
     for qubit in range(m):
@@ -147,24 +160,32 @@ def _apply_2x2(
         else:
             lo.append(slice(None))
             entry.append(2 if wire else 1)
-    if lead or mux:
-        first = 2 + len(lead)
+    if mux:
+        # Multiplexer axes in qubit order, sized like the pair slices, then
+        # the rows (one, for angles shared by a batch).
         order = sorted(range(len(mux)), key=mux.__getitem__)
-        matrix = matrix.transpose(*range(first), *(first + i for i in order))
-        matrix = matrix.reshape(matrix.shape[:first] + tuple(entry))
-    view = state.amplitudes.reshape(state.batch + tuple(shape))
-    lo, hi = tuple(lo), (*lo[:split], 1, *lo[split + 1 :])
-    a0 = view[lo].copy()
-    a1 = view[hi].copy()
-    view[lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    view[hi] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+        axes = (*order, *range(len(mux), len(mux) + len(lead)))
+        sizes = tuple(entry) + (lead or (1,) * len(batch))
+        entries = [np.transpose(e, axes).reshape(sizes) for e in entries]
+    m00, m01, m10, m11 = entries
+    # Splitting the leading axis of amplitudes.T only: a view in either
+    # memory order.
+    view = state.amplitudes.T.reshape(tuple(shape) + batch)
+    v0 = view[(*lo, Ellipsis)]
+    v1 = view[(*lo[:split], 1, *lo[split + 1 :], Ellipsis)]
+    a0 = v0.copy()
+    np.multiply(m00, a0, out=v0)
+    v0 += m01 * v1
+    # m11*a1 + m10*a0 is bit-equal to m10*a0 + m11*a1: IEEE sums commute.
+    np.multiply(m11, v1, out=v1)
+    v1 += m10 * a0
     return state
 
 
 def apply_ry(state: StateVector, target: int, theta) -> StateVector:
     """Rotate `target` about the Bloch y-axis by `theta` (a number, or a
     (B,) array for a batch), in place."""
-    return _apply_2x2(state, target, (), (), _ry_matrix(theta))
+    return _apply_2x2(state, target, (), (), _ry_entries(theta))
 
 
 def apply_h(state: StateVector, target: int) -> StateVector:
@@ -178,7 +199,7 @@ def apply_controlled_ry(
     """Ry(theta) on `target`, restricted to basis states where every control
     qubit holds its required bit. Controls are (qubit, bit) pairs; bit 1 is a
     filled dot, bit 0 an open dot. `theta` as in `apply_ry`. In place."""
-    return _apply_2x2(state, target, tuple(controls), (), _ry_matrix(theta))
+    return _apply_2x2(state, target, tuple(controls), (), _ry_entries(theta))
 
 
 def apply_ucr(
@@ -193,7 +214,9 @@ def apply_ucr(
     if thetas.shape[-1:] != (1 << n,):
         raise ValueError(f"need 2**{n} angles for {n} controls, got {thetas.shape}")
     thetas = thetas.reshape(thetas.shape[:-1] + (2,) * n)
-    return _apply_2x2(state, target, (), control_qubits, _ry_matrix(thetas))
+    if thetas.ndim > n:  # one axis per control qubit, then the rows
+        thetas = np.moveaxis(thetas, 0, -1)
+    return _apply_2x2(state, target, (), control_qubits, _ry_entries(thetas))
 
 
 def inner_product(a: StateVector, b: StateVector) -> float:

@@ -22,13 +22,14 @@ modulus q is what default_rng([seed, q, index]) draws: a size in
 [1, n_max], then its entries in [0, q). The sets are drawn a block at a
 time from the package's port of that stream (`search._draw_rows`). The
 sets of one size are then checked together, in chunks of at most
-`_BATCH_AMPLITUDES` amplitudes per run: `hashing._block_circuits` writes
-the angles of all their circuits at once, one batched run per circuit
-gives each set's single-qubit, shallow and sum-qubit Gram matrix from its
-own block of rows, and their closed forms and subset-sum means are
-evaluated for the whole chunk at once. The multiplexed-Ry check likewise runs all angle
-draws of one width as rows of one batch. `MAX_VERIFY_WORK` bounds the
-work of a whole request.
+`_BATCH_AMPLITUDES` amplitudes per run and `_BATCH_CELLS` Gram cells:
+`hashing._block_circuits` writes the angles of all their circuits at
+once, one batched run per circuit gives each set's single-qubit, shallow
+and sum-qubit Gram matrix from its own block of rows, and their closed
+forms and subset-sum means are evaluated for the whole chunk at once. The
+multiplexed-Ry check likewise runs all angle draws of one width as rows
+of one batch. Batches are stored amplitude-major, as `statevec` stores
+them. `MAX_VERIFY_WORK` bounds the work of a whole request.
 
 Tests prove each check can fail by substituting a faulty angle rule
 (`hashing._TURN_4PI` or `_TURN_2PI`, which the circuit builders read at
@@ -63,7 +64,10 @@ IDENTITY_TOL = 1e-12
 
 # Amplitudes per batched run of either simulated check, so memory stays
 # bounded at any width and any number of sets.
-_BATCH_AMPLITUDES = 1 << 14
+_BATCH_AMPLITUDES = 1 << 16
+# Gram cells, the sum of q**2 over its sets, per chunk of the Gram checks:
+# a chunk holds five arrays of that many cells.
+_BATCH_CELLS = 1 << 17
 
 # Work a verify request may take, in the units of `_verify_work`. On a
 # 2-vCPU x86 VM a unit took 2-6 ns in the Gram checks and 5-7 ns in the
@@ -141,9 +145,9 @@ def check_ucr_decomposition(
             draw = row // dim
             if draw[0] == draw[-1]:
                 draw = draw[0]
-            basis = np.zeros((row.size, dim))
+            basis = np.zeros((row.size, dim), order="F")  # amplitude-major
             basis[np.arange(row.size), row % dim] = 1.0
-            multiplexed = StateVector(n + 1, basis.copy())
+            multiplexed = StateVector(n + 1, np.copy(basis, order="K"))
             apply_ucr(multiplexed, range(n), n, thetas[draw])
             flat = StateVector(n + 1, basis)
             apply_ry(flat, n, base[draw])
@@ -205,7 +209,8 @@ def _chunk_gaps(
     for k, (stop, m, piece) in enumerate(zip(stops, q.tolist(), pieces)):
         out = piece.reshape(5, m, m)
         for state, gram in zip(states, out):
-            block = state[stop - m : stop]
+            # One C-ordered buffer, so the product is BLAS syrk.
+            block = np.ascontiguousarray(state[stop - m : stop])
             np.matmul(block, block.T, out=gram)
         out[3:] = at_distance[:, k, :m, :m]
     single, shallow, with_sum, expected, expected_sum = cells
@@ -219,14 +224,18 @@ def _chunks(
     members: np.ndarray, q: np.ndarray, size: int
 ) -> Iterator[np.ndarray]:
     # Runs of consecutive sets of one size whose rows fit
-    # _BATCH_AMPLITUDES at the widest circuit, n + 1 qubits; a set larger
-    # than that runs alone.
-    start = rows = 0
+    # _BATCH_AMPLITUDES at the widest circuit, n + 1 qubits, and whose
+    # Grams fit _BATCH_CELLS; a set larger than either runs alone.
+    start = rows = cells = 0
     for i, count in enumerate(q[members].tolist()):
-        if i > start and (rows + count) << (size + 1) > _BATCH_AMPLITUDES:
+        if i > start and (
+            (rows + count) << (size + 1) > _BATCH_AMPLITUDES
+            or cells + count * count > _BATCH_CELLS
+        ):
             yield members[start:i]
-            start, rows = i, 0
+            start, rows, cells = i, 0, 0
         rows += count
+        cells += count * count
     yield members[start:]
 
 
@@ -242,9 +251,10 @@ def check_inner_products(
     index]): a size in [1, n_max], then its entries in [0, q). The sets
     are drawn in blocks of _SET_BLOCK; within a block the sets of one size
     are simulated together, one batched run per circuit and per chunk of
-    at most _BATCH_AMPLITUDES amplitudes, and their closed forms are
-    evaluated together per chunk. Raises ValueError, before any work, on
-    an argument run_all_checks would refuse or on no moduli."""
+    at most _BATCH_AMPLITUDES amplitudes and _BATCH_CELLS Gram cells, and
+    their closed forms are evaluated together per chunk. Raises
+    ValueError, before any work, on an argument run_all_checks would
+    refuse or on no moduli."""
     q_values = np.array(
         [_check_sweep_modulus(q, "q value") for q in q_values], dtype=np.int64
     )

@@ -455,11 +455,20 @@ GOLDEN_DIGESTS = [
     ),
     # Recorded from the two walks over a chunk's sets, one for the Grams
     # and one for their closed forms, that the one walk replaced. Eleven
-    # sets of size 5 with q > 256 pass _BATCH_AMPLITUDES and run alone;
-    # the other chunks mix moduli.
+    # sets of size 5 with q > 256 passed the 2**14 amplitudes a chunk then
+    # held and ran alone; under the bound on Gram cells no two of them
+    # share a chunk. The other chunks mix moduli.
     (
         "verify --q-max 300 --n-max 5 --trials 1 --seed 4",
         "0e15d7199d37366a58f5c0fae30aadd9f4dddeaf0015c70743e6cd6e041957a1",
+    ),
+    # Recorded from the row-major batches and amplitude-only chunks that
+    # amplitude-major storage and the bound on Gram cells replaced: many
+    # sets of few amplitudes, in 15 chunks then and 46 under the cell
+    # bound.
+    (
+        "verify --q-max 200 --n-max 2 --trials 2 --seed 9",
+        "e6d77f486d022b6a26dd9b7f2e45d57a7a4562429d8feeb54dcf3137f9470d51",
     ),
     # Recorded from the stream port on four 32-bit limbs that the uint64
     # (high, low) one replaced, at the port's edges: the largest accepted

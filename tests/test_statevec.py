@@ -304,15 +304,19 @@ def _random_batched_circuit(rng, num_qubits, batch, length):
                 row.append(GateOp("h", target=wires[0]))
             continue
         if kind == "ucr":
-            angles = rng.uniform(-9, 9, size=(batch, 4))
+            shared = rng.random() < 0.25
+            angles = rng.uniform(-9, 9, size=4 if shared else (batch, 4))
             controls = tuple(wires[1:3])
             batched.append(
                 GateOp("ucr", target=wires[0], control_qubits=controls, angles=angles)
             )
             for b, row in enumerate(rows):
-                row.append(replace(batched[-1], angles=tuple(angles[b])))
+                row_angles = angles if shared else angles[b]
+                row.append(replace(batched[-1], angles=tuple(row_angles.tolist())))
             continue
-        controls = ((wires[1], int(rng.integers(0, 2))),) if kind == "cry" else ()
+        # One or two controls, each open or filled.
+        width = int(rng.integers(1, 3)) if kind == "cry" else 0
+        controls = tuple((w, int(rng.integers(0, 2))) for w in wires[1 : 1 + width])
         if rng.random() < 0.25:
             angle = float(rng.uniform(-9, 9))
             per_row = [angle] * batch
@@ -326,22 +330,36 @@ def _random_batched_circuit(rng, num_qubits, batch, length):
 
 
 class TestBatch:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_batch_equals_single_runs_bitwise(self, seed, batch):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from("CF"))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_single_runs_bitwise(self, seed, batch, order):
+        # Either memory order of the batch gives the same bits, in place.
         rng = np.random.default_rng(seed)
         starts = np.stack([random_state(rng, 4).amplitudes for _ in range(batch)])
         batched_ops, row_ops = _random_batched_circuit(rng, 4, batch, 12)
-        batched = run_circuit(StateVector(4, starts.copy()), batched_ops)
+        amplitudes = np.array(starts, order=order)
+        batched = run_circuit(StateVector(4, amplitudes), batched_ops)
+        assert batched.amplitudes is amplitudes
         for b in range(batch):
             single = run_circuit(StateVector(4, starts[b].copy()), row_ops[b])
-            assert np.array_equal(batched.amplitudes[b], single.amplitudes)
+            assert amplitudes[b].tobytes() == single.amplitudes.tobytes()
 
     def test_zero_state_batch(self):
         state = zero_state(2, batch=3)
         assert state.batch == (3,)
         assert np.array_equal(state.amplitudes, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+        # Stored amplitude-major.
+        assert state.amplitudes.flags.f_contiguous
+        assert not state.amplitudes.flags.c_contiguous
         assert zero_state(2).batch == ()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_copy_keeps_memory_order(self, order):
+        state = StateVector(2, np.array(np.eye(4)[:3], order=order))
+        copied = state.copy()
+        assert copied.amplitudes.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(copied.amplitudes, state.amplitudes)
+        assert not np.shares_memory(copied.amplitudes, state.amplitudes)
 
     def test_norm_per_row(self):
         state = StateVector(1, [[1.0, 0.0], [0.6, 0.8], [2.0, 0.0]])

@@ -182,6 +182,23 @@ class TestCheckGranularity:
         chunks = len(drawn) if budget else len({size for _, _, size in drawn})
         assert runs[0] == 3 * chunks
 
+    @pytest.mark.parametrize(
+        "q, size, expected",
+        [
+            # 300**2 + 200**2 cells fit 2**17 and a further 100**2 do not;
+            # 400**2 alone is over, so that set runs alone.
+            ([300, 200, 100, 30, 30, 400, 2], 1, [2, 3, 1, 1]),
+            # 34 sets of 30 rows of 2**6 amplitudes fit 2**16, 35 do not.
+            ([30] * 40, 5, [34, 6]),
+        ],
+        ids=["cells", "amplitudes"],
+    )
+    def test_chunks_are_bounded_by_amplitudes_and_cells(self, q, size, expected):
+        q = np.array(q)
+        chunks = list(verification._chunks(np.arange(q.size), q, size))
+        assert [chunk.size for chunk in chunks] == expected
+        assert np.concatenate(chunks).tolist() == list(range(q.size))
+
 
 def default_rng_set(seed, q, index, n_max):
     # The per-set draw the block draw replaced: a size, then the entries,
@@ -493,6 +510,20 @@ class TestMemory:
             tracemalloc.stop()
         assert all(result.passed for result in results)
         assert peak < 5.5 * 8 * q * q
+
+    def test_many_large_sets(self):
+        # 41 sets at q = 560..600, each over _BATCH_CELLS, so each runs in
+        # a chunk of its own and the peak is about the largest set's five
+        # q x q arrays: measured 15.6 MB = 5.4 * 8 * 600**2. Chunked by
+        # amplitudes alone, several of them shared a chunk: 96.9 MB.
+        tracemalloc.start()
+        try:
+            results = check_inner_products(range(560, 601), 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(result.passed for result in results)
+        assert peak < 6 * 8 * 600 * 600
 
 
 class TestWorkBudget:
