@@ -52,6 +52,7 @@ from .hashing import (
     HashForm,
     ParamSet,
     _check_int,
+    _check_set,
     build_hash,
 )
 from .statevec import inner_product
@@ -101,6 +102,7 @@ def _phase_mean(q: int, elements: tuple[int, ...], x: int) -> np.complex128:
 
 def bias(biased: BiasedSet, x: int) -> float:
     """Magnitude of the mean q-th-root-of-unity phase of B at point x."""
+    _check_set(biased, BiasedSet, "bias")
     x = _check_int(x, "x", 0, biased.q - 1, f"[0, q) with q={biased.q}")
     return float(abs(_phase_mean(biased.q, biased.elements, x)))
 
@@ -108,14 +110,16 @@ def bias(biased: BiasedSet, x: int) -> float:
 def shift_normalize(biased: BiasedSet) -> BiasedSet:
     """Translate B so its first element is 0; bias at every x is unchanged
     because a common shift only rotates the summed phases."""
+    _check_set(biased, BiasedSet, "shift_normalize")
     first = biased.elements[0]
     return BiasedSet(biased.q, tuple(b - first for b in biased.elements))
 
 
 def _table_sweep(
-    table: np.ndarray, modulus: int, q: int, factors: list, combine: np.ufunc
+    table: np.ndarray, q: int, factors: list, combine: np.ufunc
 ) -> np.ndarray:
-    # table[(s * x) % modulus] for every factor s at every x in [1, q): the
+    # table[(s * x) % modulus] for every factor s at every x in [1, q),
+    # where the modulus is the table's size, the period of its terms: the
     # first factor's values are written and each later factor's combined
     # into them in order, so every value gets the IEEE operations of the
     # direct evaluation in that order. A factor is a Python int, or a
@@ -127,6 +131,7 @@ def _table_sweep(
     # shifted by (s * start) % modulus; every shifted residue is below
     # 2 * modulus, which take's wrap mode maps back into [0, modulus) by one
     # subtraction.
+    modulus = table.size
     width = min(_SWEEP_BLOCK, q - 1)
     steps = np.arange(1, width + 1, dtype=np.int64)
     out = np.empty(np.shape(factors[0])[:-1] + (q - 1,), dtype=table.dtype)
@@ -154,6 +159,7 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     """Worst bias of B over all x in [1, q), with the full per-x table.
     Raises ValueError past the sweep cap on q, or when |B| * (q - 1)
     exceeds MAX_BIAS_EVALS."""
+    _check_set(biased, BiasedSet, "epsilon_of_biased_set")
     q = biased.q
     _check_sweep_modulus(q)
     if biased.size * (q - 1) > MAX_BIAS_EVALS:
@@ -163,7 +169,7 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     # then adds roots[(b*x) % q] for every b of B, in B's order, so every
     # value gets the same IEEE additions as that direct sum.
     roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
-    total = _table_sweep(roots, q, q, list(biased.elements), np.add)
+    total = _table_sweep(roots, q, list(biased.elements), np.add)
     # The table's last use: free it, then divide in place, so the peak at
     # the cap is the roots and the total, not a third q-sized complex.
     del roots
@@ -215,6 +221,7 @@ def closed_inner_single(
 ) -> float:
     """Inner product of the single-qubit-form hashes of x1 and x2, evaluated
     in closed form. Depends only on x1 - x2."""
+    _check_set(params, ParamSet, "closed_inner_single")
     dx = _check_int(x1, "x1", None) - _check_int(x2, "x2", None)
     return float(
         _closed_inner_values(params.q, params.elements, dx, include_sum_qubit)
@@ -225,6 +232,7 @@ def closed_inner_shallow(params: ParamSet, x1: int, x2: int) -> float:
     """Inner product of the shallow-form hashes of x1 and x2. Equals the
     single-qubit value with the sum qubit on, so this evaluates that same
     expression; simulation provides the independent cross-check."""
+    _check_set(params, ParamSet, "closed_inner_shallow")
     return closed_inner_single(params, x1, x2, include_sum_qubit=True)
 
 
@@ -267,7 +275,7 @@ def _sweep(
     if 2 * q <= np.size(factors[0]):
         values = _square_sweep(table, q, factors)
     else:
-        values = _table_sweep(table, 2 * q, q, factors, np.multiply)
+        values = _table_sweep(table, q, factors, np.multiply)
     return np.abs(values, out=values)
 
 
@@ -300,6 +308,7 @@ def collision_resistance(
     """Worst |inner product| over all nonzero differences mod q, from the
     closed form, with `form` a HashForm or its value. The standard and
     shallow forms share the shallow value."""
+    _check_set(params, ParamSet, "collision_resistance")
     values = _sweep(params.q, params.elements, form, include_sum_qubit)
     return _report_from_values(params.q, values)
 
@@ -307,6 +316,7 @@ def collision_resistance(
 def cosine_sum_check(biased: BiasedSet, x: int) -> tuple[float, float]:
     """(|mean cosine|, |mean phase|) of B at x != 0. The first never exceeds
     the second, since the cosine sum is the real part of the phase sum."""
+    _check_set(biased, BiasedSet, "cosine_sum_check")
     x = _check_int(x, "x", 1, biased.q - 1, f"[1, q) with q={biased.q}")
     mean = _phase_mean(biased.q, biased.elements, x)
     return float(abs(mean.real)), float(abs(mean))

@@ -145,6 +145,17 @@ class BiasedSet:
         return len(self.elements)
 
 
+def _check_set(hash_set: object, kind: type, user: str) -> None:
+    # ParamSet and BiasedSet have the same shape, so a set of the other
+    # kind would run and give a silently wrong answer. Every public
+    # function that takes a set refuses any other kind, naming its own.
+    if not isinstance(hash_set, kind):
+        raise ValueError(
+            f"{user} cannot take a {type(hash_set).__name__}; "
+            f"it takes a {kind.__name__}"
+        )
+
+
 class HashForm(enum.Enum):
     STANDARD = "standard"
     SHALLOW = "shallow"
@@ -153,6 +164,7 @@ class HashForm(enum.Enum):
 
 def linear_combination(params: ParamSet, j: int) -> int:
     """Subset sum of S selected by the bits of j (qubit-0 bit first), mod q."""
+    _check_set(params, ParamSet, "linear_combination")
     n = params.size
     if not 0 <= j < 1 << n:
         raise ValueError(f"index {j} out of range for {n} parameters")
@@ -165,6 +177,7 @@ def linear_combination(params: ParamSet, j: int) -> int:
 
 def derive_biased_set(params: ParamSet) -> BiasedSet:
     """The residue set of all 2**n subset sums of S, in address order."""
+    _check_set(params, ParamSet, "derive_biased_set")
     # Doubling from the last parameter, the lowest address bit, up: after
     # element k the list holds every subset sum of elements k.., indexed by
     # the low bits of j, as `linear_combination` selects them. `BiasedSet`
@@ -188,18 +201,17 @@ def _angles(
     x: int | np.ndarray,
     q: int | np.ndarray,
 ) -> float | np.ndarray:
-    # scale*pi * (factor*x mod p) / q. One x as a Python int is exact up to
-    # MAX_MODULUS however large s * x grows. Verify's int64 block takes a
-    # (B, m) factor block with x and q as (B, 1) columns, one column of
-    # angles per factor; it reduces each factor mod p before the product,
-    # which stays below p**2 <= 2**42, and does the same float operations
-    # in the same order, so both paths agree bitwise.
+    # scale*pi * (factor*x mod p) / q, one expression for one x as Python
+    # ints and for verify's int64 block, a (B, m) factor block with x and q
+    # as (B, 1) columns. Both inputs give the same bits. For ints the
+    # residue is the exact int factor*x mod p, however large s * x grows
+    # up to MAX_MODULUS. For a block each factor is reduced mod p before
+    # the product, which stays below p**2 <= 2**42, so the residue is the
+    # same value in int64, and `scale *` casts it to float64 exactly, as
+    # it casts that int. The float operations then run in the same order.
     scale, periods = turn
     p = periods * q
-    if isinstance(x, np.ndarray):
-        residues = ((factor % p) * (x % p)) % p
-        return scale * residues.astype(np.float64) / q
-    return scale * (factor * x % p) / q
+    return scale * ((factor % p) * (x % p) % p) / q
 
 
 def _single_qubit_ops(angles: Sequence) -> tuple[GateOp, ...]:
@@ -218,10 +230,19 @@ def _shallow_ops(angles: Sequence) -> tuple[GateOp, ...]:
     )
 
 
+def _run(ops: Sequence[GateOp], batch: int | None = None) -> StateVector:
+    # The one register rule of every circuit run: every hash circuit's
+    # last gate targets its last qubit (the target of the standard and
+    # shallow forms, the last rotated qubit of the single-qubit form), so
+    # that gate gives the width. A batch runs `batch` rows of it.
+    return run_circuit(zero_state(ops[-1].target + 1, batch), ops)
+
+
 def standard_hash_circuit(biased: BiasedSet, x: int) -> tuple[GateOp, ...]:
     """Gate list for the standard form: H layer on the address register,
     then one multiplexed Ry on the target. Needs |B| to be a power of two,
     and log2|B| + 1 qubits within MAX_QUBITS, checked before any angle."""
+    _check_set(biased, BiasedSet, "the standard form")
     d = biased.size
     if d & (d - 1):
         raise ValueError(f"set size must be a power of two, got {d}")
@@ -242,21 +263,20 @@ def standard_hash_circuit(biased: BiasedSet, x: int) -> tuple[GateOp, ...]:
 
 def build_standard_hash(biased: BiasedSet, x: int) -> StateVector:
     """Hash state of x for an explicit residue set, on log2|B| + 1 qubits."""
-    ops = standard_hash_circuit(biased, x)
-    return run_circuit(zero_state(ops[-1].target + 1), ops)
+    return _run(standard_hash_circuit(biased, x))
 
 
 def shallow_hash_circuit(params: ParamSet, x: int) -> tuple[GateOp, ...]:
     """Gate list for the shallow form: H layer, then one two-qubit controlled
     rotation per parameter, all targeting the last qubit."""
+    _check_set(params, ParamSet, "the shallow form")
     x = _check_int(x, "x", None)
     return _shallow_ops([_angles(_TURN_4PI, s, x, params.q) for s in params.elements])
 
 
 def build_shallow_hash(params: ParamSet, x: int) -> StateVector:
     """Hash state of x built gate-for-gate from the shallow circuit."""
-    ops = shallow_hash_circuit(params, x)
-    return run_circuit(zero_state(params.size + 1), ops)
+    return _run(shallow_hash_circuit(params, x))
 
 
 def single_qubit_hash_circuit(
@@ -264,6 +284,7 @@ def single_qubit_hash_circuit(
 ) -> tuple[GateOp, ...]:
     """Gate list for the entanglement-free form: one Ry per parameter, each
     on its own qubit, plus one more for sum(S) when requested. Depth 1."""
+    _check_set(params, ParamSet, "the single-qubit form")
     x = _check_int(x, "x", None)
     factors = list(params.elements)
     if include_sum_qubit:
@@ -295,8 +316,7 @@ def build_single_qubit_hash(
     params: ParamSet, x: int, include_sum_qubit: bool = False
 ) -> StateVector:
     """Product-state hash of x; n qubits, or n + 1 with the sum qubit."""
-    ops = single_qubit_hash_circuit(params, x, include_sum_qubit)
-    return run_circuit(zero_state(len(ops)), ops)
+    return _run(single_qubit_hash_circuit(params, x, include_sum_qubit))
 
 
 def build_hash(
@@ -314,11 +334,6 @@ def build_hash(
     form = HashForm(form)
     if form is HashForm.STANDARD and isinstance(hash_set, ParamSet):
         hash_set = derive_biased_set(hash_set)
-    kind = BiasedSet if form is HashForm.STANDARD else ParamSet
-    if not isinstance(hash_set, kind):
-        raise ValueError(
-            f"the {form.value} form cannot take a {type(hash_set).__name__}"
-        )
     if form is HashForm.STANDARD:
         return build_standard_hash(hash_set, x)
     if form is HashForm.SHALLOW:

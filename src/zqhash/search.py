@@ -273,11 +273,11 @@ def _draw_rows(
 
 def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:
     """Candidates of trials [start, stop) as a (stop - start, n) int64
-    array: row i equals default_rng([seed, start + i]).integers(1, q, n)."""
-    rows = stop - start
-    if q == 2:  # a one-value range: numpy returns it without drawing
-        return np.ones((rows, n), dtype=np.int64)
-    trials = np.uint64(start) + np.arange(rows, dtype=np.uint64)
+    array: row i equals default_rng([seed, start + i]).integers(1, q, n).
+    At q = 2 numpy returns its one value without drawing; Lemire with span
+    1 accepts every word and gives 0, so the draw below returns it too,
+    and the words it reads belong to that trial's stream alone."""
+    trials = np.uint64(start) + np.arange(stop - start, dtype=np.uint64)
     return _draw_rows((seed,), trials, np.uint64(q - 1), n)[1] + 1
 
 
@@ -359,12 +359,8 @@ def random_search(
 def _lexicographic(q: int, n: int, start: int, stop: int) -> np.ndarray:
     # Candidates [start, stop) of [1, q)**n in lexicographic order: the
     # mixed-radix digits of each linear index, most significant first.
-    index = np.arange(start, stop, dtype=np.int64)
-    rows = np.empty((index.size, n), dtype=np.int64)
-    for j in reversed(range(n)):
-        index, digit = np.divmod(index, q - 1)
-        rows[:, j] = digit + 1
-    return rows
+    digits = np.unravel_index(np.arange(start, stop), (q - 1,) * n)
+    return np.stack(digits, axis=1) + 1
 
 
 def exhaustive_search(

@@ -1,9 +1,10 @@
 """Minimal real-amplitude state-vector simulator.
 
-Supports exactly the gates the hash constructions need: Hadamard, Ry,
-controlled Ry with open or filled controls, and the uniformly controlled
-(multiplexed) Ry. All of these have real matrices, so amplitudes are kept
-as real float64 throughout.
+Gates: Hadamard, Ry, controlled Ry and the uniformly controlled
+(multiplexed) Ry. The package's circuits and self-checks use H, Ry, Ry
+under one filled control and the multiplexed Ry; controlled Ry also takes
+any number of open or filled controls, for the public API. All of these
+have real matrices, so amplitudes are kept as real float64 throughout.
 
 Conventions:
   - Qubit 0 is the most significant bit of a basis index. For a register

@@ -29,7 +29,8 @@ and sum-qubit Gram matrix from its own block of rows, and their closed
 forms and subset-sum means are evaluated for the whole chunk at once. The
 multiplexed-Ry check likewise runs all angle draws of one width as rows
 of one batch. Batches are stored amplitude-major, as `statevec` stores
-them. `MAX_VERIFY_WORK` bounds the work of a whole request.
+them. `MAX_VERIFY_WORK` bounds the work of each check and of a whole
+request.
 
 Tests prove each check can fail by substituting a faulty angle rule
 (`hashing._TURN_4PI` or `_TURN_2PI`, which the circuit builders read at
@@ -45,16 +46,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import _check_sweep_modulus, _closed_inner_pair
-from .hashing import MAX_PARAMS, _block_circuits, _check_int
+from .hashing import MAX_PARAMS, _block_circuits, _check_int, _run
 from .search import _draw_rows
-from .statevec import (
-    StateVector,
-    apply_controlled_ry,
-    apply_ry,
-    apply_ucr,
-    run_circuit,
-    zero_state,
-)
+from .statevec import apply_controlled_ry, apply_ry, apply_ucr, zero_state
 
 DEFAULT_SEED = 0xC0FFEE
 DEVIATION_TOL = 1e-10
@@ -69,12 +63,13 @@ _BATCH_AMPLITUDES = 1 << 16
 # a chunk holds five arrays of that many cells.
 _BATCH_CELLS = 1 << 17
 
-# Work a verify request may take, in the units of `_verify_work`. On a
-# 2-vCPU x86 VM a unit took 2-6 ns in the Gram checks and 5-7 ns in the
-# multiplexed-Ry check, so the largest accepted request runs about a
-# minute. The Gram work grows as q_max**3 and the multiplexed-Ry work as
-# 4**n_max, so without a bound `verify --q-max 20000` or `--n-max 20`
-# would not finish.
+# Work a verify request, or one public check, may take, in the units of
+# `_ucr_work` and `_gram_work`. On a 2-vCPU x86 VM a unit took 2-6 ns in
+# the Gram checks and 5-7 ns in the multiplexed-Ry check, so the largest
+# accepted request runs about a minute. The Gram work grows as q_max**3
+# and the multiplexed-Ry work as 4**n_max, so without a bound `verify
+# --q-max 20000` or `--n-max 20` would not finish, nor would one check
+# called with such arguments.
 MAX_VERIFY_WORK = 10**10
 # A set's fixed cost (about 20 us: its share of the draw, the builds and
 # the comparisons), and a residue pair's comparisons beside its Gram
@@ -105,6 +100,30 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(diff, out=diff)))
 
 
+def _ucr_work(n_max: int, draws: int) -> int:
+    # Work units of check_ucr_decomposition: each multiplexed-Ry draw of
+    # width n runs 2**(n + 1) basis inputs of 2**(n + 1) amplitudes
+    # through n + 1 gates.
+    return draws * sum((n + 1) << (2 * n + 2) for n in range(1, n_max + 1))
+
+
+def _gram_work(squares: int, moduli: int, n_max: int, sets_per_q: int) -> int:
+    # Work units of check_inner_products over `moduli` moduli whose squares
+    # sum to `squares`: each set of modulus q compares q**2 Gram entries,
+    # each a product over up to 2**(n_max + 1) amplitudes plus _PAIR_WORK
+    # of comparisons, and has a fixed cost of _SET_WORK.
+    pairs = squares * ((2 << n_max) + _PAIR_WORK)
+    return sets_per_q * (pairs + moduli * _SET_WORK)
+
+
+def _check_work(work: int, inputs: str) -> None:
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(
+            f"{inputs} need {work:.2e} work units, above the "
+            f"{MAX_VERIFY_WORK:.0e} budget"
+        )
+
+
 def check_ucr_decomposition(
     n_max: int = 6,
     vectors_per_n: int = 50,
@@ -115,10 +134,11 @@ def check_ucr_decomposition(
     componentwise on every basis input. Every (angle draw, basis input)
     pair of one width is a row of one batch, with its draw's angles.
     Raises ValueError, before any work, on an argument run_all_checks
-    would refuse."""
+    would refuse or past MAX_VERIFY_WORK work units."""
     n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
     vectors_per_n = _check_int(vectors_per_n, "vectors_per_n", 1, None)
     seed = _check_int(seed, "seed", 0, None)
+    _check_work(_ucr_work(n_max, vectors_per_n), "n_max and vectors_per_n")
     worst = 0.0
     cases = 0
     for n in range(1, n_max + 1):
@@ -145,11 +165,11 @@ def check_ucr_decomposition(
             draw = row // dim
             if draw[0] == draw[-1]:
                 draw = draw[0]
-            basis = np.zeros((row.size, dim), order="F")  # amplitude-major
-            basis[np.arange(row.size), row % dim] = 1.0
-            multiplexed = StateVector(n + 1, np.copy(basis, order="K"))
+            multiplexed = zero_state(n + 1, batch=row.size)
+            multiplexed.amplitudes[:, 0] = 0.0
+            multiplexed.amplitudes[np.arange(row.size), row % dim] = 1.0
+            flat = multiplexed.copy()
             apply_ucr(multiplexed, range(n), n, thetas[draw])
-            flat = StateVector(n + 1, basis)
             apply_ry(flat, n, base[draw])
             for k in range(n):
                 apply_controlled_ry(flat, [(k, 1)], n, parts[draw, k])
@@ -186,10 +206,9 @@ def _chunk_gaps(
     # The three gaps of check_inner_products over a chunk of sets of one
     # size, and the positions of the sets whose closed forms break the
     # identity. One batched run per circuit holds set k's states of x =
-    # 0..q[k]-1 as a block of rows (every verify circuit's last gate
-    # targets its last qubit, so it gives the width). Row r of `cells`
-    # holds every set's q[k] x q[k] matrix r in turn: the three Grams, each
-    # `block @ block.T` in place, then both closed forms.
+    # 0..q[k]-1 as a block of rows. Row r of `cells` holds every set's
+    # q[k] x q[k] matrix r in turn: the three Grams, each `block @ block.T`
+    # in place, then both closed forms.
     dx = np.arange(q.max())
     column = q[:, None]
     closed = np.stack(_closed_inner_pair(column, factors, dx))
@@ -200,10 +219,7 @@ def _chunk_gaps(
     mirrored = np.concatenate([closed[..., :0:-1], closed], axis=-1)
     at_distance = sliding_window_view(mirrored, dx.size, axis=-1)[:, :, ::-1]
     stops = np.cumsum(q).tolist()
-    states = [
-        run_circuit(zero_state(ops[-1].target + 1, batch=stops[-1]), ops).amplitudes
-        for ops in _block_circuits(factors, q)
-    ]
+    states = [_run(ops, stops[-1]).amplitudes for ops in _block_circuits(factors, q)]
     cells = np.empty((5, int((q * q).sum())))
     pieces = np.split(cells, np.cumsum(q * q)[:-1], axis=1)
     for k, (stop, m, piece) in enumerate(zip(stops, q.tolist(), pieces)):
@@ -254,14 +270,18 @@ def check_inner_products(
     at most _BATCH_AMPLITUDES amplitudes and _BATCH_CELLS Gram cells, and
     their closed forms are evaluated together per chunk. Raises
     ValueError, before any work, on an argument run_all_checks would
-    refuse or on no moduli."""
-    q_values = np.array(
-        [_check_sweep_modulus(q, "q value") for q in q_values], dtype=np.int64
-    )
-    _check_int(q_values.size, "number of q values", 1, None)
+    refuse, on no moduli or past MAX_VERIFY_WORK work units."""
+    moduli = [_check_sweep_modulus(q, "q value") for q in q_values]
+    _check_int(len(moduli), "number of q values", 1, None)
     sets_per_q = _check_int(sets_per_q, "sets_per_q", 1, None)
     n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
     seed = _check_int(seed, "seed", 0, None)
+    squares = sum(q * q for q in moduli)
+    _check_work(
+        _gram_work(squares, len(moduli), n_max, sets_per_q),
+        "q_values, sets_per_q and n_max",
+    )
+    q_values = np.array(moduli, dtype=np.int64)
     count = q_values.size * sets_per_q
     worst = [0.0, 0.0, 0.0]
     diverged = None
@@ -284,7 +304,7 @@ def check_inner_products(
                 f"sum-factor closed form diverged from the subset-sum mean "
                 f"for q={q[first]}, S={elements}"
             )
-    pairs = sets_per_q * int((q_values**2).sum())
+    pairs = sets_per_q * squares
     pair_detail = f"{pairs} residue pairs, all pairs per set"
     equivalence_detail = (
         f"{count} parameter sets, sum-factor closed form equals the "
@@ -300,15 +320,10 @@ def check_inner_products(
 
 
 def _verify_work(q_max: int, n_max: int, trials: int) -> int:
-    # Work units of run_all_checks, per trial: each set of modulus q
-    # compares q**2 Gram entries, each a product over up to 2**(n_max + 1)
-    # amplitudes plus _PAIR_WORK of comparisons, and has a fixed cost of
-    # _SET_WORK; each multiplexed-Ry draw of width n runs 2**(n + 1) basis
-    # inputs of 2**(n + 1) amplitudes through n + 1 gates.
+    # Work units of run_all_checks: both parts over q in [2, q_max].
     squares = q_max * (q_max + 1) * (2 * q_max + 1) // 6 - 1
-    grams = squares * ((2 << n_max) + _PAIR_WORK) + (q_max - 1) * _SET_WORK
-    ucr = sum((n + 1) << (2 * n + 2) for n in range(1, n_max + 1))
-    return trials * (grams + ucr)
+    grams = _gram_work(squares, q_max - 1, n_max, trials)
+    return grams + _ucr_work(n_max, trials)
 
 
 def run_all_checks(
@@ -327,12 +342,7 @@ def run_all_checks(
     trials = _check_int(trials, "trials", 1, None)
     n_max = _check_int(n_max, "n_max", 1, MAX_PARAMS)
     seed = _check_int(seed, "seed", 0, None)
-    work = _verify_work(q_max, n_max, trials)
-    if work > MAX_VERIFY_WORK:
-        raise ValueError(
-            f"q_max, n_max and trials need {work:.2e} work units, above the "
-            f"{MAX_VERIFY_WORK:.0e} budget"
-        )
+    _check_work(_verify_work(q_max, n_max, trials), "q_max, n_max and trials")
     return [
         check_ucr_decomposition(n_max=n_max, vectors_per_n=trials, seed=seed),
         *check_inner_products(

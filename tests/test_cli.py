@@ -413,6 +413,10 @@ GOLDEN_DIGESTS = [
         "search --q 101 --n 4 --trials 2000 --seed 7 --target-epsilon 0.6",
         "d3bfee20f08d4a39a1ff3d0c420bdb0015f74d49c91b3dc9f7656c1d722459ce",
     ),
+    (  # a one-value draw range: every trial draws the candidate (1, 1, 1)
+        "search --q 2 --n 3 --trials 50 --seed 5",
+        "6476294fb5c0aa64c476c5d06e6634d0ce14794fb7b064fb9179f5275cc71967",
+    ),
     (  # sum factor on; history holds two epsilons one ulp apart
         "search --q 64 --n 3 --trials 500 --seed 11 --sum-qubit on",
         "c57e3da8cee4263d3cb02e34be8415c15a3b4d4defe96c83e4ea5971a98f1465",

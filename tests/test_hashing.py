@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zqhash import hashing
-from zqhash.analysis import bias
+from zqhash.analysis import (
+    bias,
+    closed_inner_shallow,
+    closed_inner_single,
+    collision_resistance,
+    cosine_sum_check,
+    epsilon_of_biased_set,
+    shift_normalize,
+)
 from zqhash.hashing import (
     MAX_MODULUS,
     MAX_PARAMS,
@@ -351,6 +359,57 @@ class TestBuildHash:
     def test_unknown_form_raises(self):
         with pytest.raises(ValueError, match="HashForm"):
             build_hash("deep", ParamSet(8, (1, 2)), 1)
+
+
+# Every public function that takes a set, as (name, call on the set, the
+# kind it takes). ParamSet and BiasedSet have the same shape, so each must
+# check the kind itself.
+SET_ENTRY_POINTS = [
+    ("standard_hash_circuit", lambda s: standard_hash_circuit(s, 4), BiasedSet),
+    ("build_standard_hash", lambda s: build_standard_hash(s, 4), BiasedSet),
+    ("shallow_hash_circuit", lambda s: shallow_hash_circuit(s, 4), ParamSet),
+    ("build_shallow_hash", lambda s: build_shallow_hash(s, 4), ParamSet),
+    ("single_qubit_hash_circuit", lambda s: single_qubit_hash_circuit(s, 4), ParamSet),
+    ("build_single_qubit_hash", lambda s: build_single_qubit_hash(s, 4), ParamSet),
+    ("derive_biased_set", derive_biased_set, ParamSet),
+    ("linear_combination", lambda s: linear_combination(s, 1), ParamSet),
+    ("bias", lambda s: bias(s, 1), BiasedSet),
+    ("epsilon_of_biased_set", epsilon_of_biased_set, BiasedSet),
+    ("shift_normalize", shift_normalize, BiasedSet),
+    ("cosine_sum_check", lambda s: cosine_sum_check(s, 1), BiasedSet),
+    ("collision_resistance", lambda s: collision_resistance(s, "shallow"), ParamSet),
+    ("closed_inner_single", lambda s: closed_inner_single(s, 1, 0), ParamSet),
+    ("closed_inner_shallow", lambda s: closed_inner_shallow(s, 1, 0), ParamSet),
+]
+
+
+over_set_entry_points = pytest.mark.parametrize(
+    "call, kind",
+    [entry[1:] for entry in SET_ENTRY_POINTS],
+    ids=[entry[0] for entry in SET_ENTRY_POINTS],
+)
+
+
+class TestSetKind:
+    # A set of each kind that every entry point of that kind accepts: two
+    # parameters, or four residues (a power of two), so only the kind can
+    # make the other kind's entry points refuse it.
+    SAMPLE = {ParamSet: ParamSet(17, (3, 5)), BiasedSet: BiasedSet(17, (3, 5, 7, 9))}
+
+    @over_set_entry_points
+    def test_refuses_the_other_kind(self, call, kind):
+        (other,) = set(self.SAMPLE) - {kind}
+        message = f"cannot take a {other.__name__}; it takes a {kind.__name__}"
+        with pytest.raises(ValueError, match=message):
+            call(self.SAMPLE[other])
+        with pytest.raises(ValueError, match="cannot take a tuple"):
+            call((17, (3, 5)))
+
+    def test_a_biased_set_cannot_pass_the_parameter_cap(self):
+        # 22 residues taken as parameters would give 2**22 subset sums,
+        # past the 2**MAX_PARAMS a ParamSet allows.
+        with pytest.raises(ValueError, match="takes a ParamSet"):
+            derive_biased_set(BiasedSet(101, tuple(range(22))))
 
 
 class TestSeparability:

@@ -15,6 +15,7 @@ from zqhash.search import (
     SearchConfig,
     SearchResult,
     _draw_block,
+    _lexicographic,
     draw_candidate,
     exhaustive_search,
     random_search,
@@ -343,6 +344,22 @@ class TestExhaustiveSearch:
     def test_rejects_bad_inputs(self, q, n):
         with pytest.raises(ValueError):
             exhaustive_search(q, n, HashForm.SHALLOW)
+
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        n=st.integers(1, 4),
+        bounds=st.lists(st.integers(0, 4**4), min_size=2, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_candidates_are_a_slice_of_the_product(self, q, n, bounds):
+        # Any [start, stop) within the space, empty ranges included.
+        start, stop = sorted(min(b, (q - 1) ** n) for b in bounds)
+        rows = _lexicographic(q, n, start, stop)
+        space = itertools.product(range(1, q), repeat=n)
+        assert rows.dtype == np.int64 and rows.shape == (stop - start, n)
+        assert rows.tolist() == [
+            list(row) for row in itertools.islice(space, start, stop)
+        ]
 
     def test_recertification_disagreement_raises(self, monkeypatch):
         # The winner is certified again from scratch, the one call the

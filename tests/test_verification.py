@@ -19,6 +19,8 @@ from zqhash.search import _draw_rows
 from zqhash.statevec import run_circuit, zero_state
 from zqhash.verification import (
     MAX_VERIFY_WORK,
+    _gram_work,
+    _ucr_work,
     _verify_work,
     check_inner_products,
     check_ucr_decomposition,
@@ -162,7 +164,7 @@ class TestCheckGranularity:
         if budget is not None:
             monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", budget)
         drawn, runs = [], [0]
-        draw, run = verification._draw_rows, verification.run_circuit
+        draw, run = verification._draw_rows, verification._run
 
         def counted_draw(keys, index, *args, **kwargs):
             sizes, factors = draw(keys, index, *args, **kwargs)
@@ -174,7 +176,7 @@ class TestCheckGranularity:
             return run(*args)
 
         monkeypatch.setattr(verification, "_draw_rows", counted_draw)
-        monkeypatch.setattr(verification, "run_circuit", counted_run)
+        monkeypatch.setattr(verification, "_run", counted_run)
         run_all_checks(q_max=6, n_max=3, trials=2)
         assert [(q, i) for q, i, _ in drawn] == [
             (q, i) for q in range(2, 7) for i in range(2)
@@ -459,7 +461,7 @@ class TestCheckInputs:
         def started(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        for name in ["_draw_rows", "StateVector"]:
+        for name in ["_draw_rows", "zero_state"]:
             monkeypatch.setattr(verification, name, started)
 
     @pytest.mark.parametrize(
@@ -490,6 +492,37 @@ class TestCheckInputs:
     def test_ucr_decomposition_rejects(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             check_ucr_decomposition(*args)
+
+    # Each public check has the work budget run_all_checks has. Work is
+    # linear in the draws or sets, so one more than the budget holds is the
+    # smallest request past it; at the budget the check starts, and the
+    # fixture stops it at its first draw or basis input.
+    def test_ucr_decomposition_past_the_budget(self):
+        vectors = MAX_VERIFY_WORK // _ucr_work(6, 1)
+        assert _ucr_work(6, vectors + 1) > MAX_VERIFY_WORK
+        with pytest.raises(ValueError, match="^n_max and vectors_per_n need"):
+            check_ucr_decomposition(6, vectors + 1)
+        with pytest.raises(AssertionError, match="a check ran"):
+            check_ucr_decomposition(6, vectors)
+        # 2**21 basis inputs of 2**21 amplitudes at the widest.
+        with pytest.raises(ValueError, match="budget"):
+            check_ucr_decomposition(n_max=MAX_PARAMS, vectors_per_n=1)
+
+    def test_inner_products_past_the_budget(self):
+        sets = MAX_VERIFY_WORK // _gram_work(64**2 + 3**2, 2, 5, 1)
+        assert _gram_work(64**2 + 3**2, 2, 5, sets + 1) > MAX_VERIFY_WORK
+        with pytest.raises(ValueError, match="^q_values, sets_per_q and n_max need"):
+            check_inner_products([64, 3], sets + 1, 5)
+        with pytest.raises(AssertionError, match="a check ran"):
+            check_inner_products([64, 3], sets, 5)
+        # One set at the sweep cap: a q x q Gram of 2**40 cells.
+        with pytest.raises(ValueError, match="budget"):
+            check_inner_products([MAX_SWEEP_MODULUS], 1, 1)
+
+    def test_run_all_checks_work_is_the_sum_of_both_checks(self):
+        squares = sum(q * q for q in range(2, 65))
+        both = _gram_work(squares, 63, 5, 3) + _ucr_work(5, 3)
+        assert _verify_work(64, 5, 3) == both
 
 
 class TestMemory:
