@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from zqhash.analysis import _sweep, collision_resistance, epsilon_of_biased_set
+from zqhash.analysis import _ClosedSweep, collision_resistance, epsilon_of_biased_set
 from zqhash.cli import _report_outputs, dumps_report
 from zqhash.floattext import join_floats
 from zqhash.hashing import (
@@ -23,7 +23,13 @@ from zqhash.hashing import (
     _block_circuits,
     derive_biased_set,
 )
-from zqhash.search import SearchConfig, _draw_block, _draw_rows, random_search
+from zqhash.search import (
+    SearchConfig,
+    _block_rows,
+    _draw_block,
+    _draw_rows,
+    random_search,
+)
 from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
 from zqhash.verification import check_inner_products
 
@@ -150,27 +156,48 @@ def test_random_search(benchmark):
     assert result.trials_run == 2000
 
 
+@pytest.mark.parametrize(
+    "q, n, trials", [(1009, 4, 2000), (10007, 6, 300)], ids=["q1009", "q10007"]
+)
+def test_random_search_table_loop(benchmark, q, n, trials):
+    # Searches on the table loop: 16-row sweep blocks at q = 1009, one row
+    # per block at q = 10007.
+    config = SearchConfig(q=q, n=n, trials=trials, seed=7)
+    result = benchmark(random_search, config, HashForm.SINGLE_QUBIT)
+    assert result.trials_run == trials
+
+
+def _scan_block(q, n, with_sum):
+    # One sweep block of a search at q, as the scan sweeps it: the first
+    # `_block_rows(q)` rows of a 4,096-row draw, through a sweep that has
+    # seen the draw, so it reads the square where the scan does.
+    drawn = _draw_block(7, q, n, 0, 4096)
+    sweep = _ClosedSweep(q, HashForm.SINGLE_QUBIT, with_sum, (_block_rows(q),))
+    sweep.expect(len(drawn))
+    return sweep, drawn[: _block_rows(q)]
+
+
 def test_search_block_sweep(benchmark):
-    # One search-small certification block: 1,310 candidates of 4
-    # parameters at q = 101, every nonzero difference.
-    block = _draw_block(7, 101, 4, 0, 1310)
-    values = benchmark(_sweep, 101, block, HashForm.SINGLE_QUBIT, False)
-    assert values.shape == (1310, 100)
+    # One search-small sweep block: 163 candidates of 4 parameters at
+    # q = 101, every nonzero difference, read from the scan's square.
+    sweep, block = _scan_block(101, 4, False)
+    values = benchmark(sweep, block)
+    assert values.shape == (163, 100)
 
 
 def test_search_block_sweep_square_switch(benchmark):
-    # The largest modulus whose full block (514 rows >= 2q) reads the
-    # cosine square, six parameters and the sum factor.
-    block = _draw_block(7, 256, 6, 0, 514)
-    values = benchmark(_sweep, 256, block, HashForm.SINGLE_QUBIT, True)
-    assert values.shape == (514, 255)
+    # The largest modulus whose scan reads the cosine square: a 64-row
+    # block, six parameters and the sum factor.
+    sweep, block = _scan_block(256, 6, True)
+    values = benchmark(sweep, block)
+    assert sweep.square is not None and values.shape == (64, 255)
 
 
 def test_search_block_sweep_past_switch(benchmark):
-    # One modulus up, whose full block (512 rows < 2q) runs the table loop.
-    block = _draw_block(7, 257, 6, 0, 512)
-    values = benchmark(_sweep, 257, block, HashForm.SINGLE_QUBIT, True)
-    assert values.shape == (512, 256)
+    # One modulus up, whose 64-row blocks run the table loop.
+    sweep, block = _scan_block(257, 6, True)
+    values = benchmark(sweep, block)
+    assert sweep.square is None and values.shape == (64, 256)
 
 
 def test_draw_block(benchmark):

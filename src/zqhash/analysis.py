@@ -26,22 +26,25 @@ verify's chunks, evaluate np.cos directly (`_closed_inner_values`).
 
 A table sweep takes one of two paths. The table loop (`_table_sweep`)
 gathers each factor's terms a block of x at a time; it serves the bias
-sweep, one row, and blocks of rows at large q. A closed-form block of K
-rows with 2q <= K (a full search block at q <= 256) gathers the square
+sweep, one row, and blocks of rows at q > 256. At q <= 256, once at least
+2q rows are to be swept, the closed forms gather the square
 table[(s * d) mod 2q] for s in [0, 2q) and d in [1, q), no more cells than
-one factor of the loop, and then reads each factor as whole rows of it
-(`_square_sweep`). Both read the same table value for every cell and
-multiply in parameter order, so a closed-form sweep is bit-identical to
-the direct route, for one row or for any row of a block.
+one factor of the loop on those rows, and then read each factor as whole
+rows of it (`_square_sweep`). Both read the same table value for every cell
+and multiply in parameter order, so a closed-form sweep is bit-identical to
+the direct route, for one row or for any row of a block. `_ClosedSweep`
+holds one modulus's table, its square once built, and the buffers every
+block is written into, so a search makes each of them once per scan.
 
 Sweeps allocate O(q) arrays and are capped at q <= 2**20. At the cap a
 closed-form sweep peaks at about 24 MB, the 2q-value table and the values,
-and a bias sweep at about 32 MB, its complex roots and totals. A square
-block peaks below the table loop's on the same block. A bias sweep is also
-bounded in work: |B| * (q - 1) <= MAX_BIAS_EVALS.
+and a bias sweep at about 32 MB, its complex roots and totals. The square
+is at most 1 MB, at q = 256. A bias sweep is also bounded in work:
+|B| * (q - 1) <= MAX_BIAS_EVALS.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +61,10 @@ from .hashing import (
 from .statevec import inner_product
 
 _SWEEP_BLOCK = 8192
+
+# Largest modulus whose sweeps build the cosine square: (2q, q - 1)
+# float64 values, at most 1 MB. At q = 10007 one would take 1.6 GB.
+_SQUARE_MAX_Q = 256
 
 # Largest |B| * (q - 1) a bias sweep accepts. The sweep adds one gathered
 # root per (b, x) pair, about 10 ns each at q = 2**20, so the budget is
@@ -115,8 +122,25 @@ def shift_normalize(biased: BiasedSet) -> BiasedSet:
     return BiasedSet(biased.q, tuple(b - first for b in biased.elements))
 
 
+def _loop_buffers(shape: tuple[int, ...], q: int, dtype: np.dtype | type) -> tuple:
+    # The table loop's buffers for rows of leading `shape`: the values at
+    # every x in [1, q), and one block of x of a factor's first residues,
+    # its shifted residues and its gathered terms.
+    width = min(_SWEEP_BLOCK, q - 1)
+    return (
+        np.empty(shape + (q - 1,), dtype=dtype),
+        np.empty(shape + (width,), dtype=np.int64),
+        np.empty(shape + (width,), dtype=np.int64),
+        np.empty(shape + (width,), dtype=dtype),
+    )
+
+
 def _table_sweep(
-    table: np.ndarray, q: int, factors: list, combine: np.ufunc
+    table: np.ndarray,
+    q: int,
+    factors: list,
+    combine: np.ufunc,
+    buffers: tuple | None = None,
 ) -> np.ndarray:
     # table[(s * x) % modulus] for every factor s at every x in [1, q),
     # where the modulus is the table's size, the period of its terms: the
@@ -124,20 +148,19 @@ def _table_sweep(
     # into them in order, so every value gets the IEEE operations of the
     # direct evaluation in that order. A factor is a Python int, or a
     # (K, 1) int64 column with one result row each. The x run in blocks
-    # inside the loop over factors, in buffers that serve every factor, so
-    # only a factor's first block divides: its residues (s * i) % modulus
-    # for i in [1, width], s reduced first (the cap q <= 2**20 keeps s * i
-    # inside int64). Each later block, x = start + i, gathers at them
-    # shifted by (s * start) % modulus; every shifted residue is below
-    # 2 * modulus, which take's wrap mode maps back into [0, modulus) by one
-    # subtraction.
+    # inside the loop over factors, in buffers that serve every factor
+    # (`_loop_buffers`, made here unless the caller owns them), so only a
+    # factor's first block divides: its residues (s * i) % modulus for i in
+    # [1, width], s reduced first (the cap q <= 2**20 keeps s * i inside
+    # int64). Each later block, x = start + i, gathers at them shifted by
+    # (s * start) % modulus; every shifted residue is below 2 * modulus,
+    # which take's wrap mode maps back into [0, modulus) by one subtraction.
     modulus = table.size
-    width = min(_SWEEP_BLOCK, q - 1)
+    if buffers is None:
+        buffers = _loop_buffers(np.shape(factors[0])[:-1], q, table.dtype)
+    out, first, residues, terms = buffers
+    width = first.shape[-1]
     steps = np.arange(1, width + 1, dtype=np.int64)
-    out = np.empty(np.shape(factors[0])[:-1] + (q - 1,), dtype=table.dtype)
-    first = np.empty(out.shape[:-1] + (width,), dtype=np.int64)
-    residues = np.empty_like(first)
-    terms = np.empty(first.shape, dtype=table.dtype)
     for j, s in enumerate(factors):
         s = s % modulus
         np.multiply(steps, s, out=first)
@@ -252,54 +275,105 @@ def simulated_inner(
     )
 
 
+def _cosine_table(q: int) -> np.ndarray:
+    # cos(pi * k / q) for k in [0, 2q), from the same float expression the
+    # direct route evaluates; the float arange is exact, so the table takes
+    # no int64 temporary of its size.
+    table = np.arange(2 * q, dtype=np.float64)
+    table *= np.pi / q
+    return np.cos(table, out=table)
+
+
+def _cosine_square(table: np.ndarray) -> np.ndarray:
+    # The square table[(s * d) % 2q] for s in [0, 2q) and d in [1, q): row
+    # s % 2q holds every difference's term of a factor s, since
+    # (s % 2q) * d = s * d mod 2q.
+    modulus = table.size
+    index = np.multiply.outer(
+        np.arange(modulus, dtype=np.int64), np.arange(1, modulus // 2, dtype=np.int64)
+    )
+    index %= modulus
+    return table.take(index)
+
+
+def _square_sweep(
+    square: np.ndarray, factors: list, values: np.ndarray, terms: np.ndarray
+) -> None:
+    # A block's factors as row gathers of the square at s % 2q, into
+    # `values`, with `terms` for each later factor: every cell reads the
+    # table value `_table_sweep` reads and gets its multiplies, in
+    # parameter order. take copies `out` first in its default raise mode;
+    # the rows are in range, so clip mode gathers straight into it.
+    modulus = len(square)
+    square.take(factors[0][:, 0] % modulus, axis=0, out=values, mode="clip")
+    for s in factors[1:]:
+        values *= square.take(s[:, 0] % modulus, axis=0, out=terms, mode="clip")
+
+
+class _ClosedSweep:
+    """|inner product| of parameter rows (as in `_closed_inner_values`) at
+    every nonzero difference mod q, for any number of blocks of rows at one
+    modulus and form. The cosine table is built once and the square at most
+    once, and every block is written into the same buffers, sized for rows
+    of leading `shape`: () for one row as a tuple, (K,) for blocks of up to
+    K rows. A block's result is a view of those buffers, valid until the
+    next block."""
+
+    def __init__(
+        self,
+        q: int,
+        form: HashForm | str,
+        include_sum_qubit: bool,
+        shape: tuple[int, ...],
+    ) -> None:
+        self.q = _check_sweep_modulus(q)
+        # A form by value too, as `build_hash` takes it; ValueError if
+        # unknown. The standard and shallow forms share the shallow value,
+        # which is single-qubit with the sum factor.
+        form = HashForm(form)
+        self.with_sum = include_sum_qubit if form is HashForm.SINGLE_QUBIT else True
+        self.table = _cosine_table(self.q)
+        self.square: np.ndarray | None = None
+        self.shape = shape
+        self.buffers: tuple | None = None
+
+    def expect(self, rows: int) -> None:
+        # `rows` more rows are coming, in blocks. At q <= _SQUARE_MAX_Q the
+        # first time at least 2q rows come builds the square: 2q (q - 1)
+        # cells, no more than one factor of the table loop on those rows.
+        # Every later block reads it, whatever its size.
+        if self.square is None and 2 * self.q <= rows and self.q <= _SQUARE_MAX_Q:
+            self.square = _cosine_square(self.table)
+
+    def __call__(self, rows: tuple[int, ...] | np.ndarray) -> np.ndarray:
+        # The buffers are made at the first block, so they reuse what a
+        # caller freed before it, such as a scan's first draw.
+        if self.buffers is None:
+            self.buffers = _loop_buffers(self.shape, self.q, np.float64)
+        factors = _factors(rows, self.with_sum)
+        rows_in = tuple(slice(k) for k in np.shape(rows)[:-1])
+        buffers = tuple(b[rows_in] for b in self.buffers)
+        values = buffers[0]
+        if self.square is None:
+            _table_sweep(self.table, self.q, factors, np.multiply, buffers)
+        else:
+            # q <= _SQUARE_MAX_Q < _SWEEP_BLOCK, so the loop's buffer of
+            # terms spans every difference.
+            _square_sweep(self.square, factors, values, buffers[-1])
+        return np.abs(values, out=values)
+
+
 def _sweep(
     q: int,
     rows: tuple[int, ...] | np.ndarray,
     form: HashForm | str,
     include_sum_qubit: bool,
 ) -> np.ndarray:
-    # |inner product| of `rows` (as in `_closed_inner_values`) at every
-    # nonzero difference mod q. The standard and shallow forms share the
-    # shallow value, which is single-qubit with the sum factor.
-    _check_sweep_modulus(q)
-    # A form by value too, as `build_hash` takes it; ValueError if unknown.
-    form = HashForm(form)
-    with_sum = include_sum_qubit if form is HashForm.SINGLE_QUBIT else True
-    # cos(pi * k / q) for k in [0, 2q), from the same float expression the
-    # direct route evaluates; the float arange is exact, so the table takes
-    # no int64 temporary of its size.
-    table = np.arange(2 * q, dtype=np.float64)
-    table *= np.pi / q
-    np.cos(table, out=table)
-    factors = _factors(rows, with_sum)
-    if 2 * q <= np.size(factors[0]):
-        values = _square_sweep(table, q, factors)
-    else:
-        values = _table_sweep(table, q, factors, np.multiply)
-    return np.abs(values, out=values)
-
-
-def _square_sweep(table: np.ndarray, q: int, factors: list) -> np.ndarray:
-    # A block of K >= 2q rows. The square table[(s * d) % 2q] for s in
-    # [0, 2q), d in [1, q) costs 2q (q - 1) cells, no more than one factor
-    # of the table loop's K (q - 1). Then a factor is a row gather at s % 2q,
-    # since (s % 2q) * d = s * d mod 2q: every cell reads the table value
-    # `_table_sweep` reads and gets its multiplies, in parameter order.
-    index = np.multiply.outer(
-        np.arange(2 * q, dtype=np.int64), np.arange(1, q, dtype=np.int64)
-    )
-    index %= 2 * q
-    square = table.take(index)
-    # Freed before the gathers, so the peak is the square, the values and
-    # one buffer of terms, below the table loop's on the same block.
-    del index
-    values = square.take(factors[0][:, 0] % (2 * q), axis=0)
-    terms = np.empty_like(values)
-    # take copies `out` first in its default raise mode; the rows are in
-    # range, so clip mode gathers the same rows straight into it.
-    for s in factors[1:]:
-        values *= square.take(s[:, 0] % (2 * q), axis=0, out=terms, mode="clip")
-    return values
+    # One row as a tuple, or one (K, n) block, as a sweep of its own.
+    shape = np.shape(rows)[:-1]
+    sweep = _ClosedSweep(q, form, include_sum_qubit, shape)
+    sweep.expect(math.prod(shape))
+    return sweep(rows)
 
 
 def collision_resistance(

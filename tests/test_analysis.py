@@ -371,8 +371,8 @@ class TestCosineTableBits:
     )
     @settings(max_examples=40, deadline=None)
     def test_sweep_at_the_square_switch(self, q, offset, n, share, seed, with_sum):
-        # Blocks of K = 2q - 1 rows (table loop), 2q and 2q + 1 (square),
-        # with a share of the elements at q - 1, so the sum factor often
+        # Blocks of K = 2q - 1 rows (table loop), 2q and 2q + 1 (square at
+        # q <= 256), with a share of the elements at q - 1, so the sum factor often
         # passes 2q. Rows come from a drawn seed: K is up to 601.
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, q, size=(2 * q + offset, n))
@@ -385,20 +385,32 @@ class TestCosineTableBits:
             self.assert_bitwise(alone, expected[k])
 
     def test_square_route_from_2q_rows(self):
-        # A block of 2q rows never enters the table loop; one row fewer does.
+        # At q <= 256 a sweep reads the square from the first time 2q rows
+        # come: a block of 2q rows never enters the table loop; one row
+        # fewer does, and so do 2q rows at q = 257. A search draws 4096
+        # rows at a time, so its 163-row sweep blocks at q = 101 read the
+        # square too, bit-identical to the table loop on the same rows.
         q = 101
+        form = HashForm.SINGLE_QUBIT
         rows = np.arange(2 * q * 3, dtype=np.int64).reshape(2 * q, 3) % q
+        count = search._block_rows(q)
+        looped = analysis._sweep(q, rows[:count], form, True)
 
         def refuse(*args):
-            raise AssertionError("the table loop swept a block of 2q rows")
+            raise AssertionError("the table loop swept a block after 2q rows")
 
         with mock.patch.object(analysis, "_table_sweep", refuse):
-            analysis._sweep(q, rows, HashForm.SINGLE_QUBIT, True)
+            analysis._sweep(q, rows, form, True)
+            sweep = analysis._ClosedSweep(q, form, True, (count,))
+            sweep.expect(2 * q)
+            self.assert_bitwise(sweep(rows[:count]), looped)
+        wide = np.arange(2 * 257 * 3, dtype=np.int64).reshape(2 * 257, 3) % 257
         with mock.patch.object(
             analysis, "_table_sweep", wraps=analysis._table_sweep
         ) as loop:
-            analysis._sweep(q, rows[1:], HashForm.SINGLE_QUBIT, True)
-        assert loop.call_count == 1
+            analysis._sweep(q, rows[1:], form, True)
+            analysis._sweep(257, wide, form, True)
+        assert loop.call_count == 2
 
     @given(
         qs=st.lists(
@@ -552,22 +564,22 @@ class TestCollisionResistance:
         assert peak < 3.25 * 8 * q
 
     def test_memory_of_a_square_block(self):
-        # The largest q on the square route: a full search block of 514
-        # rows at q = 256, six parameters and the sum factor. The table
-        # loop measured 4.34 MB = 4.14 * 8 K (q - 1) bytes on this block;
-        # the square route may not exceed it, and measured 3.16 MB (3.01),
-        # the square, the values and one buffer of terms.
+        # The largest q on the square route, in a whole search: q = 256,
+        # six parameters and the sum factor, 600 trials in one draw. The
+        # square and its int64 index, 2 * 8 * 2q (q - 1) bytes, are made
+        # once, and the 64-row sweep blocks read the square into the scan's
+        # buffers. Measured 2.12 MB (2.03 units); making a 514-row block
+        # and its square per 2**17 cells measured 3.18 MB (3.05).
         q = 256
-        count = search._block_rows(q)
-        assert count >= 2 * q
-        rows = search._draw_block(5, q, 6, 0, count)
+        config = search.SearchConfig(q=q, n=6, trials=600, seed=5)
+        assert config.trials >= 2 * q
         tracemalloc.start()
         try:
-            analysis._sweep(q, rows, HashForm.SINGLE_QUBIT, True)
+            search.random_search(config, HashForm.SINGLE_QUBIT, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.15 * 8 * count * (q - 1)
+        assert peak < 2.25 * 8 * 2 * q * (q - 1)
 
 
 class TestCosineSumCheck:

@@ -560,6 +560,22 @@ GOLDEN_DIGESTS = [
         "search --q 257 --n 4 --trials 1100 --seed 3",
         "c5a81b7a12337eb9894c6054522915a799b54d9f74c9594f8182272efcafaffd",
     ),
+    # Recorded from the scan that allocated its sweep per block of 2**17
+    # cells, drawn in the same blocks, before sweep blocks wrote into
+    # buffers the scan owns: table-loop moduli, one with the sum factor,
+    # and a target that stops the scan at trial 540 of 2000.
+    (
+        "search --q 1009 --n 4 --trials 2000 --seed 3",
+        "bc2f7f461149eaad508eab9814f75d81f517201ffca8d751f22fdbef69fffc60",
+    ),
+    (
+        "search --q 4093 --n 5 --trials 400 --seed 8 --sum-qubit on",
+        "e39911a82b4709adb7af0bdb5ad5551e65dfc63ba071879f3b33a427fecd2d6a",
+    ),
+    (
+        "search --q 1009 --n 4 --trials 2000 --seed 3 --target-epsilon 0.83",
+        "a562b5b6577d092c8b47b7eae45d6f4b9df75afb743eaec264486af69a9a5572",
+    ),
 ]
 
 

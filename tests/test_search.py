@@ -1,6 +1,8 @@
 import contextlib
 import itertools
 import math
+import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqhash import search
+from zqhash import analysis, search
 from zqhash.analysis import MAX_SWEEP_MODULUS, collision_resistance
 from zqhash.hashing import MAX_MODULUS, MAX_PARAMS, HashForm, ParamSet
 from zqhash.search import (
@@ -59,14 +61,22 @@ def default_rng_draw(seed, trial, q, n):
     return np.random.default_rng([seed, trial]).integers(1, q, size=n).tolist()
 
 
-# Block sizes in rows; None keeps the default of 2**17 cells per block.
+# Sweep block sizes in rows; None keeps the default of 2**14 cells per
+# block. Draw block sizes in rows; None keeps the default of 4096.
 BLOCK_ROWS = st.sampled_from([1, 2, 7, None])
+DRAW_ROWS = st.sampled_from([1, 2, 3, 7, 64, None])
 
 
 def block_rows(rows):
     if rows is None:
         return contextlib.nullcontext()
     return mock.patch.object(search, "_block_rows", lambda q: rows)
+
+
+def draw_rows(rows):
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(search, "_DRAW_ROWS", rows)
 
 
 class TestSearchConfig:
@@ -446,7 +456,84 @@ class TestBlockScan:
         assert drawn == [1 << i for i in range(len(drawn))]
         assert sum(drawn) < 2 * trials_run
 
+    @given(
+        q=st.one_of(st.integers(2, 120), st.sampled_from([256, 257, 1009])),
+        n=st.integers(1, 5),
+        trials=st.integers(1, 600),
+        seed=st.integers(0, (1 << 64) - 1),
+        target=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        form=FORMS,
+        sum_qubit=st.booleans(),
+        sweep=BLOCK_ROWS,
+        draw=DRAW_ROWS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scan_matches_per_candidate_scan_at_any_blocks(
+        self, q, n, trials, seed, target, form, sum_qubit, sweep, draw
+    ):
+        # Sweep blocks smaller or larger than the draws, so slices of one
+        # draw, seams between draws and the square built partway through a
+        # targeted scan all meet improvements and early stops.
+        rows_at = partial(_draw_block, seed, q, n)
+        with block_rows(sweep), draw_rows(draw):
+            result = search._scan(q, trials, rows_at, form, sum_qubit, target)
+        candidates = (tuple(default_rng_draw(seed, t, q, n)) for t in range(trials))
+        assert_same_result(result, scan_oracle(candidates, q, form, sum_qubit, target))
+
     def test_block_size_bounds_memory(self):
-        assert search._block_rows(101) == (1 << 17) // 100
+        # 2**14 float64 values per sweep block, 128 kB, so a block stays in
+        # cache; a row counts at least 64 cells.
+        assert search._block_rows(101) == (1 << 14) // 100
+        assert search._block_rows(1009) == 16
         assert search._block_rows(MAX_SWEEP_MODULUS) == 1
-        assert search._block_rows(2) == search._block_rows(65) == 2048
+        assert search._block_rows(2) == search._block_rows(65) == 256
+        for q in (66, 101, 256, 1009, 8193, 16385):
+            assert search._block_rows(q) * (q - 1) <= 1 << 14
+
+    @pytest.mark.parametrize(
+        "q, trials, target, squares",
+        [
+            (101, 2000, None, 1),
+            (101, 2000, 0.6, 0),
+            (256, 600, None, 1),
+            (257, 600, None, 0),
+            (1009, 300, None, 0),
+        ],
+    )
+    def test_one_table_and_at_most_one_square_per_scan(
+        self, q, trials, target, squares
+    ):
+        # Every sweep block of a scan reads one cosine table and writes
+        # into one set of buffers, and at q <= 256 reads one square, built
+        # when a draw first holds 2q rows: not by the target scan that
+        # stops at trial 30 of its doubling draws. Re-certifying the winner
+        # makes one more table and set of buffers.
+        config = SearchConfig(q=q, n=4, trials=trials, seed=7, target_epsilon=target)
+        counted = {}
+        with contextlib.ExitStack() as stack:
+            for name in ("_cosine_table", "_cosine_square", "_loop_buffers"):
+                wrapped = mock.patch.object(
+                    analysis, name, wraps=getattr(analysis, name)
+                )
+                counted[name] = stack.enter_context(wrapped)
+            random_search(config, HashForm.SINGLE_QUBIT)
+        assert counted["_cosine_table"].call_count == 2
+        assert counted["_loop_buffers"].call_count == 2
+        assert counted["_cosine_square"].call_count == squares
+
+    @pytest.mark.parametrize("q", [101, 1009])
+    def test_memory_of_a_whole_search(self, q):
+        # search-small's request, and a table-loop modulus: 2,000 trials of
+        # four parameters. The scan makes its table, square and buffers
+        # once; with a 2**17-cell block per sweep it peaked at 2.31 MB
+        # (q = 101) and 4.36 MB (q = 1009), and now measures 0.76 and
+        # 0.75 MB, mostly the draw of 2,000 rows.
+        config = SearchConfig(q=q, n=4, trials=2000, seed=7)
+        random_search(config, HashForm.SINGLE_QUBIT)
+        tracemalloc.start()
+        try:
+            random_search(config, HashForm.SINGLE_QUBIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
