@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from zqhash.analysis import _ClosedSweep, collision_resistance, epsilon_of_biased_set
-from zqhash.cli import _report_outputs, dumps_report
+from zqhash.cli import _report_outputs, dumps_report, render_report
 from zqhash.floattext import join_floats
 from zqhash.hashing import (
     BiasedSet,
@@ -123,6 +123,23 @@ def test_dumps_report(benchmark):
     assert text.count("], [") == (1 << 17) - 2
 
 
+def test_write_table(benchmark):
+    # The resist-wide document written as it renders, into a writer that
+    # drops its input: no whole text is made.
+    params = ParamSet(1 << 17, _residues(1 << 17, 6, 2))
+    report = collision_resistance(params, HashForm.SHALLOW)
+    document = {"command": "resist", "outputs": _report_outputs(report)}
+    written = []
+
+    def write():
+        written.clear()
+        for piece in render_report(document):
+            written.append(len(piece))
+
+    benchmark(write)
+    assert sum(written) > 4_000_000 and len(written) == 33
+
+
 def test_dumps_bias_table(benchmark):
     # The bias-sweep workload's document: a 65,536-row table.
     biased = BiasedSet(65537, _residues(65537, 200, 1))
@@ -136,7 +153,7 @@ def test_join_small_floats(benchmark):
     # A 2**17-row table of values log-uniform in [1e-29, 1e-4): every row
     # in exponent notation, as the rows of a resist table below 1e-4 are.
     values = 10.0 ** np.random.default_rng(8).uniform(-29.0, -4.0, 1 << 17)
-    text = benchmark(join_floats, values, True)
+    text = benchmark(lambda: "".join(join_floats(values, True)))
     assert text.count("e-") == 1 << 17
 
 

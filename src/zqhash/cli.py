@@ -6,19 +6,22 @@ same top-level shape for every command: schema_version, command, inputs,
 outputs, timing_seconds. Floats are printed as `%.17g` prints them, with
 ".0" appended to an integral value that shows no exponent (see
 `floattext`), so documents from identical inputs are byte-identical apart
-from the timing field. Exit codes: 0 on success, 1 when a verification
-check fails, 2 on bad input.
+from the timing field. The document is written as it renders, a table or
+array one block at a time, once every value in it has been checked.
+Exit codes: 0 on success, 1 when a verification check fails, 2 on bad
+input or a failed write.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,9 +73,11 @@ class _Elapsed(NamedTuple):
     started: float
 
 
-def _fragment(value: Any, indent: int, parts: list[str]) -> None:
-    # Appends the text of `value` to `parts`, so a large table's text is
-    # copied once, by the one join in dumps_report.
+def _fragment(value: Any, indent: int, parts: list) -> None:
+    # Appends the text of `value` to `parts`: a str for each small piece,
+    # an iterator of block texts for each table or array (every value
+    # checked when it is appended), and the _Elapsed itself, rendered when
+    # it is written.
     if isinstance(value, bool):
         parts.append("true" if value else "false")
     elif isinstance(value, int):
@@ -99,7 +104,7 @@ def _fragment(value: Any, indent: int, parts: list[str]) -> None:
     elif isinstance(value, _Table):  # before the tuple branch: a _Table is one
         parts.append(join_floats(value.values, indexed=True))
     elif isinstance(value, _Elapsed):  # so is an _Elapsed
-        parts.append(format_floats((time.perf_counter() - value.started,))[0])
+        parts.append(value)
     elif isinstance(value, (list, tuple)):
         parts.append("[")
         for index, item in enumerate(value):
@@ -111,13 +116,53 @@ def _fragment(value: Any, indent: int, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps_report(document: dict[str, Any]) -> str:
-    """Serialize a report document deterministically, floats at 17
-    significant digits, keys in insertion order."""
-    parts: list[str] = []
+def render_report(document: dict[str, Any]) -> Iterator[str]:
+    """The text of a report document, in the pieces it is written in:
+    the small parts before each block of a table or array joined to that
+    block, and the rest after the last block. Every value is checked
+    before the first piece is handed out, so a refused value raises
+    ValueError with nothing written. An _Elapsed is read when its piece
+    renders, after every earlier piece has been written."""
+    parts: list = []
     _fragment(document, 0, parts)
     parts.append("\n")
-    return "".join(parts)
+    pending: list[str] = []
+    for part in parts:
+        if isinstance(part, _Elapsed):
+            part = format_floats((time.perf_counter() - part.started,))[0]
+        if isinstance(part, str):
+            pending.append(part)
+            continue
+        for block in part:
+            pending.append(block)
+            yield "".join(pending)
+            pending = []
+    yield "".join(pending)
+
+
+def dumps_report(document: dict[str, Any]) -> str:
+    """Serialize a report document deterministically, floats at 17
+    significant digits, keys in insertion order: the pieces of
+    `render_report`, joined."""
+    return "".join(render_report(document))
+
+
+def _write_out(path: str, pieces: Iterator[str]) -> None:
+    # Into a new file beside PATH, moved over PATH once complete, so a
+    # failed write leaves PATH as it was; the new file is then removed.
+    # Its name is random and it is opened with "x", so it is never an
+    # existing file, and its mode follows the umask as a plain open's does.
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    file = open(temporary, "x")
+    try:
+        with file:
+            for piece in pieces:
+                file.write(piece)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def parse_residues(text: str) -> list[int]:
@@ -379,26 +424,31 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         inputs, outputs = args.func(args)
-        text = dumps_report(
+        pieces = render_report(
             {
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
                 "inputs": inputs,
                 "outputs": outputs,
-                # Read when rendered, after every other field: it covers
-                # all the work but the one join of the text and its write.
+                # Read when rendered, after every other field is written:
+                # it covers all the work but the write of its own line.
                 "timing_seconds": _Elapsed(started),
             }
         )
         if args.out:
             try:
-                Path(args.out).write_text(text)
+                _write_out(args.out, pieces)
             except OSError as exc:
                 raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
             if not args.quiet:
                 print(f"wrote {args.out}", file=sys.stderr)
         else:
-            sys.stdout.write(text)
+            try:
+                for piece in pieces:
+                    sys.stdout.write(piece)
+                sys.stdout.flush()
+            except OSError as exc:
+                raise ValueError(f"cannot write stdout: {exc.strerror}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -406,4 +456,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; send what stdout still holds
+        # to the null device, so that exit does not fail on it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

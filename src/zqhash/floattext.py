@@ -7,15 +7,25 @@ few values. `join_floats` renders a whole table or array without a Python
 string per value: the 17 digits of each value with 1e-29 <= |v| < 1, all
 but a handful of the rows of a bias or resistance table, are computed
 from a double-double product v * 10**p rounded half to even, the few
-other values go through `format_floats`, and each block of rows goes into
-one byte buffer that is decoded once. Both give the same bytes.
+other values go through `format_floats`, and the text is handed out one
+block of rows at a time, so no buffer holds the whole of it. Both give
+the same bytes.
 """
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise ValueError unless every value is finite: no document holds
+    NaN or an infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[~finite][0])
+        raise ValueError(f"cannot serialize non-finite value {bad!r}")
 
 
 def format_floats(values: Any) -> list[str]:
@@ -27,10 +37,7 @@ def format_floats(values: Any) -> list[str]:
     go through one %-format call, and only the integral ones, few in any
     document, are looked at one by one."""
     values = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = float(values[~finite][0])
-        raise ValueError(f"cannot serialize non-finite value {bad!r}")
+    check_finite(values)
     texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
     texts.pop()
     for i in np.flatnonzero(values == np.floor(values)).tolist():
@@ -165,7 +172,7 @@ def _round_half_even(
 #   and "e-XX".
 # The 17 digits are written as the first and four groups of four, into
 # columns 7 .. 23; exponent rows then move the last 16 to columns 4 .. 19.
-_TEMPLATE = np.frombuffer(b"-0.000\0", np.uint8)
+_TEMPLATE = np.frombuffer(b"-0.000\0\0", np.uint8)  # and the first digit's place
 _EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % j for j in range(30)), np.uint8)
 _EXPONENTS = _EXPONENTS.reshape(30, 4)
 
@@ -187,6 +194,11 @@ _KEEP = np.array(
     [_keep(s, f, d) for s in range(2) for f in range(5) for d in range(18)],
     dtype=np.uint8,
 )
+# Word 5 * sign + form of _PREFIX: the first 8 bytes of a row that keeps
+# all 17 digits, as one little-endian uint64, the template masked by its
+# row of _KEEP; the first digit is written over its last byte. Only a row
+# whose 17 digits end in "0" drops more, about a tenth of the rows.
+_PREFIX = (_TEMPLATE & _KEEP[17::18, :8]).view("<u8").ravel()
 
 
 # The ASCII "0" in every byte of a uint64 word: XOR-ed with it, each digit
@@ -217,11 +229,12 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     |v| * 10**(16 - k) rounded half to even, k being its decimal exponent:
     as "0.", the zeros after the point and the digits for k >= -4, and as
     "d.dddddddddddddddde-XX" below. Those digits are computed, not
-    formatted, and the bytes of the row that its text does not use are
-    masked off with a row of `_KEEP`. Every other row takes the %-format
-    of `format_floats`: zero, subnormals, |v| < 10**-29, |v| >= 1,
-    non-finite values, rows that round up to 1, and rows below 10**-6
-    whose scaled fraction lies within `_GUARD` of one half."""
+    formatted. Each row's sign and notation come from a word of `_PREFIX`,
+    and only the rows whose digits end in "0" are masked with a row of
+    `_KEEP`, to drop their trailing zeros. Every other row takes the
+    %-format of `format_floats`: zero, subnormals, |v| < 10**-29,
+    |v| >= 1, non-finite values, rows that round up to 1, and rows below
+    10**-6 whose scaled fraction lies within `_GUARD` of one half."""
     magnitude = np.abs(values)
     computed = (magnitude >= _LOWEST) & (magnitude < 1.0)
     a = np.where(computed, magnitude, 0.5)  # other rows are overwritten below
@@ -231,9 +244,14 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     computed[unsure] = False
     r, k = _round_half_even(whole, frac, k)
     computed &= k < 0
-    out[:, :7] = _TEMPLATE
+    # Rows that are not computed are overwritten below, whatever row of
+    # _PREFIX and _KEEP they select; "clip" keeps a row carried to k = 0
+    # in range.
+    prefix = (values < 0) * 5 + np.minimum(-1 - k, 4)
+    out.view("<u8")[:, 0] = _PREFIX.take(prefix, mode="clip")
     out[:, 7] = _write_digits(r, out.view("<u4")[:, 2:]) + ord("0")
-    trailing = _trailing_zeros(out.view("<u8")[:, 1:])
+    ends = np.flatnonzero(out[:, _FIELD - 1] == ord("0"))
+    trailing = _trailing_zeros(out.view("<u8")[ends, 1:])
     small = np.flatnonzero(k < -4)
     if small.size:  # move them into exponent notation
         moved = out[small]
@@ -242,41 +260,46 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
         moved[:, 4:20] = moved[:, 8:]
         moved[:, 20:] = _EXPONENTS[-k[small]]
         out[small] = moved
-    row = ((values < 0) * 5 + np.minimum(-1 - k, 4)) * 18 + 17 - trailing
-    # Rows that are not computed are overwritten below, whatever row of
-    # _KEEP they select; "clip" keeps a row carried to k = 0 in range.
-    out &= _KEEP.take(row, axis=0, mode="clip")
+    row = prefix.take(ends) * 18 + 17 - trailing
+    out[ends] &= _KEEP.take(row, axis=0, mode="clip")
     rest = np.flatnonzero(~computed)
     if rest.size:
         texts = np.array(format_floats(values[rest]), dtype=f"S{_FIELD}")
         out[rest] = texts.view(np.uint8).reshape(rest.size, _FIELD)
 
 
-def join_floats(values: Any, indexed: bool) -> str:
-    """"[v1, v2, ...]", or "[[1, v1], [2, v2], ...]" when `indexed`, with
-    each v in the text of `format_floats`. Each block of rows is written
-    into one byte matrix, NUL for every dropped byte, whose NULs one
-    `bytes.translate` deletes before the text is appended to one buffer,
-    which is decoded once. Digits are written in groups through uint16
-    and uint32 views, so the x digits and each float's field start at an
-    even column of a row of even width."""
+def join_floats(values: Any, indexed: bool) -> Iterator[str]:
+    """The text "[v1, v2, ...]", or "[[1, v1], [2, v2], ...]" when
+    `indexed`, with each v in the text of `format_floats`, as one str per
+    block of `_BLOCK_ROWS` rows. Every value is checked to be finite before
+    this returns, so a caller that writes the blocks as they come has
+    written nothing when a value is refused."""
     values = np.asarray(values, dtype=np.float64)
+    check_finite(values)
+    return _blocks(values, indexed)
+
+
+def _blocks(values: np.ndarray, indexed: bool) -> Iterator[str]:
+    # Each block of rows is written into one byte matrix, NUL for every
+    # dropped byte, backed by a bytearray whose NULs one `translate`
+    # deletes. Digits are written in groups through uint16 and uint32
+    # views, so the x digits and each float's field start at an even
+    # column of a row of even width.
     n = values.size
     if n == 0:
-        return "[]"
+        yield "[]"
+        return
     x_width = -(-len(str(n)) // 2) * 2 if indexed else 0
     start = 4 + x_width if indexed else 0
     tail = b"], \0" if indexed else b", "
     width = start + _FIELD + len(tail)
     # Every byte of a block's rows is written, so one matrix serves all.
-    matrix = np.empty((min(n, _BLOCK_ROWS), width), np.uint8)
+    buffer = bytearray(min(n, _BLOCK_ROWS) * width)
+    matrix = np.frombuffer(buffer, np.uint8).reshape(-1, width)
     if indexed:  # NUL "[" x ", " v "], " NUL, x in an even number of columns
         matrix[:, :2] = np.frombuffer(b"\0[", np.uint8)
         matrix[:, start - 2 : start] = np.frombuffer(b", ", np.uint8)
     matrix[:, start + _FIELD :] = np.frombuffer(tail, np.uint8)
-    buffer = np.empty(2 + n * width, np.uint8)
-    buffer[0] = ord("[")
-    end = 1
     for first in range(0, n, _BLOCK_ROWS):
         block = values[first : first + _BLOCK_ROWS]
         rows = matrix[: block.size]
@@ -290,9 +313,11 @@ def join_floats(values: Any, indexed: bool) -> str:
                 short = 10**digits - 1 - first  # rows with x < 10**digits
                 rows[: max(short, 0), 2 : 2 + x_width - digits] = 0
         write_floats(block, rows[:, start : start + _FIELD])
-        text = rows.tobytes().translate(None, b"\0")
-        buffer[end : end + len(text)] = np.frombuffer(text, np.uint8)
-        end += len(text)
-    end -= 2  # the last row's ", "
-    buffer[end] = ord("]")
-    return str(memoryview(buffer[: end + 1]), "ascii")
+        # Only a short last block does not fill the buffer.
+        filled = buffer if rows.size == len(buffer) else buffer[: rows.size]
+        text = filled.translate(None, b"\0")
+        if first == 0:
+            text[:0] = b"["
+        if first + block.size == n:
+            text[-2:] = b"]"  # in place of the last row's ", "
+        yield text.decode("ascii")

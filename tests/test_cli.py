@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from decimal import Decimal
@@ -20,6 +22,7 @@ from numpy.testing import assert_allclose
 
 import zqhash
 from zqhash import cli, floattext, search
+from zqhash.analysis import ResistanceReport
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
 from zqhash.verification import MAX_VERIFY_WORK, CheckResult, _verify_work
@@ -362,21 +365,31 @@ class TestFloatKernel:
             write(values, out)
 
         monkeypatch.setattr(floattext, "write_floats", recorded)
-        values = np.full(8193, 0.25)
-        assert floattext.join_floats(values, indexed=True) == table_oracle(values)
-        assert sizes == [4096, 4096, 1]
+        rows = floattext._BLOCK_ROWS
+        values = np.full(2 * rows + 1, 0.25)
+        pieces = list(floattext.join_floats(values, indexed=True))
+        assert "".join(pieces) == table_oracle(values)
+        assert sizes == [rows, rows, 1]
+        assert len(pieces) == 3
 
-    def test_table_memory_is_the_text_and_one_buffer(self):
-        # The bytes of the text are held twice at the end: in the buffer
-        # and in the decoded str. A whole-table byte matrix measured 6.5x.
+    def test_table_memory_is_one_block(self):
+        # The blocks are handed out one at a time and nothing holds the
+        # whole text: consumed and dropped, a table peaks at one block's
+        # buffers, whatever its length. Measured 1.02 MB for a 2**17-row
+        # table, 249 bytes per row of a block, against 3.95 MB of text;
+        # the one buffer for the text and its decoded str that this
+        # replaced measured 2.1x the text.
         values = np.random.default_rng(3).uniform(0.0, 1.0, 1 << 17)
+        length = 0
         tracemalloc.start()
         try:
-            text = floattext.join_floats(values, indexed=True)
+            for block in floattext.join_floats(values, indexed=True):
+                length += len(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * len(text)
+        assert length > 3_500_000
+        assert peak < 300 * floattext._BLOCK_ROWS
 
 
 # dumps_report joins top-level keys with ",\n" at an indent of two spaces.
@@ -594,15 +607,110 @@ class TestDocuments:
         assert list(json.loads(out))[-1] == "timing_seconds"
 
     def test_timing_covers_rendering(self, capsys, monkeypatch):
-        render = cli.dumps_report
+        # Each block of the table renders 0.05 s late, while the document
+        # is being written; the clock is read after.
+        render = cli.join_floats
 
-        def slow_render(document):
-            time.sleep(0.05)
-            return render(document)
+        def slow_render(values, indexed):
+            for block in render(values, indexed):
+                time.sleep(0.05)
+                yield block
 
-        monkeypatch.setattr(cli, "dumps_report", slow_render)
+        monkeypatch.setattr(cli, "join_floats", slow_render)
         document, _ = run_json(capsys, ["resist", "--q", "7", "--s", "3"])
         assert document["timing_seconds"] >= 0.05
+
+
+class Discard:
+    # A stdout that drops what it is given.
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    BLOCK = floattext._BLOCK_ROWS
+
+    @given(
+        st.sampled_from([0, 1, BLOCK - 1, BLOCK + 1, 3 * BLOCK]),
+        st.integers(0, 2**32 - 1),
+        st.lists(any_bits | fixed_bits | small_bits, max_size=8),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_streamed_parts_join_to_the_document(self, size, seed, bits):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, size)
+        if size:
+            extra = float_bits(bits)
+            values[rng.integers(0, size, extra.size)] = extra
+        document = {"table": cli._Table(values), "amplitudes": values}
+        parts = list(cli.render_report(document))
+        assert "".join(parts) == dumps_report(document) == (
+            '{\n  "table": ' + table_oracle(values)
+            + ',\n  "amplitudes": ' + array_oracle(values) + "\n}\n"
+        )
+        # One part per block of each, and the closing part.
+        assert len(parts) == 2 * max(-(-size // self.BLOCK), 1) + 1
+
+    def test_non_finite_value_in_the_last_block_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        rows = 3 * floattext._BLOCK_ROWS
+        values = np.full(rows, 0.5)
+        values[-1] = math.nan
+        report = ResistanceReport(rows + 1, 0.5, 1, values)
+        monkeypatch.setattr(cli, "collision_resistance", lambda *a, **k: report)
+        argv = ["resist", "--q", str(rows + 1), "--s", "3"]
+        path = tmp_path / "report.json"
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = run_cli(capsys, argv + extra)
+            assert (code, out) == (2, "")
+            assert err == "error: cannot serialize non-finite value nan\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_stdout_write_error_exits_2_with_one_line(self, capsys, monkeypatch):
+        class Full(Discard):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(["resist", "--q", "7", "--s", "3"])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("q", ["7", "131072"])
+    def test_full_device_exits_2_with_one_line(self, q):
+        # Buffered stdout, so the bytes still held at exit are dropped too.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "zqhash", "resist", "--q", q, "--s", "3"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write stdout: No space left on device\n"
+        )
+
+    def test_memory_at_the_sweep_cap(self, monkeypatch):
+        # The sweep's 25.4 MB (see test_analysis) and one block at a time,
+        # into a writer that drops its input: measured 25.6 MB. Rendering
+        # the whole text before writing it peaked at 84.8 MB.
+        monkeypatch.setattr(sys, "stdout", Discard())
+        argv = [
+            "resist", "--q", "1048576", "--s", "12345,67891,222222,777777,31337,5",
+            "--form", "shallow",
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 32e6
 
 
 class TestParseResidues:
@@ -769,6 +877,56 @@ class TestHashCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {path}: {os.strerror(error)}\n"
+
+    def test_out_replaces_an_existing_file(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        code, out, err = run_cli(
+            capsys, ["resist", "--q", "7", "--s", "3", "--out", str(path)]
+        )
+        assert (code, out, err) == (0, "", f"wrote {path}\n")
+        assert json.loads(path.read_text())["outputs"]["worst_x"] == 5
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
+    def test_write_failing_after_the_first_block_leaves_path_as_it_was(
+        self, capsys, monkeypatch, tmp_path, present
+    ):
+        # The file's second write, the table's second block, fails. PATH
+        # keeps its old bytes or stays absent, and no new file is left.
+        path = tmp_path / "report.json"
+        if present:
+            path.write_text("old")
+        real_open = open
+        written = []
+
+        class Full:
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, text):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                return self.file.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a: Full(real_open(*a)), raising=False)
+        q = 2 * floattext._BLOCK_ROWS + 2  # a table of three blocks
+        code, out, err = run_cli(
+            capsys, ["resist", "--q", str(q), "--s", "3", "--out", str(path)]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+        assert len(written) == 1 and '"table": [[1, ' in written[0]
+        assert os.listdir(tmp_path) == (["report.json"] if present else [])
+        if present:
+            assert path.read_text() == "old"
 
 
 class TestBiasCommand:
