@@ -46,6 +46,13 @@ def test_bias_sweep(benchmark):
     assert report.values.shape == (65536,)
 
 
+def test_bias_sweep_composite(benchmark):
+    # The same size at composite q = 65536, which sweeps on the table loop.
+    biased = BiasedSet(65536, _residues(65536, 200, 1))
+    report = benchmark(epsilon_of_biased_set, biased)
+    assert report.values.shape == (65535,)
+
+
 def test_collision_resistance(benchmark):
     # The resist-wide workload's sweep: 6 parameters at q = 2**17.
     params = ParamSet(1 << 17, _residues(1 << 17, 6, 2))

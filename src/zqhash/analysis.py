@@ -36,15 +36,26 @@ the direct route, for one row or for any row of a block. `_ClosedSweep`
 holds one modulus's table, its square once built, and the buffers every
 block is written into, so a search makes each of them once per scan.
 
+At prime q the bias sweep takes a third path, in discrete-log order
+(`_log_sweep`). With g the smallest generator of the nonzero residues and
+R[k] the root at g**k mod q, b = g**L adds R[(k + L) mod (q - 1)] at
+x = g**k. So over a block of x in log order each b adds one contiguous
+window of R, two slices where it wraps, and nothing is gathered until one
+take through an int32 log table puts the magnitudes back in x order. Every
+x adds the same roots in the same order as on the table loop, so the
+values keep their bits.
+
 Sweeps allocate O(q) arrays and are capped at q <= 2**20. At the cap a
-closed-form sweep peaks at about 24 MB, the 2q-value table and the values,
-and a bias sweep at about 32 MB, its complex roots and totals. The square
-is at most 1 MB, at q = 256. A bias sweep is also bounded in work:
-|B| * (q - 1) <= MAX_BIAS_EVALS.
+closed-form sweep peaks at about 24 MB, the 2q-value table and the values.
+A bias sweep peaks at about 32 MB at q = 2**20, its complex roots and
+totals, and at about 36 MB at the prime q = 1048573, its complex R and
+totals and the int32 logs. The square is at most 1 MB, at q = 256. A bias
+sweep is also bounded in work: |B| * (q - 1) <= MAX_BIAS_EVALS.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +77,10 @@ _SWEEP_BLOCK = 8192
 # float64 values, at most 1 MB. At q = 10007 one would take 1.6 GB.
 _SQUARE_MAX_Q = 256
 
-# Largest |B| * (q - 1) a bias sweep accepts. The sweep adds one gathered
-# root per (b, x) pair, about 10 ns each at q = 2**20, so the budget is
-# about 100 s; the single-x bias is O(|B|) and needs none.
+# Largest |B| * (q - 1) a bias sweep accepts. At composite q the sweep adds
+# one gathered root per (b, x) pair, about 10 ns each at q = 2**20, so the
+# budget is about 100 s there; prime q adds contiguous windows, about 2 ns
+# a pair at q = 1048573. The single-x bias is O(|B|) and needs none.
 MAX_BIAS_EVALS = 10**10
 
 
@@ -178,6 +190,80 @@ def _table_sweep(
     return out
 
 
+def _is_prime(q: int) -> bool:
+    # Trial division up to sqrt(q), so at most to 1024 below the sweep cap.
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def _generator(q: int) -> int:
+    # The smallest g that generates the nonzero residues mod a prime q:
+    # g ** ((q - 1) / p) != 1 mod q for every prime p dividing q - 1,
+    # found by trial division.
+    primes, rest, d = [], q - 1, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(
+        g for g in range(1, q) if all(pow(g, (q - 1) // p, q) != 1 for p in primes)
+    )
+
+
+def _log_sweep(q: int, elements: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # The bias sweep's sums at prime q in discrete-log order: total[k] is
+    # the sum over B at x = g ** k, returned with the int32 table logs[x]
+    # = k for x in [1, q). With b = g ** L, roots[(b * x) % q] at x = g ** k
+    # is R[(k + L) % (q - 1)], with R[k] = roots[g ** k % q] (`log_roots`).
+    # So b's terms over a block of x are a window of R, read as one slice,
+    # or two where it wraps; b = 0 adds roots[0] = 1. The first b is
+    # written and every later b added, in B's order, so every value gets
+    # the IEEE additions of `_table_sweep` on the roots.
+    period = q - 1
+    g = _generator(q)
+    # The powers g ** k % q as baby steps g ** j times giant steps
+    # g ** (m * i), j and i below m, in one outer product; each product is
+    # below q ** 2 <= 2 ** 40.
+    m = math.isqrt(period - 1) + 1
+    powers = np.multiply.outer(
+        np.array([pow(g, m * i, q) for i in range(m)], dtype=np.int64),
+        np.array([pow(g, j, q) for j in range(m)], dtype=np.int64),
+    )
+    powers %= q
+    powers = powers.ravel()[:period]
+    logs = np.empty(q, dtype=np.int32)
+    logs[powers] = np.arange(period, dtype=np.int32)
+    # R from the roots' own float expression at each power, so R[k] has the
+    # bits of roots[g ** k % q]. Each q-sized temporary is freed before the
+    # next is made, and exp runs in place: the peak at the cap is R, the
+    # total and the logs.
+    arg = (2.0 * np.pi / q) * powers
+    del powers
+    log_roots = 1j * arg
+    del arg
+    np.exp(log_roots, out=log_roots)
+    shifts = [int(logs[b]) if b else None for b in elements]
+    total = np.empty(period, dtype=np.complex128)
+    width = min(_SWEEP_BLOCK, period)
+    for start in range(0, period, width):
+        acc = total[start : start + width]
+        n = len(acc)
+        for j, shift in enumerate(shifts):
+            put = operator.iadd if j else np.copyto
+            if shift is None:
+                put(acc, 1)
+                continue
+            lo = (start + shift) % period
+            k = min(n, period - lo)
+            put(acc[:k], log_roots[lo : lo + k])
+            if k < n:
+                put(acc[k:], log_roots[: n - k])
+    return total, logs
+
+
 def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     """Worst bias of B over all x in [1, q), with the full per-x table.
     Raises ValueError past the sweep cap on q, or when |B| * (q - 1)
@@ -187,17 +273,26 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     _check_sweep_modulus(q)
     if biased.size * (q - 1) > MAX_BIAS_EVALS:
         raise ValueError(f"|B| * (q - 1) exceeds the {MAX_BIAS_EVALS:.0e} budget")
-    # The q-th roots of unity once, roots[r] = exp(2*pi*i*r/q) from the
-    # same float expression a direct sum evaluates at residue r. Each x
-    # then adds roots[(b*x) % q] for every b of B, in B's order, so every
-    # value gets the same IEEE additions as that direct sum.
-    roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
-    total = _table_sweep(roots, q, list(biased.elements), np.add)
-    # The table's last use: free it, then divide in place, so the peak at
-    # the cap is the roots and the total, not a third q-sized complex.
-    del roots
+    # Each x adds roots[(b*x) % q] for every b of B, in B's order, with
+    # roots[r] = exp(2*pi*i*r/q) from the float expression a direct sum
+    # evaluates at residue r, so every value gets the same IEEE additions
+    # as that direct sum. At prime q the sums come in discrete-log order;
+    # otherwise the table loop gathers from the q roots, freed after it.
+    logs = None
+    if _is_prime(q):
+        total, logs = _log_sweep(q, biased.elements)
+    else:
+        roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
+        total = _table_sweep(roots, q, list(biased.elements), np.add)
+        del roots
+    # Divide in place, so no third q-sized complex array is made, and free
+    # the total before log-order values go back to x order.
     total /= biased.size
-    return _report_from_values(q, np.abs(total))
+    values = np.abs(total)
+    del total
+    if logs is not None:
+        values = values.take(logs[1:])
+    return _report_from_values(q, values)
 
 
 def _factors(rows: tuple[int, ...] | np.ndarray, with_sum: bool) -> list:

@@ -167,6 +167,21 @@ class TestEpsilonSweep:
         with pytest.raises(ValueError, match="budget"):
             epsilon_of_biased_set(BiasedSet(q, tuple(range(count))))
 
+    def test_rejects_a_prime_sweep_past_the_work_budget(self, monkeypatch):
+        # One residue more than the budget holds at the largest prime below
+        # the cap: 9537 * (1048573 - 1) pairs. Neither the generator nor the
+        # log table is made.
+        def entered(*args):
+            raise AssertionError("swept a rejected set")
+
+        for name in ("_generator", "_log_sweep", "_table_sweep"):
+            monkeypatch.setattr(analysis, name, entered)
+        q = 1048573
+        count = analysis.MAX_BIAS_EVALS // (q - 1) + 1
+        assert count == 9537
+        with pytest.raises(ValueError, match="budget"):
+            epsilon_of_biased_set(BiasedSet(q, tuple(range(count))))
+
     def test_accepts_a_sweep_at_the_work_budget(self, monkeypatch):
         q = MAX_SWEEP_MODULUS
         monkeypatch.setattr(
@@ -223,6 +238,102 @@ class TestSweepBits:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 8 * q
+
+    def test_memory_at_the_prime_cap(self):
+        # The log-order sweep at the largest prime below the cap: its window
+        # table R and the total, complex, and the int32 log table. Measured
+        # 36.0 MB, 4.5 * 8q bytes; the bound is the table loop's plus one
+        # int32 array of q values.
+        q = 1048573
+        biased = BiasedSet(q, (0, 1, 524287, q - 1, 77777, 1))
+        tracemalloc.start()
+        try:
+            epsilon_of_biased_set(biased)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * q
+
+
+def _primes_below(limit):
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return [int(p) for p in np.flatnonzero(sieve)]
+
+
+PRIMES = _primes_below(1 << 12)
+
+
+def table_loop_total(q, elements):
+    # The table loop's sums over B on the q roots, in x order.
+    roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
+    return analysis._table_sweep(roots, q, list(elements), np.add)
+
+
+class TestLogSweep:
+    def test_primality_by_trial_division(self):
+        assert [q for q in range(1 << 12) if analysis._is_prime(q)] == PRIMES
+        assert analysis._is_prime(1048573)
+        assert not any(map(analysis._is_prime, [1048575, 1 << 20, 1023 * 1021]))
+
+    def test_generator_is_the_smallest(self):
+        # g has order q - 1, and every smaller residue has a smaller order.
+        def order(h, q):
+            power, k = h, 1
+            while power != 1:
+                power, k = power * h % q, k + 1
+            return k
+
+        for q in PRIMES[:100] + [65537, 1048573]:
+            g = analysis._generator(q)
+            assert order(g, q) == q - 1
+            assert all(order(h, q) < q - 1 for h in range(1, g))
+
+    @given(
+        st.sampled_from(PRIMES).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.lists(
+                    st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1),
+                    min_size=1,
+                    max_size=9,
+                ),
+            )
+        ),
+        st.sampled_from([1, 7, BLOCK]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_table_loop(self, case, block):
+        # Sets hold 0, 1 and q - 1 often, and duplicates from them.
+        q, elements = case
+        with mock.patch.object(analysis, "_SWEEP_BLOCK", block):
+            total, logs = analysis._log_sweep(q, tuple(elements))
+            assert total.take(logs[1:]).tobytes() == (
+                table_loop_total(q, elements).tobytes()
+            )
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("elements", [(0,), (1,), (-1,), (0, 1, 1, -1)])
+    def test_equals_the_table_loop_at_the_smallest_primes(self, q, elements):
+        elements = BiasedSet(q, elements).elements
+        total, logs = analysis._log_sweep(q, elements)
+        assert total.take(logs[1:]).tobytes() == table_loop_total(q, elements).tobytes()
+
+    @pytest.mark.parametrize(
+        "q, prime", [(65536, False), (1 << 20, False), (65537, True), (1048573, True)]
+    )
+    def test_composite_moduli_take_the_table_loop(self, q, prime):
+        biased = BiasedSet(q, (0, 1, 12345, q - 1))
+        with mock.patch.object(
+            analysis, "_table_sweep", wraps=analysis._table_sweep
+        ) as loop, mock.patch.object(
+            analysis, "_log_sweep", wraps=analysis._log_sweep
+        ) as logs:
+            epsilon_of_biased_set(biased)
+        assert (loop.call_count, logs.call_count) == ((0, 1) if prime else (1, 0))
 
 
 class TestClosedInner:

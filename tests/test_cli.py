@@ -589,6 +589,18 @@ GOLDEN_DIGESTS = [
         "search --q 1009 --n 4 --trials 2000 --seed 3 --target-epsilon 0.83",
         "a562b5b6577d092c8b47b7eae45d6f4b9df75afb743eaec264486af69a9a5572",
     ),
+    # Recorded from the table loop, before bias sweeps at prime q read
+    # windows in discrete-log order: the bias-sweep workload's size (200
+    # residues, the set of test_benchmark_size_is_accepted), and the prime
+    # cap with 0, a duplicate and q - 1.
+    (
+        "bias --q 65537 --b " + ",".join(str(7919 * k % 65537) for k in range(200)),
+        "4f287c11f8d950fe5c2600b2bb17544b8a77b6b8abfea90a8f56d749f6121d9e",
+    ),
+    (
+        "bias --q 1048573 --b 0,1,524287,1048572,77777,1",
+        "d0bfd2142c7c934654e63126cdcee4c32a338bc895d3fca5cff3f64e65dcc498",
+    ),
 ]
 
 
