@@ -31,7 +31,7 @@ from zqhash.search import (
     random_search,
 )
 from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
-from zqhash.verification import check_inner_products
+from zqhash.verification import _chunk_states, check_inner_products
 
 
 def _residues(q, count, seed):
@@ -102,13 +102,31 @@ def test_gate_kernel(benchmark, order):
     assert state.amplitudes.flags[f"{order}_CONTIGUOUS"]
 
 
-def test_block_circuits(benchmark):
+def _verify_sim_chunk():
     # One size group at verify-sim's shape: 31 sets of 5 parameters, one
-    # per q = 2..32, so each of the three circuits has 527 batch rows.
+    # per q = 2..32, so each circuit has 527 batch rows.
     q = np.arange(2, 33)
-    factors = np.random.default_rng(6).integers(0, q[:, None], size=(31, 5))
-    circuits = benchmark(_block_circuits, factors, q)
-    assert [op.angle.shape for op in circuits[1][5:]] == [(527,)] * 5
+    return np.random.default_rng(6).integers(0, q[:, None], size=(31, 5)), q
+
+
+def test_block_circuits(benchmark):
+    # The three circuits of that chunk, each rotation with its angles and
+    # their Ry entries.
+    circuits = benchmark(_block_circuits, *_verify_sim_chunk())
+    rotations = circuits[1][5:] + circuits[2]
+    assert [len(ops) for ops in circuits] == [5, 10, 6]
+    assert {op.angle.shape for op in rotations} == {(527,)}
+    assert {entry.shape for op in rotations for entry in op.entries} == {(527,)}
+
+
+def test_chunk_states(benchmark):
+    # That chunk's single-qubit, shallow and sum-qubit batches.
+    states = benchmark(_chunk_states, *_verify_sim_chunk())
+    assert [state.amplitudes.shape for state in states] == [
+        (527, 32),
+        (527, 64),
+        (527, 64),
+    ]
 
 
 def test_draw_sets(benchmark):

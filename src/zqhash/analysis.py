@@ -291,7 +291,15 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     values = np.abs(total)
     del total
     if logs is not None:
-        values = values.take(logs[1:])
+        # Through intp indices made a block at a time: `take` would copy the
+        # whole int32 table to intp first. Every log is in [0, q - 1), so
+        # "clip" changes no index, and unlike "raise" it writes into `out`
+        # unbuffered.
+        in_log_order, values = values, np.empty_like(values)
+        for start in range(0, q - 1, _SWEEP_BLOCK):
+            index = logs[start + 1 : start + 1 + _SWEEP_BLOCK].astype(np.intp)
+            out = values[start : start + index.size]
+            in_log_order.take(index, out=out, mode="clip")
     return _report_from_values(q, values)
 
 

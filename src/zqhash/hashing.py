@@ -28,11 +28,19 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .statevec import MAX_QUBITS, GateOp, StateVector, run_circuit, zero_state
+from .statevec import (
+    MAX_QUBITS,
+    GateOp,
+    StateVector,
+    _ry_entries,
+    run_circuit,
+    zero_state,
+)
 
 MAX_PARAMS = 20
 
@@ -202,31 +210,36 @@ def _angles(
     q: int | np.ndarray,
 ) -> float | np.ndarray:
     # scale*pi * (factor*x mod p) / q, one expression for one x as Python
-    # ints and for verify's int64 block, a (B, m) factor block with x and q
-    # as (B, 1) columns. Both inputs give the same bits. For ints the
+    # ints and for verify's int64 block, an (m, B) factor block with x and
+    # q as (B,) rows. Both inputs give the same bits. For ints the
     # residue is the exact int factor*x mod p, however large s * x grows
     # up to MAX_MODULUS. For a block each factor is reduced mod p before
     # the product, which stays below p**2 <= 2**42, so the residue is the
     # same value in int64, and `scale *` casts it to float64 exactly, as
-    # it casts that int. The float operations then run in the same order.
+    # it casts that int. The float operations then run in the same order,
+    # element by element, so the block's layout does not change a bit.
     scale, periods = turn
     p = periods * q
     return scale * ((factor % p) * (x % p) % p) / q
 
 
-def _single_qubit_ops(angles: Sequence) -> tuple[GateOp, ...]:
+def _single_qubit_ops(angles: Sequence, entries: Iterable = ()) -> tuple[GateOp, ...]:
     # The single-qubit layout: Ry(angles[j]) on qubit j. Each angle is a
-    # float, or a (B,) array for a batch.
-    return tuple(GateOp("ry", target=j, angle=a) for j, a in enumerate(angles))
+    # float, or a (B,) array for a batch, which may pass each gate's Ry
+    # entries too.
+    return tuple(
+        GateOp("ry", target=j, angle=a, entries=e)
+        for j, (a, e) in enumerate(zip_longest(angles, entries, fillvalue=()))
+    )
 
 
-def _shallow_ops(angles: Sequence) -> tuple[GateOp, ...]:
+def _shallow_ops(angles: Sequence, entries: Iterable = ()) -> tuple[GateOp, ...]:
     # The shallow layout: H on each address qubit k, then Ry(angles[k]) on
-    # the target qubit n under address qubit k.
+    # the target qubit n under address qubit k. Entries as above.
     n = len(angles)
     return tuple(GateOp("h", target=k) for k in range(n)) + tuple(
-        GateOp("cry", target=n, controls=((k, 1),), angle=a)
-        for k, a in enumerate(angles)
+        GateOp("cry", target=n, controls=((k, 1),), angle=a, entries=e)
+        for k, (a, e) in enumerate(zip_longest(angles, entries, fillvalue=()))
     )
 
 
@@ -299,17 +312,20 @@ def _block_circuits(
     block of parameter rows, row k over the residues mod q[k] (a (K,)
     int64 array, each q[k] <= MAX_SWEEP_MODULUS). The batch holds
     x = 0..q[k]-1 of each set, set after set. Each angle form is one
-    `_angles` expression over the block, one column per gate, laid out by
-    the public builders' own helpers, so every batch row equals that set's
-    own circuit for its x bitwise. The angle forms are read at call time."""
+    `_angles` expression over the block, one contiguous row per gate, and
+    each form's Ry entries are taken once for all its rows: 2n + 1 angle
+    columns, as the sum-qubit circuit is the single-qubit one and one
+    more Ry. The gates are laid out by the public builders' own helpers,
+    so every batch row equals that set's own circuit for its x bitwise.
+    The angle forms are read at call time."""
     n = factors.shape[1]
     x = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
-    q_rows = np.repeat(q, q)[:, None]
-    rows = np.repeat(np.column_stack([factors, factors.sum(axis=1)]), q, axis=0)
-    half_turns = _angles(_TURN_2PI, rows, x[:, None], q_rows)
-    turns = _angles(_TURN_4PI, rows[:, :n], x[:, None], q_rows)
-    with_sum = _single_qubit_ops(half_turns.T)
-    return with_sum[:n], _shallow_ops(turns.T), with_sum
+    q_rows = np.repeat(q, q)
+    rows = np.repeat(np.vstack([factors.T, factors.sum(axis=1)]), q, axis=1)
+    half_turns = _angles(_TURN_2PI, rows, x, q_rows)
+    turns = _angles(_TURN_4PI, rows[:n], x, q_rows)
+    with_sum = _single_qubit_ops(half_turns, zip(*_ry_entries(half_turns)))
+    return with_sum[:n], _shallow_ops(turns, zip(*_ry_entries(turns))), with_sum
 
 
 def build_single_qubit_hash(

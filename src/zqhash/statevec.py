@@ -20,6 +20,13 @@ Conventions:
     kernel's inner loops run over the rows. `StateVector.copy` keeps the
     order. A C-ordered batch gives the same bits, more slowly.
   - Gate functions mutate the passed state in place and return it.
+  - An "ry" or "cry" `GateOp` may carry its Ry entries, which verify's
+    block builder takes once per angle column; `apply_gate` hands them
+    to the kernel directly, past `apply_ry` and `apply_controlled_ry`.
+  - `StateVector.widened` appends one qubit in |0>, so verify grows its
+    sum-qubit batch from the single-qubit batch and one more Ry. Its odd
+    amplitudes are +0.0 where a gate-by-gate run can leave -0.0: the two
+    agree by value, not by bytes.
   - States are plain data; nothing here touches shared globals, so values
     can be handed freely between threads as long as a single state is not
     mutated concurrently.
@@ -68,6 +75,14 @@ class StateVector:
         # np.copy keeps the memory order; ndarray.copy makes C order.
         return StateVector(self.num_qubits, np.copy(self.amplitudes, order="K"))
 
+    def widened(self) -> "StateVector":
+        """This state with one more qubit, in |0>, after the last one:
+        amplitude 2i holds amplitude i and every odd amplitude is 0. A
+        batch is stored amplitude-major."""
+        amps = np.zeros(self.batch + (2 << self.num_qubits,), order="F")
+        amps[..., ::2] = self.amplitudes
+        return StateVector(self.num_qubits + 1, amps)
+
     def norm(self) -> float | np.ndarray:
         """Euclidean norm; an array of one per row for a batch."""
         return np.linalg.norm(self.amplitudes, axis=-1)
@@ -114,7 +129,8 @@ def _check_wires(num_qubits: int, target: int, controls, mux) -> None:
 def _ry_entries(theta) -> tuple[np.ndarray, ...]:
     # The entries m00, m01, m10, m11 of Ry(theta), each of theta's shape.
     # The entry -s makes the kernel's c*a0 + (-s)*a1 bit-equal to
-    # c*a0 - s*a1.
+    # c*a0 - s*a1. A 2-D block of angle columns gives, in row j of each
+    # entry, the bits its row j alone gives.
     half = np.asarray(theta, dtype=np.float64) / 2.0
     if not np.isfinite(half).all():
         raise ValueError("rotation angles must be finite")
@@ -240,7 +256,9 @@ class GateOp:
 
     For a batched circuit `angle` is a (B,) array. `angles` is a tuple:
     the hash builders make a "ucr" gate for one x at a time (`apply_ucr`
-    itself also takes a (B, 2**n) array).
+    itself also takes a (B, 2**n) array). An "ry" or "cry" gate may carry
+    `entries`, the four `_ry_entries` of its `angle`, which `apply_gate`
+    then uses instead of taking the trig again.
     """
 
     kind: str
@@ -249,6 +267,7 @@ class GateOp:
     controls: tuple[tuple[int, int], ...] = ()
     control_qubits: tuple[int, ...] = ()
     angles: tuple[float, ...] = ()
+    entries: tuple[np.ndarray, ...] = ()
 
     def is_multi_qubit(self) -> bool:
         return bool(self.controls) or bool(self.control_qubits)
@@ -257,6 +276,8 @@ class GateOp:
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     if op.kind == "h":
         return apply_h(state, op.target)
+    if op.entries and op.kind in ("ry", "cry"):
+        return _apply_2x2(state, op.target, op.controls, (), op.entries)
     if op.kind == "ry":
         return apply_ry(state, op.target, op.angle)
     if op.kind == "cry":

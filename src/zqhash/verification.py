@@ -22,15 +22,24 @@ modulus q is what default_rng([seed, q, index]) draws: a size in
 [1, n_max], then its entries in [0, q). The sets are drawn a block at a
 time from the package's port of that stream (`search._draw_rows`). The
 sets of one size are then checked together, in chunks of at most
-`_BATCH_AMPLITUDES` amplitudes per run and `_BATCH_CELLS` Gram cells:
+`_BATCH_AMPLITUDES` amplitudes per run and `_BATCH_CELLS` Gram cells.
 `hashing._block_circuits` writes the angles of all their circuits at
-once, one batched run per circuit gives each set's single-qubit, shallow
-and sum-qubit Gram matrix from its own block of rows, and their closed
-forms and subset-sum means are evaluated for the whole chunk at once. The
-multiplexed-Ry check likewise runs all angle draws of one width as rows
-of one batch. Batches are stored amplitude-major, as `statevec` stores
-them. `MAX_VERIFY_WORK` bounds the work of each check and of a whole
-request.
+once and takes the trig of each angle column once, 2n + 1 columns for
+the three circuits. One batched run each makes the single-qubit and the
+shallow states. The sum-qubit circuit is the single-qubit one and one
+more Ry, so its states are the single-qubit batch widened by a qubit in
+|0> and rotated by the sum factor's Ry alone: 3n + 1 gates per chunk,
+not 4n + 1. The widened qubit's odd amplitudes start as +0.0, where the
+gate-by-gate run can leave -0.0, so some sum-qubit amplitudes differ
+from that run in the sign of a zero, and in nothing else; the tests
+check that every Gram matrix still agrees with that run's by bytes.
+Each state is copied to row-major order once, and each set's
+Gram matrix is its own block of rows times its transpose. The closed
+forms and subset-sum means are evaluated for the whole chunk at once,
+the means from one cosine table per set. The multiplexed-Ry check
+likewise runs all angle draws of one width as rows of one batch. Batches
+are stored amplitude-major, as `statevec` stores them. `MAX_VERIFY_WORK`
+bounds the work of each check and of a whole request.
 
 Tests prove each check can fail by substituting a faulty angle rule
 (`hashing._TURN_4PI` or `_TURN_2PI`, which the circuit builders read at
@@ -48,7 +57,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .analysis import _check_sweep_modulus, _closed_inner_pair
 from .hashing import MAX_PARAMS, _block_circuits, _check_int, _run
 from .search import _draw_rows
-from .statevec import apply_controlled_ry, apply_ry, apply_ucr, zero_state
+from .statevec import (
+    StateVector,
+    apply_controlled_ry,
+    apply_ry,
+    apply_ucr,
+    run_circuit,
+    zero_state,
+)
 
 DEFAULT_SEED = 0xC0FFEE
 DEVIATION_TOL = 1e-10
@@ -190,14 +206,30 @@ def _subset_sum_means(
     # over the subset sums b of the row, in the address order of
     # `derive_biased_set`, each b*dx reduced mod q before the float
     # division. b, dx < q <= MAX_SWEEP_MODULUS = 2**20, the cap
-    # run_all_checks puts on q_max, so b*dx < 2**40 fits int64.
-    sums = np.zeros((factors.shape[0], 1), dtype=np.int64)
+    # run_all_checks puts on q_max, so b*dx < 2**40 fits int64. Each row
+    # has one table, cos((2*pi/q) * r) for r < dx.size, the expression a
+    # term evaluates at its residue r, and every term is read from it.
+    rows = factors.shape[0]
+    sums = np.zeros((rows, 1), dtype=np.int64)
     for j in reversed(range(factors.shape[1])):
         sums = np.concatenate([sums, sums + factors[:, j, None]], axis=1)
     sums %= q
-    q = q[:, :, None]
-    residues = (sums[:, :, None] * dx) % q
-    return np.cos((2.0 * np.pi / q) * residues).mean(axis=1)
+    residues = (sums[:, :, None] * dx) % q[:, :, None]
+    residues += (np.arange(rows) * dx.size)[:, None, None]
+    table = np.cos((2.0 * np.pi / q) * np.arange(dx.size))
+    return table.take(residues).mean(axis=1)
+
+
+def _chunk_states(factors: np.ndarray, q: np.ndarray) -> list[StateVector]:
+    # The single-qubit, shallow and sum-qubit batches of a chunk of sets
+    # of one size, set k's states of x = 0..q[k]-1 as a block of rows. The
+    # sum-qubit circuit is the single-qubit one and the sum factor's Ry,
+    # so its batch is the single-qubit one widened by a qubit in |0> and
+    # rotated by that Ry alone, with the norm check of every run.
+    bare, shallow, with_sum = _block_circuits(factors, q)
+    single = _run(bare, int(q.sum()))
+    shallow = _run(shallow, single.batch[0])
+    return [single, shallow, run_circuit(single.widened(), with_sum[len(bare) :])]
 
 
 def _chunk_gaps(
@@ -205,10 +237,11 @@ def _chunk_gaps(
 ) -> tuple[list[float], np.ndarray]:
     # The three gaps of check_inner_products over a chunk of sets of one
     # size, and the positions of the sets whose closed forms break the
-    # identity. One batched run per circuit holds set k's states of x =
-    # 0..q[k]-1 as a block of rows. Row r of `cells` holds every set's
-    # q[k] x q[k] matrix r in turn: the three Grams, each `block @ block.T`
-    # in place, then both closed forms.
+    # identity. Row r of `cells` holds every set's q[k] x q[k] matrix r in
+    # turn: the three Grams, then both closed forms. Each state is copied
+    # to row-major order once, one state at a time, so each set's block is
+    # a C-ordered view and `block @ block.T`, written in place, is one
+    # BLAS syrk.
     dx = np.arange(q.max())
     column = q[:, None]
     closed = np.stack(_closed_inner_pair(column, factors, dx))
@@ -218,16 +251,17 @@ def _chunk_gaps(
     # sliding windows over the form mirrored about dx = 0.
     mirrored = np.concatenate([closed[..., :0:-1], closed], axis=-1)
     at_distance = sliding_window_view(mirrored, dx.size, axis=-1)[:, :, ::-1]
-    stops = np.cumsum(q).tolist()
-    states = [_run(ops, stops[-1]).amplitudes for ops in _block_circuits(factors, q)]
+    stops, sizes = np.cumsum(q).tolist(), q.tolist()
     cells = np.empty((5, int((q * q).sum())))
-    pieces = np.split(cells, np.cumsum(q * q)[:-1], axis=1)
-    for k, (stop, m, piece) in enumerate(zip(stops, q.tolist(), pieces)):
-        out = piece.reshape(5, m, m)
-        for state, gram in zip(states, out):
-            # One C-ordered buffer, so the product is BLAS syrk.
-            block = np.ascontiguousarray(state[stop - m : stop])
-            np.matmul(block, block.T, out=gram)
+    ends = np.cumsum(q * q).tolist()
+    matrices = [cells[:, e - m * m : e].reshape(5, m, m) for e, m in zip(ends, sizes)]
+    for i, state in enumerate(_chunk_states(factors, q)):
+        rows = np.ascontiguousarray(state.amplitudes)
+        for stop, m, out in zip(stops, sizes, matrices):
+            block = rows[stop - m : stop]
+            np.matmul(block, block.T, out=out[i])
+        del rows, block
+    for k, (m, out) in enumerate(zip(sizes, matrices)):
         out[3:] = at_distance[:, k, :m, :m]
     single, shallow, with_sum, expected, expected_sum = cells
     gaps = [_gap(single, expected), _gap(shallow, expected_sum)]

@@ -487,6 +487,14 @@ GOLDEN_DIGESTS = [
         "verify --q-max 200 --n-max 2 --trials 2 --seed 9",
         "e6d77f486d022b6a26dd9b7f2e45d57a7a4562429d8feeb54dcf3137f9470d51",
     ),
+    # Recorded from the three batched runs per chunk, each Ry taking its
+    # own trig, that the entries taken once per angle column and the
+    # sum-qubit state grown from the bare state replaced: widths up to 9
+    # qubits, with chunks split by the bound on amplitudes.
+    (
+        "verify --q-max 64 --n-max 8 --trials 2 --seed 7",
+        "5849973c4321a30fd4f0fe8b93e74a352c6599cdb71a4010bbb54099acf22bbe",
+    ),
     # Recorded from the stream port on four 32-bit limbs that the uint64
     # (high, low) one replaced, at the port's edges: the largest accepted
     # seed (two words) and 2**128 (five words, past SeedSequence's pool).

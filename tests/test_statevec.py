@@ -21,6 +21,7 @@ from zqhash.statevec import (
     apply_ry,
     apply_ucr,
     basis_state,
+    _ry_entries,
     inner_product,
     run_circuit,
     zero_state,
@@ -343,6 +344,45 @@ class TestBatch:
         for b in range(batch):
             single = run_circuit(StateVector(4, starts[b].copy()), row_ops[b])
             assert amplitudes[b].tobytes() == single.amplitudes.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from("CF"))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_equal_the_angle_bitwise(self, seed, batch, order):
+        # Ry entries taken once for a block of angle columns, one row per
+        # gate, give each "ry" and "cry" gate's own bits.
+        rng = np.random.default_rng(seed)
+        starts = np.stack([random_state(rng, 4).amplitudes for _ in range(batch)])
+        ops, _ = _random_batched_circuit(rng, 4, batch, 12)
+        rotations = [
+            i
+            for i, op in enumerate(ops)
+            if op.kind in ("ry", "cry") and np.ndim(op.angle)
+        ]
+        block = np.array([ops[i].angle for i in rotations]).reshape(-1, batch)
+        with_entries = list(ops)
+        for i, entries in zip(rotations, zip(*_ry_entries(block))):
+            with_entries[i] = replace(ops[i], entries=entries)
+        plain = run_circuit(StateVector(4, np.array(starts, order=order)), ops)
+        fed = run_circuit(StateVector(4, np.array(starts, order=order)), with_entries)
+        assert fed.amplitudes.tobytes() == plain.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_widened_appends_a_qubit_in_zero(self, order):
+        rng = np.random.default_rng(3)
+        rows = [random_state(rng, 3).amplitudes for _ in range(4)]
+        rows = np.array(rows, order=order)
+        wide = StateVector(3, rows).widened()
+        assert wide.num_qubits == 4 and wide.amplitudes.flags.f_contiguous
+        assert np.array_equal(wide.amplitudes[:, ::2], rows)
+        assert not wide.amplitudes[:, 1::2].any()
+        single = StateVector(3, rows[1]).widened().amplitudes
+        assert single.tobytes() == wide.amplitudes[1].tobytes()
+        # Widened, then Ry on the new qubit: the gates of one run on one
+        # more qubit, by value.
+        angle = rng.uniform(-9, 9)
+        grown = apply_ry(StateVector(3, rows[1]).widened(), 3, angle)
+        direct = StateVector(4, np.kron(rows[1], [1.0, 0.0]))
+        assert np.array_equal(grown.amplitudes, apply_ry(direct, 3, angle).amplitudes)
 
     def test_zero_state_batch(self):
         state = zero_state(2, batch=3)

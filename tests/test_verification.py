@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqhash import analysis, hashing, search, verification
+from zqhash import analysis, hashing, search, statevec, verification
 from zqhash.hashing import (
     MAX_PARAMS,
     MAX_SWEEP_MODULUS,
@@ -130,6 +131,23 @@ class TestFaultInjection:
             "for q=3, S=(2, 0, 1, 2)"
         )
 
+    def test_equivalence_catches_a_sum_qubit_state_without_its_ry(self, monkeypatch):
+        # The sum-qubit batch is the single-qubit batch widened by one
+        # qubit and rotated by the sum factor's Ry; without that Ry its
+        # |Gram| is the bare one, which the shallow |Gram| is not.
+        circuits = verification._block_circuits
+
+        def without_sum_ry(factors, q):
+            bare, shallow, _ = circuits(factors, q)
+            return bare, shallow, bare
+
+        monkeypatch.setattr(verification, "_block_circuits", without_sum_ry)
+        results = by_name(check_inner_products([5, 9], sets_per_q=3))
+        assert not results["resistance_equivalence"].passed
+        assert results["resistance_equivalence"].max_deviation > 1e-3
+        assert results["single_qubit_inner_product"].passed
+        assert results["shallow_inner_product"].passed
+
     @pytest.mark.parametrize("set_block", [1, 3])
     def test_first_divergence_named_across_set_blocks(self, monkeypatch, set_block):
         # The same set is named when the sets are drawn in smaller blocks,
@@ -158,13 +176,19 @@ class TestCheckGranularity:
 
     @pytest.mark.parametrize("budget", [None, 1], ids=["default_budget", "budget_1"])
     def test_each_set_drawn_once_and_three_runs_per_chunk(self, monkeypatch, budget):
-        # Sets of one size share one run per circuit while they fit the
-        # amplitude budget, as all ten do here (at most 6 rows of at most
-        # 16 amplitudes each); a budget of 1 runs every set alone.
+        # Sets of one size share each run while they fit the amplitude
+        # budget, as all ten do here (at most 6 rows of at most 16
+        # amplitudes each); a budget of 1 runs every set alone. A chunk of
+        # size n makes three runs: the single-qubit and shallow circuits,
+        # then the single-qubit batch widened by one qubit through one Ry.
+        # It takes the trig of 2n + 1 angle columns, once each, and
+        # applies 3n + 1 gates.
         if budget is not None:
             monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", budget)
-        drawn, runs = [], [0]
+        drawn, runs, widened, columns, gates = [], [0], [], [0], [0]
         draw, run = verification._draw_rows, verification._run
+        run_circuit, entries = verification.run_circuit, hashing._ry_entries
+        kernel = statevec._apply_2x2
 
         def counted_draw(keys, index, *args, **kwargs):
             sizes, factors = draw(keys, index, *args, **kwargs)
@@ -175,14 +199,33 @@ class TestCheckGranularity:
             runs[0] += 1
             return run(*args)
 
+        def counted_widened_run(state, ops):
+            widened.append((state.num_qubits, [(op.kind, op.target) for op in ops]))
+            return run_circuit(state, ops)
+
+        def counted_entries(theta):
+            columns[0] += len(theta)
+            return entries(theta)
+
+        def counted_kernel(*args):
+            gates[0] += 1
+            return kernel(*args)
+
         monkeypatch.setattr(verification, "_draw_rows", counted_draw)
         monkeypatch.setattr(verification, "_run", counted_run)
-        run_all_checks(q_max=6, n_max=3, trials=2)
+        monkeypatch.setattr(verification, "run_circuit", counted_widened_run)
+        monkeypatch.setattr(hashing, "_ry_entries", counted_entries)
+        monkeypatch.setattr(statevec, "_apply_2x2", counted_kernel)
+        check_inner_products(range(2, 7), sets_per_q=2, n_max=3)
         assert [(q, i) for q, i, _ in drawn] == [
             (q, i) for q in range(2, 7) for i in range(2)
         ]
-        chunks = len(drawn) if budget else len({size for _, _, size in drawn})
-        assert runs[0] == 3 * chunks
+        sizes = [size for _, _, size in drawn]
+        chunks = sorted(sizes if budget else set(sizes))
+        assert runs[0] == 2 * len(chunks)
+        assert sorted(widened) == [(n + 1, [("ry", n)]) for n in chunks]
+        assert columns[0] == sum(2 * n + 1 for n in chunks)
+        assert gates[0] == sum(3 * n + 1 for n in chunks)
 
     @pytest.mark.parametrize(
         "q, size, expected",
@@ -286,12 +329,17 @@ def circuit_of(form):
     return with_sum, partial(single_qubit_hash_circuit, include_sum_qubit=with_sum)
 
 
-def stacked_grams(param_sets, form):
-    # The block Gram matrices of one circuit form, one per set, from the
+def block_of(param_sets):
+    # The (K, n) parameter block and (K,) moduli of sets of one size.
+    factors = np.array([params.elements for params in param_sets], dtype=np.int64)
+    return factors, np.array([params.q for params in param_sets], dtype=np.int64)
+
+
+def chunk_grams(param_sets):
+    # The block Gram matrices of each circuit form, one per set, from the
     # chunk's cells as `_chunk_gaps` hands their first row to its first
     # gap, before any gap overwrites them.
-    factors = np.array([params.elements for params in param_sets], dtype=np.int64)
-    q = np.array([params.q for params in param_sets], dtype=np.int64)
+    factors, q = block_of(param_sets)
     gap, cells = verification._gap, []
 
     def first_sees_cells(a, b):
@@ -303,8 +351,38 @@ def stacked_grams(param_sets, form):
         patch.setattr(verification, "_gap", first_sees_cells)
         verification._chunk_gaps(factors, q)
     assert cells[0].shape == (5, int((q * q).sum()))
-    pieces = np.split(cells[0][FORMS.index(form)], np.cumsum(q * q)[:-1])
-    return [piece.reshape(m, m) for piece, m in zip(pieces, q.tolist())]
+    pieces = np.split(cells[0][:3], np.cumsum(q * q)[:-1], axis=1)
+    return {
+        form: [piece[i].reshape(m, m) for piece, m in zip(pieces, q.tolist())]
+        for i, form in enumerate(FORMS)
+    }
+
+
+def stacked_grams(param_sets, form):
+    return chunk_grams(param_sets)[form]
+
+
+def three_run_states(param_sets):
+    # The chunk's states as three whole runs of its three circuits, each
+    # Ry taking its own trig from its angle.
+    factors, q = block_of(param_sets)
+    return [
+        hashing._run(tuple(replace(op, entries=()) for op in ops), int(q.sum()))
+        for ops in hashing._block_circuits(factors, q)
+    ]
+
+
+def three_run_grams(param_sets, states):
+    # Each set's Gram from a C-ordered copy of its own block of rows.
+    stops = np.cumsum([params.q for params in param_sets]).tolist()
+    grams = {}
+    for form, state in zip(FORMS, states):
+        blocks = [
+            np.ascontiguousarray(state.amplitudes[stop - params.q : stop])
+            for stop, params in zip(stops, param_sets)
+        ]
+        grams[form] = [block @ block.T for block in blocks]
+    return grams
 
 
 def subset_sum_means_oracle(params):
@@ -381,6 +459,37 @@ class TestBatchedGram:
         for params, gram in zip(param_sets, grams):
             reference = per_x_gram(params.q, n + extra, partial(circuit, params))
             assert gram.tobytes() == reference.tobytes()
+
+    @given(
+        n=st.integers(1, 6),
+        qs=st.lists(st.one_of(st.just(2), st.integers(2, 40)), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_states_equal_three_whole_runs(self, n, qs, data):
+        # Entries taken once per angle column and the sum-qubit batch grown
+        # from the bare batch, against three runs whose every Ry takes its
+        # own trig: the single-qubit and shallow states agree by bytes, the
+        # sum-qubit state by value (the widened qubit's zeros are +0.0
+        # where a gate-by-gate run can leave -0.0), and every Gram by bytes.
+        entry = partial(st.one_of, st.just(0))
+        param_sets = [
+            ParamSet(q, [data.draw(entry(st.integers(0, q - 1))) for _ in range(n)])
+            for q in qs
+        ]
+        states = verification._chunk_states(*block_of(param_sets))
+        reference = three_run_states(param_sets)
+        for i, (state, expected) in enumerate(zip(states, reference)):
+            assert state.num_qubits == expected.num_qubits
+            assert state.amplitudes.flags.f_contiguous
+            if i < 2:
+                assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+            else:
+                assert np.array_equal(state.amplitudes, expected.amplitudes)
+        grams = chunk_grams(param_sets)
+        for form, expected in three_run_grams(param_sets, reference).items():
+            for gram, alone in zip(grams[form], expected):
+                assert gram.tobytes() == alone.tobytes()
 
     def test_ucr_check_is_independent_of_batching(self, monkeypatch):
         whole = check_ucr_decomposition(n_max=4, vectors_per_n=3, seed=5)
