@@ -110,13 +110,11 @@ def _verify_sim_chunk():
 
 
 def test_block_circuits(benchmark):
-    # The three circuits of that chunk, each rotation with its angles and
-    # their Ry entries.
+    # The three circuits of that chunk, each rotation with its angles.
     circuits = benchmark(_block_circuits, *_verify_sim_chunk())
     rotations = circuits[1][5:] + circuits[2]
     assert [len(ops) for ops in circuits] == [5, 10, 6]
     assert {op.angle.shape for op in rotations} == {(527,)}
-    assert {entry.shape for op in rotations for entry in op.entries} == {(527,)}
 
 
 def test_chunk_states(benchmark):

@@ -291,15 +291,7 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     values = np.abs(total)
     del total
     if logs is not None:
-        # Through intp indices made a block at a time: `take` would copy the
-        # whole int32 table to intp first. Every log is in [0, q - 1), so
-        # "clip" changes no index, and unlike "raise" it writes into `out`
-        # unbuffered.
-        in_log_order, values = values, np.empty_like(values)
-        for start in range(0, q - 1, _SWEEP_BLOCK):
-            index = logs[start + 1 : start + 1 + _SWEEP_BLOCK].astype(np.intp)
-            out = values[start : start + index.size]
-            in_log_order.take(index, out=out, mode="clip")
+        values = values.take(logs[1:])
     return _report_from_values(q, values)
 
 
@@ -348,7 +340,7 @@ def closed_inner_single(
     """Inner product of the single-qubit-form hashes of x1 and x2, evaluated
     in closed form. Depends only on x1 - x2."""
     _check_set(params, ParamSet, "closed_inner_single")
-    dx = _check_int(x1, "x1", None) - _check_int(x2, "x2", None)
+    dx = _check_int(x1, "x1") - _check_int(x2, "x2")
     return float(
         _closed_inner_values(params.q, params.elements, dx, include_sum_qubit)
     )

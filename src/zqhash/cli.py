@@ -37,6 +37,7 @@ from .hashing import (
     BiasedSet,
     HashForm,
     ParamSet,
+    _MODULUS_SPAN,
     _check_int,
     build_hash,
     derive_biased_set,
@@ -218,7 +219,7 @@ def _report_outputs(report: ResistanceReport) -> dict[str, Any]:
 
 def cmd_hash(args: argparse.Namespace) -> tuple[dict, dict]:
     form, include_sum_qubit = _form(args)
-    _check_int(args.q, "modulus")
+    _check_int(args.q, "modulus", *_MODULUS_SPAN)
     _check_int(args.x, "x", 0, args.q - 1, f"[0, q) with q={args.q}")
     if form is not HashForm.STANDARD and args.b is not None:
         raise ValueError(f"--b only applies to the standard form, not {form.value}")

@@ -28,8 +28,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .statevec import (
     MAX_QUBITS,
     GateOp,
     StateVector,
-    _ry_entries,
+    _check_int,
     run_circuit,
     zero_state,
 )
@@ -55,38 +54,8 @@ MAX_MODULUS = 2**1000
 # factor of a product is below 2q <= 2**21, so the product is below 2**42.
 MAX_SWEEP_MODULUS = 1 << 20
 
-def _check_int(
-    value: object,
-    name: str,
-    low: int | None = 2,
-    high: int | None = MAX_MODULUS,
-    span: str | None = None,
-) -> int:
-    """`value` as a Python int, if it is an integer in [low, high] (no upper
-    bound when `high` is None, no bound at all when `low` is None);
-    ValueError otherwise. The one integer-input rule of the package.
-    `operator.index` takes ints and numpy integers but refuses floats and
-    strings, so nothing is silently truncated; bools, which it would take
-    as 0 and 1, are refused too. The defaults are the modulus rule; `span`
-    replaces the printed range."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if low is None:
-        return number
-    if high is None:
-        if number < low:
-            raise ValueError(f"{name} must be at least {low}, got {number}")
-    elif not low <= number <= high:
-        if span is None:
-            top = f"2**{high.bit_length() - 1}" if high == MAX_MODULUS else high
-            span = f"[{low}, {top}]"
-        raise ValueError(f"{name} must be in {span}, got {number}")
-    return number
-
+# The modulus rule of every entry point, as `_check_int` arguments.
+_MODULUS_SPAN = (2, MAX_MODULUS, f"[2, 2**{MAX_MODULUS.bit_length() - 1}]")
 
 # The element types `_reduced` refuses, as `_check_int` refuses them.
 _BOOLS = frozenset((bool, np.bool_))
@@ -116,7 +85,7 @@ class ParamSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = _check_int(self.q, "modulus")
+        q = _check_int(self.q, "modulus", *_MODULUS_SPAN)
         _check_int(len(self.elements), "parameter count", 1, MAX_PARAMS)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "elements", _reduced(self.elements, q, "parameters"))
@@ -142,7 +111,7 @@ class BiasedSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = _check_int(self.q, "modulus")
+        q = _check_int(self.q, "modulus", *_MODULUS_SPAN)
         if len(self.elements) == 0:  # a numpy array has no truth value
             raise ValueError("residue set must not be empty")
         object.__setattr__(self, "q", q)
@@ -174,8 +143,7 @@ def linear_combination(params: ParamSet, j: int) -> int:
     """Subset sum of S selected by the bits of j (qubit-0 bit first), mod q."""
     _check_set(params, ParamSet, "linear_combination")
     n = params.size
-    if not 0 <= j < 1 << n:
-        raise ValueError(f"index {j} out of range for {n} parameters")
+    j = _check_int(j, "index", 0, (1 << n) - 1, f"[0, 2**{n})")
     total = 0
     for k, s in enumerate(params.elements):
         if (j >> (n - 1 - k)) & 1:
@@ -223,23 +191,19 @@ def _angles(
     return scale * ((factor % p) * (x % p) % p) / q
 
 
-def _single_qubit_ops(angles: Sequence, entries: Iterable = ()) -> tuple[GateOp, ...]:
+def _single_qubit_ops(angles: Sequence) -> tuple[GateOp, ...]:
     # The single-qubit layout: Ry(angles[j]) on qubit j. Each angle is a
-    # float, or a (B,) array for a batch, which may pass each gate's Ry
-    # entries too.
-    return tuple(
-        GateOp("ry", target=j, angle=a, entries=e)
-        for j, (a, e) in enumerate(zip_longest(angles, entries, fillvalue=()))
-    )
+    # float, or a (B,) array for a batch.
+    return tuple(GateOp("ry", target=j, angle=a) for j, a in enumerate(angles))
 
 
-def _shallow_ops(angles: Sequence, entries: Iterable = ()) -> tuple[GateOp, ...]:
+def _shallow_ops(angles: Sequence) -> tuple[GateOp, ...]:
     # The shallow layout: H on each address qubit k, then Ry(angles[k]) on
-    # the target qubit n under address qubit k. Entries as above.
+    # the target qubit n under address qubit k.
     n = len(angles)
     return tuple(GateOp("h", target=k) for k in range(n)) + tuple(
-        GateOp("cry", target=n, controls=((k, 1),), angle=a, entries=e)
-        for k, (a, e) in enumerate(zip_longest(angles, entries, fillvalue=()))
+        GateOp("cry", target=n, controls=((k, 1),), angle=a)
+        for k, a in enumerate(angles)
     )
 
 
@@ -261,7 +225,7 @@ def standard_hash_circuit(biased: BiasedSet, x: int) -> tuple[GateOp, ...]:
         raise ValueError(f"set size must be a power of two, got {d}")
     n = d.bit_length() - 1
     _check_int(n + 1, "qubit count", 1, MAX_QUBITS)
-    x = _check_int(x, "x", None)
+    x = _check_int(x, "x")
     ops = [GateOp("h", target=k) for k in range(n)]
     ops.append(
         GateOp(
@@ -283,7 +247,7 @@ def shallow_hash_circuit(params: ParamSet, x: int) -> tuple[GateOp, ...]:
     """Gate list for the shallow form: H layer, then one two-qubit controlled
     rotation per parameter, all targeting the last qubit."""
     _check_set(params, ParamSet, "the shallow form")
-    x = _check_int(x, "x", None)
+    x = _check_int(x, "x")
     return _shallow_ops([_angles(_TURN_4PI, s, x, params.q) for s in params.elements])
 
 
@@ -298,7 +262,7 @@ def single_qubit_hash_circuit(
     """Gate list for the entanglement-free form: one Ry per parameter, each
     on its own qubit, plus one more for sum(S) when requested. Depth 1."""
     _check_set(params, ParamSet, "the single-qubit form")
-    x = _check_int(x, "x", None)
+    x = _check_int(x, "x")
     factors = list(params.elements)
     if include_sum_qubit:
         factors.append(params.total)
@@ -312,20 +276,19 @@ def _block_circuits(
     block of parameter rows, row k over the residues mod q[k] (a (K,)
     int64 array, each q[k] <= MAX_SWEEP_MODULUS). The batch holds
     x = 0..q[k]-1 of each set, set after set. Each angle form is one
-    `_angles` expression over the block, one contiguous row per gate, and
-    each form's Ry entries are taken once for all its rows: 2n + 1 angle
-    columns, as the sum-qubit circuit is the single-qubit one and one
-    more Ry. The gates are laid out by the public builders' own helpers,
-    so every batch row equals that set's own circuit for its x bitwise.
-    The angle forms are read at call time."""
+    `_angles` expression over the block, one contiguous row per gate: 2n
+    + 1 angle rows, as the sum-qubit circuit is the single-qubit one and
+    one more Ry. The gates are laid out by the public builders' own
+    helpers, so every batch row equals that set's own circuit for its x
+    bitwise. The angle forms are read at call time."""
     n = factors.shape[1]
     x = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
     q_rows = np.repeat(q, q)
     rows = np.repeat(np.vstack([factors.T, factors.sum(axis=1)]), q, axis=1)
     half_turns = _angles(_TURN_2PI, rows, x, q_rows)
     turns = _angles(_TURN_4PI, rows[:n], x, q_rows)
-    with_sum = _single_qubit_ops(half_turns, zip(*_ry_entries(half_turns)))
-    return with_sum[:n], _shallow_ops(turns, zip(*_ry_entries(turns))), with_sum
+    with_sum = _single_qubit_ops(half_turns)
+    return with_sum[:n], _shallow_ops(turns), with_sum
 
 
 def build_single_qubit_hash(

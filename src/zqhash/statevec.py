@@ -20,9 +20,6 @@ Conventions:
     kernel's inner loops run over the rows. `StateVector.copy` keeps the
     order. A C-ordered batch gives the same bits, more slowly.
   - Gate functions mutate the passed state in place and return it.
-  - An "ry" or "cry" `GateOp` may carry its Ry entries, which verify's
-    block builder takes once per angle column; `apply_gate` hands them
-    to the kernel directly, past `apply_ry` and `apply_controlled_ry`.
   - `StateVector.widened` appends one qubit in |0>, so verify grows its
     sum-qubit batch from the single-qubit batch and one more Ry. Its odd
     amplitudes are +0.0 where a gate-by-gate run can leave -0.0: the two
@@ -34,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,6 +47,36 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _HADAMARD = (_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
 
 
+def _check_int(
+    value: object,
+    name: str,
+    low: int | None = None,
+    high: int | None = None,
+    span: str | None = None,
+) -> int:
+    """`value` as a Python int, if it is an integer in [low, high] (no upper
+    bound when `high` is None, no bound at all when `low` is None);
+    ValueError otherwise. The one integer-input rule of the package.
+    `operator.index` takes ints and numpy integers but refuses floats and
+    strings, so nothing is silently truncated; bools, which it would take
+    as 0 and 1, are refused too. `span` replaces the printed range."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is None:
+        return number
+    if high is None:
+        if number < low:
+            raise ValueError(f"{name} must be at least {low}, got {number}")
+    elif not low <= number <= high:
+        span = span or f"[{low}, {high}]"
+        raise ValueError(f"{name} must be in {span}, got {number}")
+    return number
+
+
 @dataclass
 class StateVector:
     """Amplitudes of an m-qubit register, shape (2**m,), or of a batch of
@@ -58,6 +86,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        self.num_qubits = _check_int(self.num_qubits, "qubit count", 1, MAX_QUBITS)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
         shape = self.amplitudes.shape
         if not 1 <= len(shape) <= 2 or shape[-1] != 1 << self.num_qubits:
@@ -92,13 +121,9 @@ def zero_state(num_qubits: int, batch: int | None = None) -> StateVector:
     """All-zeros basis state |0...0> on `num_qubits` qubits; when `batch`
     is given, a (batch, 2**num_qubits) batch of copies of it, stored
     amplitude-major."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
-    amps = np.zeros(
-        (() if batch is None else (batch,)) + (1 << num_qubits,), order="F"
-    )
+    num_qubits = _check_int(num_qubits, "qubit count", 1, MAX_QUBITS)
+    rows = () if batch is None else (_check_int(batch, "batch", 1),)
+    amps = np.zeros(rows + (1 << num_qubits,), order="F")
     amps[..., 0] = 1.0
     return StateVector(num_qubits, amps)
 
@@ -106,31 +131,32 @@ def zero_state(num_qubits: int, batch: int | None = None) -> StateVector:
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational-basis state |index> on `num_qubits` qubits."""
     state = zero_state(num_qubits)
-    if not 0 <= index < 1 << num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    top = state.amplitudes.size - 1
+    index = _check_int(index, "basis index", 0, top, f"[0, 2**{num_qubits})")
     state.amplitudes[0] = 0.0
     state.amplitudes[index] = 1.0
     return state
 
 
 def _check_wires(num_qubits: int, target: int, controls, mux) -> None:
-    # The one wire validator: in range, pairwise distinct, polarities 0/1.
+    # The one wire validator: integer qubits in range, pairwise distinct,
+    # polarities 0/1. It runs on every kernel call, so one pass each.
     wires = [target, *(qubit for qubit, _ in controls), *mux]
+    seen: set[int] = set()
     for qubit in wires:
-        if not 0 <= qubit < num_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"target and control qubits must be distinct, got {wires}")
+        if _check_int(qubit, "qubit", 0, num_qubits - 1) in seen:
+            raise ValueError(
+                f"target and control qubits must be distinct, got {wires}"
+            )
+        seen.add(qubit)
     for _, bit in controls:
-        if bit not in (0, 1):
-            raise ValueError(f"control polarity must be 0 or 1, got {bit!r}")
+        _check_int(bit, "control polarity", 0, 1)
 
 
 def _ry_entries(theta) -> tuple[np.ndarray, ...]:
     # The entries m00, m01, m10, m11 of Ry(theta), each of theta's shape.
     # The entry -s makes the kernel's c*a0 + (-s)*a1 bit-equal to
-    # c*a0 - s*a1. A 2-D block of angle columns gives, in row j of each
-    # entry, the bits its row j alone gives.
+    # c*a0 - s*a1.
     half = np.asarray(theta, dtype=np.float64) / 2.0
     if not np.isfinite(half).all():
         raise ValueError("rotation angles must be finite")
@@ -256,9 +282,7 @@ class GateOp:
 
     For a batched circuit `angle` is a (B,) array. `angles` is a tuple:
     the hash builders make a "ucr" gate for one x at a time (`apply_ucr`
-    itself also takes a (B, 2**n) array). An "ry" or "cry" gate may carry
-    `entries`, the four `_ry_entries` of its `angle`, which `apply_gate`
-    then uses instead of taking the trig again.
+    itself also takes a (B, 2**n) array).
     """
 
     kind: str
@@ -267,7 +291,6 @@ class GateOp:
     controls: tuple[tuple[int, int], ...] = ()
     control_qubits: tuple[int, ...] = ()
     angles: tuple[float, ...] = ()
-    entries: tuple[np.ndarray, ...] = ()
 
     def is_multi_qubit(self) -> bool:
         return bool(self.controls) or bool(self.control_qubits)
@@ -276,8 +299,6 @@ class GateOp:
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     if op.kind == "h":
         return apply_h(state, op.target)
-    if op.entries and op.kind in ("ry", "cry"):
-        return _apply_2x2(state, op.target, op.controls, (), op.entries)
     if op.kind == "ry":
         return apply_ry(state, op.target, op.angle)
     if op.kind == "cry":

@@ -24,9 +24,9 @@ time from the package's port of that stream (`search._draw_rows`). The
 sets of one size are then checked together, in chunks of at most
 `_BATCH_AMPLITUDES` amplitudes per run and `_BATCH_CELLS` Gram cells.
 `hashing._block_circuits` writes the angles of all their circuits at
-once and takes the trig of each angle column once, 2n + 1 columns for
-the three circuits. One batched run each makes the single-qubit and the
-shallow states. The sum-qubit circuit is the single-qubit one and one
+once, 2n + 1 angle columns for the three circuits, and the trig is taken
+per gate: each Ry takes its own column's, 2n + 1 per chunk. One batched
+run each makes the single-qubit and the shallow states. The sum-qubit circuit is the single-qubit one and one
 more Ry, so its states are the single-qubit batch widened by a qubit in
 |0> and rotated by the sum factor's Ry alone: 3n + 1 gates per chunk,
 not 4n + 1. The widened qubit's odd amplitudes start as +0.0, where the
@@ -43,8 +43,9 @@ bounds the work of each check and of a whole request.
 
 Tests prove each check can fail by substituting a faulty angle rule
 (`hashing._TURN_4PI` or `_TURN_2PI`, which the circuit builders read at
-call time and the closed forms never read) or a faulty `apply_ry` in the
-flat route.
+call time and the closed forms never read), a faulty `apply_ry` in the
+flat route, or a faulty `statevec.apply_ry` or `apply_controlled_ry`,
+which every chunk's Ry gates go through.
 """
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import zqhash
+from zqhash.hashing import ParamSet, linear_combination
 from zqhash.statevec import (
     GateOp,
     StateVector,
@@ -21,7 +22,6 @@ from zqhash.statevec import (
     apply_ry,
     apply_ucr,
     basis_state,
-    _ry_entries,
     inner_product,
     run_circuit,
     zero_state,
@@ -287,6 +287,42 @@ class TestCircuits:
         assert abs(state.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (apply_controlled_ry, (zero_state(2), [(0.5, 1)], 1, 0.3)),
+        (apply_controlled_ry, (zero_state(2), [(0, True)], 1, 0.3)),
+        (apply_ry, (zero_state(2), 1.5, 0.3)),
+        (basis_state, (2, True)),
+        (basis_state, (2, np.False_)),
+        (basis_state, (2, 1.0)),
+        (zero_state, (2.0,)),
+        (zero_state, (2, 2.5)),
+        (StateVector, (True, [1.0, 0.0])),
+        (linear_combination, (ParamSet(7, (1, 2)), 1.5)),
+        (linear_combination, (ParamSet(7, (1, 2)), True)),
+    ],
+    ids=[
+        "control_qubit_float",
+        "control_polarity_bool",
+        "target_float",
+        "basis_index_bool",
+        "basis_index_numpy_bool",
+        "basis_index_float",
+        "qubit_count_float",
+        "batch_float",
+        "statevector_qubit_count_bool",
+        "subset_index_float",
+        "subset_index_bool",
+    ],
+)
+def test_rejects_non_integer_inputs(call, args):
+    # The package's one integer rule: a float or bool where an int belongs
+    # is refused, never truncated, dropped or read as 0 and 1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
+
+
 def test_statevector_rejects_wrong_length():
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
@@ -344,27 +380,6 @@ class TestBatch:
         for b in range(batch):
             single = run_circuit(StateVector(4, starts[b].copy()), row_ops[b])
             assert amplitudes[b].tobytes() == single.amplitudes.tobytes()
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from("CF"))
-    @settings(max_examples=40, deadline=None)
-    def test_entries_equal_the_angle_bitwise(self, seed, batch, order):
-        # Ry entries taken once for a block of angle columns, one row per
-        # gate, give each "ry" and "cry" gate's own bits.
-        rng = np.random.default_rng(seed)
-        starts = np.stack([random_state(rng, 4).amplitudes for _ in range(batch)])
-        ops, _ = _random_batched_circuit(rng, 4, batch, 12)
-        rotations = [
-            i
-            for i, op in enumerate(ops)
-            if op.kind in ("ry", "cry") and np.ndim(op.angle)
-        ]
-        block = np.array([ops[i].angle for i in rotations]).reshape(-1, batch)
-        with_entries = list(ops)
-        for i, entries in zip(rotations, zip(*_ry_entries(block))):
-            with_entries[i] = replace(ops[i], entries=entries)
-        plain = run_circuit(StateVector(4, np.array(starts, order=order)), ops)
-        fed = run_circuit(StateVector(4, np.array(starts, order=order)), with_entries)
-        assert fed.amplitudes.tobytes() == plain.amplitudes.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_widened_appends_a_qubit_in_zero(self, order):

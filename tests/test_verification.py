@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -104,6 +103,27 @@ class TestFaultInjection:
         results = by_name(check_inner_products([5, 9], sets_per_q=3))
         assert not results["resistance_equivalence"].passed
 
+    @pytest.mark.parametrize(
+        "gate, check",
+        [
+            ("apply_ry", "single_qubit_inner_product"),
+            ("apply_controlled_ry", "shallow_inner_product"),
+        ],
+    )
+    def test_inner_products_catch_a_faulty_gate(self, monkeypatch, gate, check):
+        # The chunk circuits reach the kernel through the simulator's own
+        # gate functions, so a faulty one halving its angle is caught.
+        apply = getattr(statevec, gate)
+
+        def halved(state, *args):
+            *wires, theta = args
+            return apply(state, *wires, 0.5 * theta)
+
+        monkeypatch.setattr(statevec, gate, halved)
+        results = by_name(check_inner_products([5, 9], sets_per_q=3))
+        assert not results[check].passed
+        assert results[check].max_deviation > 1e-3
+
     def test_tiny_corruption_still_detected(self, monkeypatch):
         scale_turn(monkeypatch, "_TURN_4PI", 1.0 + 1e-6)
         results = by_name(check_inner_products([8], sets_per_q=4))
@@ -181,13 +201,13 @@ class TestCheckGranularity:
         # amplitudes each); a budget of 1 runs every set alone. A chunk of
         # size n makes three runs: the single-qubit and shallow circuits,
         # then the single-qubit batch widened by one qubit through one Ry.
-        # It takes the trig of 2n + 1 angle columns, once each, and
-        # applies 3n + 1 gates.
+        # Each of its 2n + 1 Ry gates takes the trig of its own angle
+        # column, and it applies 3n + 1 gates.
         if budget is not None:
             monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", budget)
         drawn, runs, widened, columns, gates = [], [0], [], [0], [0]
         draw, run = verification._draw_rows, verification._run
-        run_circuit, entries = verification.run_circuit, hashing._ry_entries
+        run_circuit, entries = verification.run_circuit, statevec._ry_entries
         kernel = statevec._apply_2x2
 
         def counted_draw(keys, index, *args, **kwargs):
@@ -204,7 +224,7 @@ class TestCheckGranularity:
             return run_circuit(state, ops)
 
         def counted_entries(theta):
-            columns[0] += len(theta)
+            columns[0] += 1
             return entries(theta)
 
         def counted_kernel(*args):
@@ -214,7 +234,7 @@ class TestCheckGranularity:
         monkeypatch.setattr(verification, "_draw_rows", counted_draw)
         monkeypatch.setattr(verification, "_run", counted_run)
         monkeypatch.setattr(verification, "run_circuit", counted_widened_run)
-        monkeypatch.setattr(hashing, "_ry_entries", counted_entries)
+        monkeypatch.setattr(statevec, "_ry_entries", counted_entries)
         monkeypatch.setattr(statevec, "_apply_2x2", counted_kernel)
         check_inner_products(range(2, 7), sets_per_q=2, n_max=3)
         assert [(q, i) for q, i, _ in drawn] == [
@@ -363,12 +383,10 @@ def stacked_grams(param_sets, form):
 
 
 def three_run_states(param_sets):
-    # The chunk's states as three whole runs of its three circuits, each
-    # Ry taking its own trig from its angle.
+    # The chunk's states as three whole runs of its three circuits.
     factors, q = block_of(param_sets)
     return [
-        hashing._run(tuple(replace(op, entries=()) for op in ops), int(q.sum()))
-        for ops in hashing._block_circuits(factors, q)
+        hashing._run(ops, int(q.sum())) for ops in hashing._block_circuits(factors, q)
     ]
 
 
@@ -467,10 +485,9 @@ class TestBatchedGram:
     )
     @settings(max_examples=60, deadline=None)
     def test_chunk_states_equal_three_whole_runs(self, n, qs, data):
-        # Entries taken once per angle column and the sum-qubit batch grown
-        # from the bare batch, against three runs whose every Ry takes its
-        # own trig: the single-qubit and shallow states agree by bytes, the
-        # sum-qubit state by value (the widened qubit's zeros are +0.0
+        # The sum-qubit batch grown from the bare batch, against three
+        # whole runs: the single-qubit and shallow states agree by bytes,
+        # the sum-qubit state by value (the widened qubit's zeros are +0.0
         # where a gate-by-gate run can leave -0.0), and every Gram by bytes.
         entry = partial(st.one_of, st.just(0))
         param_sets = [
