@@ -15,7 +15,13 @@ import pytest
 
 from zqhash.analysis import _ClosedSweep, collision_resistance, epsilon_of_biased_set
 from zqhash.cli import _report_outputs, dumps_report, render_report
-from zqhash.floattext import join_floats
+from zqhash.floattext import (
+    _BLOCK_ROWS,
+    _FIELD,
+    format_floats,
+    join_floats,
+    write_floats,
+)
 from zqhash.hashing import (
     BiasedSet,
     HashForm,
@@ -161,6 +167,17 @@ def test_write_table(benchmark):
 
     benchmark(write)
     assert sum(written) > 4_000_000 and len(written) == 33
+
+
+def test_write_floats_block(benchmark):
+    # One 4,096-row block of the resist-wide table through the float kernel
+    # alone: test_write_table less the x column, the NUL removal and the
+    # decode.
+    params = ParamSet(1 << 17, _residues(1 << 17, 6, 2))
+    block = collision_resistance(params, HashForm.SHALLOW).values[:_BLOCK_ROWS]
+    out = np.empty((_BLOCK_ROWS, _FIELD), np.uint8)
+    benchmark(write_floats, block, out)
+    assert [row[row != 0].tobytes().decode() for row in out] == format_floats(block)
 
 
 def test_dumps_bias_table(benchmark):

@@ -9,7 +9,8 @@ but a handful of the rows of a bias or resistance table, are computed
 from a double-double product v * 10**p rounded half to even, the few
 other values go through `format_floats`, and the text is handed out one
 block of rows at a time, so no buffer holds the whole of it. Both give
-the same bytes.
+the same bytes. The last four digits come from a table without their
+trailing zeros, so only rows whose digits end in 0000 take a mask.
 """
 from __future__ import annotations
 
@@ -54,7 +55,8 @@ _FIELD = 24
 _BLOCK_ROWS = 4096
 # The ASCII digits of 00..99, little-endian, so that a uint8 view of a
 # uint16 array of pairs reads the two digits in order; and of 0000..9999,
-# in uint32, built from the pairs without a ufunc.
+# in uint32, built from the pairs without a ufunc. _TRIM is _QUADS with
+# the trailing "0"s of 1..9999 set to NUL, for the last four of 17 digits.
 _PAIRS = np.array(
     [ord(str(i // 10)) | ord(str(i % 10)) << 8 for i in range(100)], dtype="<u2"
 )
@@ -62,21 +64,12 @@ _QUADS = np.empty((100, 100, 2), "<u2")
 _QUADS[:, :, 0] = _PAIRS[:, None]
 _QUADS[:, :, 1] = _PAIRS
 _QUADS = _QUADS.view("<u4").ravel()
+_TRIM = _QUADS.copy().view(np.uint8).reshape(-1, 4)
+_TRIM[10::10, 3] = _TRIM[100::100, 2] = _TRIM[1000::1000, 1] = 0
+_TRIM = _TRIM.view("<u4").ravel()
 # Veltkamp's splitter, 2**27 + 1: a double is the exact sum of two halves
 # of at most 26 significant bits each, whose products are exact doubles.
 _SPLITTER = 134217729.0
-
-
-def _write_digits(numbers: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Write the last m groups of decimal digits of each number into the
-    (n, m) view `groups`, uint16 for pairs or uint32 for fours; return
-    the numbers above them."""
-    table = _PAIRS if groups.itemsize == 2 else _QUADS
-    for column in range(groups.shape[1] - 1, -1, -1):
-        quotient = numbers // table.size
-        groups[:, column] = table.take(numbers - table.size * quotient)
-        numbers = quotient
-    return numbers
 
 
 def _split(x: Any) -> tuple[Any, Any]:
@@ -107,21 +100,26 @@ _SCALES_LOW = np.array([float(10**p - int(float(10**p))) for p in range(17, 46)]
 # 10**-29), lies in the binade [2**-97, 2**-96). Per binade [2**e,
 # 2**(e + 1)) from there to e = -1: the decade of 2**e, and the least
 # double at or above the one power of ten inside the binade, or 1.0 if
-# none is. A value a in the binade has decimal exponent
-# _DECADE[e] + (a >= _EDGE[e]).
+# none is. Both are indexed by the biased exponent 1023 + e, the top bits
+# of a, and their first 926 entries are never read. A value a in the
+# binade has decimal exponent _DECADE[1023 + e] + (a >= _EDGE[1023 + e]).
 _LOWEST = _at_least(29)
 _BINADES = range(-97, 0)
-_DECADE = np.array([-len(str(2**-e - 1)) for e in _BINADES])
+_DECADES = [-len(str(2**-e - 1)) for e in _BINADES]
+_DECADE = np.array([0] * (1023 - 97) + _DECADES)
 _EDGE = np.array(
-    [
+    [1.0] * (1023 - 97)
+    + [
         _at_least(-1 - k) if 2 ** (-1 - e) < 10 ** (-1 - k) else 1.0
-        for e, k in zip(_BINADES, _DECADE.tolist())
+        for e, k in zip(_BINADES, _DECADES)
     ]
 )
 # Where low is not 0, the fraction of v * 10**p is found to within 2**-48:
 # two roundings of sums below 32. Rows whose fraction lies within _GUARD,
 # 256 times that, of one half take the %-format, exact ties among them.
 _GUARD = 2.0**-40
+# The least fraction that rounds up, for an even and an odd integer part.
+_HALF = np.array([math.nextafter(0.5, 1.0), 0.5])
 
 
 def _scaled(
@@ -155,10 +153,12 @@ def _round_half_even(
     whole: np.ndarray, frac: np.ndarray, k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """whole + frac rounded to an integer, ties to even, as `%.17g` rounds.
-    A carry to 10**17 gives 10**16 at exponent k + 1."""
-    r = whole + ((frac > 0.5) | ((frac == 0.5) & (whole & 1 == 1)))
-    carry = r == 10**17
-    return np.where(carry, 10**16, r), k + carry
+    A carry to 10**17 gives 10**16, and k + 1 in place of k."""
+    r = whole + (frac >= _HALF.take(whole & 1))
+    carry = np.flatnonzero(r == 10**17)
+    r[carry] = 10**16
+    k[carry] += 1
+    return r, k
 
 
 # The text of a computed row is a selection of its 24 bytes, d being the
@@ -171,10 +171,10 @@ def _round_half_even(
 #   negative, the first digit, "." unless d is 1, the next d - 1 digits,
 #   and "e-XX".
 # The 17 digits are written as the first and four groups of four, into
-# columns 7 .. 23; exponent rows then move the last 16 to columns 4 .. 19.
+# columns 7 .. 23; exponent rows then move the first to column 1 and the
+# last 16 to columns 4 .. 19, and take "e-XX" as _EXPONENTS[k], k < 0.
 _TEMPLATE = np.frombuffer(b"-0.000\0\0", np.uint8)  # and the first digit's place
-_EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % j for j in range(30)), np.uint8)
-_EXPONENTS = _EXPONENTS.reshape(30, 4)
+_EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % (30 - j) for j in range(30)), "<u4")
 
 
 def _keep(sign: int, form: int, d: int) -> list[int]:
@@ -196,27 +196,12 @@ _KEEP = np.array(
 )
 # Word 5 * sign + form of _PREFIX: the first 8 bytes of a row that keeps
 # all 17 digits, as one little-endian uint64, the template masked by its
-# row of _KEEP; the first digit is written over its last byte. Only a row
-# whose 17 digits end in "0" drops more, about a tenth of the rows.
+# row of _KEEP; the first digit is written over its last byte. The last
+# four digits come from _TRIM, their trailing zeros dropped, so only a row
+# whose digits end in 0000, about 1 in 10**4, is masked to drop more.
 _PREFIX = (_TEMPLATE & _KEEP[17::18, :8]).view("<u8").ravel()
-
-
-# The ASCII "0" in every byte of a uint64 word: XOR-ed with it, each digit
-# byte holds its digit, and a "0" is a zero byte.
-_ZEROS = np.uint64(0x3030303030303030)
-
-
-def _trailing_zeros(words: np.ndarray) -> np.ndarray:
-    """The number of "0" digits that end the 16 digits of each row of
-    `words`, their two little-endian uint64 words of eight ASCII digits.
-    A word's zero bytes at the end of its text are its high zero bytes,
-    (64 - bit length) // 8 of them. The bit length is the exponent that
-    np.frexp gives: a word's top byte holds a digit, at most 9, so rounding
-    it to a double moves its bit length by at most one place, within the
-    same byte."""
-    _, bits = np.frexp(np.bitwise_xor(words, _ZEROS).astype(np.float64))
-    zeros = (64 - bits) >> 3
-    return zeros[:, 1] + (zeros[:, 1] == 8) * zeros[:, 0]
+# 10**1 .. 10**12: the zeros that end the first 13 of a row's 17 digits.
+_TENS = np.array([10**j for j in range(1, 13)])
 
 
 def write_floats(values: np.ndarray, out: np.ndarray) -> None:
@@ -230,38 +215,45 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
     as "0.", the zeros after the point and the digits for k >= -4, and as
     "d.dddddddddddddddde-XX" below. Those digits are computed, not
     formatted. Each row's sign and notation come from a word of `_PREFIX`,
-    and only the rows whose digits end in "0" are masked with a row of
-    `_KEEP`, to drop their trailing zeros. Every other row takes the
+    its last four digits from `_TRIM`, which drops their trailing zeros,
+    and only the rows whose digits end in 0000 are masked with a row of
+    `_KEEP`, to drop the zeros before them. Every other row takes the
     %-format of `format_floats`: zero, subnormals, |v| < 10**-29,
-    |v| >= 1, non-finite values, rows that round up to 1, and rows below
-    10**-6 whose scaled fraction lies within `_GUARD` of one half."""
+    |v| >= 1, non-finite values, and rows below 10**-6 whose scaled
+    fraction lies within `_GUARD` of one half."""
     magnitude = np.abs(values)
     computed = (magnitude >= _LOWEST) & (magnitude < 1.0)
     a = np.where(computed, magnitude, 0.5)  # other rows are overwritten below
-    binade = (a.view(np.int64) >> 52) - (1023 + _BINADES[0])  # from the exponent bits
+    binade = a.view(np.int64) >> 52  # 1023 + e, as a is positive
     k = _DECADE.take(binade) + (a >= _EDGE.take(binade))
     whole, frac, unsure = _scaled(a, k)
     computed[unsure] = False
-    r, k = _round_half_even(whole, frac, k)
-    computed &= k < 0
+    # No double below 1 rounds up to 1 in 17 digits, so k stays below 0.
     # Rows that are not computed are overwritten below, whatever row of
-    # _PREFIX and _KEEP they select; "clip" keeps a row carried to k = 0
-    # in range.
+    # _PREFIX and _KEEP they select.
+    r, k = _round_half_even(whole, frac, k)
     prefix = (values < 0) * 5 + np.minimum(-1 - k, 4)
-    out.view("<u8")[:, 0] = _PREFIX.take(prefix, mode="clip")
-    out[:, 7] = _write_digits(r, out.view("<u4")[:, 2:]) + ord("0")
-    ends = np.flatnonzero(out[:, _FIELD - 1] == ord("0"))
-    trailing = _trailing_zeros(out.view("<u8")[ends, 1:])
+    out.view("<u8")[:, 0] = _PREFIX.take(prefix)
+    high = r // 10**4
+    last = r - 10**4 * high
+    quads = out.view("<u4")[:, 2:]
+    quads[:, 3] = _TRIM.take(last)
+    numbers = high
+    for column in (2, 1, 0):  # uint32 below 10**9, as it divides faster
+        quotient = numbers // 10**4
+        quads[:, column] = _QUADS.take(numbers - 10**4 * quotient)
+        numbers = quotient.astype(np.uint32, copy=False)
+    out[:, 7] = numbers + ord("0")
     small = np.flatnonzero(k < -4)
-    if small.size:  # move them into exponent notation
-        moved = out[small]
-        moved[:, 1] = moved[:, 7]
-        moved[:, 2] = ord(".")
-        moved[:, 4:20] = moved[:, 8:]
-        moved[:, 20:] = _EXPONENTS[-k[small]]
-        out[small] = moved
-    row = prefix.take(ends) * 18 + 17 - trailing
-    out[ends] &= _KEEP.take(row, axis=0, mode="clip")
+    if small.size:  # into exponent notation; their prefix holds the "."
+        out[small, 1] = out[small, 7]
+        words = out.view("<u4")
+        words[small, 1:5] = words[small, 2:]
+        words[small, 5] = _EXPONENTS.take(k.take(small))
+    ends = np.flatnonzero(last == 0)
+    if ends.size:  # digits ending in 0000: drop the zeros before those too
+        d = 13 - (high[ends, None] % _TENS == 0).sum(axis=1)
+        out[ends] &= _KEEP.take(prefix.take(ends) * 18 + d, axis=0)
     rest = np.flatnonzero(~computed)
     if rest.size:
         texts = np.array(format_floats(values[rest]), dtype=f"S{_FIELD}")
@@ -299,16 +291,28 @@ def _blocks(values: np.ndarray, indexed: bool) -> Iterator[str]:
     if indexed:  # NUL "[" x ", " v "], " NUL, x in an even number of columns
         matrix[:, :2] = np.frombuffer(b"\0[", np.uint8)
         matrix[:, start - 2 : start] = np.frombuffer(b", ", np.uint8)
+        # x's last four digits, or two below 100, and a pair or a four above
+        # them, one byte per digit: tables of fewer than 10**8 rows.
+        low = _QUADS if x_width > 2 else _PAIRS
+        top = _PAIRS if x_width % 4 else _QUADS
+        low_digits = matrix[:, start - 2 - low.itemsize : start - 2].view(low.dtype)
+        top_digits = matrix[:, 2 : 2 + top.itemsize].view(top.dtype)
     matrix[:, start + _FIELD :] = np.frombuffer(tail, np.uint8)
     for first in range(0, n, _BLOCK_ROWS):
         block = values[first : first + _BLOCK_ROWS]
         rows = matrix[: block.size]
         if indexed:
-            # uint32, as no table comes near 2**32 rows: it divides by a
-            # scalar several times faster than int64.
-            x = np.arange(first + 1, first + block.size + 1, dtype=np.uint32)
-            _write_digits(x, rows[:, 2 : 2 + x_width].view("<u2"))
-            # x runs up one by one, so each width of x is one run of rows.
+            # x runs up one by one: over a run of equal x // low.size, its
+            # last digits are a slice of `low` and those above one of `top`.
+            x, last = first + 1, first + block.size
+            while x <= last:
+                end = min(last, x - x % low.size + low.size - 1)
+                run = slice(x - 1 - first, end - first)
+                low_digits[run, 0] = low[x % low.size : end % low.size + 1]
+                if x_width > low.itemsize:
+                    top_digits[run, 0] = top[x // low.size]
+                x = end + 1
+            # Each width of x is one run of rows.
             for digits in range(1, x_width):
                 short = 10**digits - 1 - first  # rows with x < 10**digits
                 rows[: max(short, 0), 2 : 2 + x_width - digits] = 0

@@ -165,6 +165,41 @@ near_powers = st.builds(
     st.sampled_from(POWERS_OF_TEN.view(np.uint64).tolist()),
     st.integers(-3000, 3000),
 )
+# Short decimals m * 10**-e, either sign, with |v| in [10**-29, 1): the
+# nearest double prints m's digits and then zeros, but for a last digit or
+# two of rounding. m below 10**13 leaves four or more zeros, and below
+# 10**16 one to three, so both the `_TRIM` groups and the rows masked to
+# drop more meet trailing zeros.
+short_decimals = st.builds(
+    lambda sign, m, e: sign * float(f"{m}e-{len(str(m)) + e}"),
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**13 - 1) | st.integers(10**13, 10**16 - 1),
+    st.integers(0, 28),
+)
+
+
+def trailing_zeros(value):
+    # The "0"s that end the 17 significant digits of `value`.
+    digits = ("%.16e" % value).split("e")[0].replace(".", "")
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def check_short_decimals():
+    # Runs the kernel on drawn lists of short decimals; returns the
+    # trailing-zero counts of every row drawn.
+    seen = set()
+
+    @given(st.lists(short_decimals, min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def check(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert kernel_texts(values) == [scalar_rule(v) for v in values.tolist()]
+        seen.update(trailing_zeros(v) for v in values.tolist())
+
+    check()
+    return seen
+
+
 # Doubles printed as a power of ten that they are below: 17 digits round
 # them up into the next decade. None lies in [1e-4, 1).
 ROUND_UP_TO_POWER = [1e-305, 1e-79, 1e-14, 1e98, 1e220]
@@ -261,6 +296,24 @@ class TestFloatKernel:
     def test_explicit_cases_match_scalar_rule(self, values):
         values = np.asarray(values, dtype=np.float64)
         assert kernel_texts(values) == [scalar_rule(v) for v in values.tolist()]
+
+    def test_short_decimals_match_scalar_rule(self):
+        seen = check_short_decimals()
+        assert max(seen) >= 4  # digits that end in 0000 take the _KEEP mask
+        assert {1, 2, 3} <= seen  # the last four digits drop their own zeros
+
+    def test_a_trim_table_that_keeps_a_zero_fails(self, monkeypatch):
+        # _TRIM with the last "0" of 10, 20, ..., 9990 kept.
+        trim = floattext._TRIM.copy()
+        trim.view(np.uint8).reshape(-1, 4)[10::10, 3] = ord("0")
+        monkeypatch.setattr(floattext, "_TRIM", trim)
+        with pytest.raises(AssertionError):
+            check_short_decimals()
+
+    @pytest.mark.parametrize("values", TIES, ids=[f"ties-{j}" for j in range(18, 22)])
+    def test_swapped_half_thresholds_fail_the_ties(self, monkeypatch, values):
+        monkeypatch.setattr(floattext, "_HALF", floattext._HALF[::-1].copy())
+        assert kernel_texts(values) != [scalar_rule(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("j, values", enumerate(TIES, 18))
     def test_ties_are_exact_and_both_parities_occur(self, j, values):
@@ -371,6 +424,25 @@ class TestFloatKernel:
         assert "".join(pieces) == table_oracle(values)
         assert sizes == [rows, rows, 1]
         assert len(pieces) == 3
+
+    @pytest.mark.parametrize(
+        "size, block",
+        [
+            (11, 4096), (101, 4096), (1001, 4096), (10001, 4096),
+            (100001, 4096), (1000001, 4096), (1001, 999), (1000001, 999),
+            (100001, 9999), (100001, 10000),
+        ],
+    )
+    def test_x_at_every_width(self, monkeypatch, size, block):
+        # x crosses 10, 100, ... inside a block; with blocks of 999 rows,
+        # 1,000 and 10**6 start a block. x widths 2, 4, 6 and 8: a pair of
+        # digits, one group of four, a pair and a four, and two fours. The
+        # digits above the last four change at each 10**4: at the start of
+        # a block of 9,999 rows, and at the last row of one of 10,000.
+        monkeypatch.setattr(floattext, "_BLOCK_ROWS", block)
+        values = np.full(size, 0.25)
+        text = "".join(floattext.join_floats(values, indexed=True))
+        assert text == table_oracle(values)
 
     def test_table_memory_is_one_block(self):
         # The blocks are handed out one at a time and nothing holds the
