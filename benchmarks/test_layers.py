@@ -9,11 +9,13 @@ collect them. Inputs are drawn from fixed seeds, so every run times the
 same work.
 """
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from zqhash.analysis import _ClosedSweep, collision_resistance, epsilon_of_biased_set
+from zqhash import analysis
+from zqhash.analysis import _closed_sweeps, collision_resistance, epsilon_of_biased_set
 from zqhash.cli import _report_outputs, dumps_report, render_report
 from zqhash.floattext import (
     _BLOCK_ROWS,
@@ -29,13 +31,7 @@ from zqhash.hashing import (
     _block_circuits,
     derive_biased_set,
 )
-from zqhash.search import (
-    SearchConfig,
-    _block_rows,
-    _draw_block,
-    _draw_rows,
-    random_search,
-)
+from zqhash.search import SearchConfig, _draw_block, _draw_rows, random_search
 from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
 from zqhash.verification import _chunk_states, check_inner_products
 
@@ -224,37 +220,50 @@ def test_random_search_table_loop(benchmark, q, n, trials):
     assert result.trials_run == trials
 
 
-def _scan_block(q, n, with_sum):
-    # One sweep block of a search at q, as the scan sweeps it: the first
-    # `_block_rows(q)` rows of a 4,096-row draw, through a sweep that has
-    # seen the draw, so it reads the square where the scan does.
+def _draw_sweep(q, n, with_sum):
+    # A search's sweep of one 4,096-row draw at q, as the scan sweeps it:
+    # the cosine table, the square where the scan reads it, and every
+    # block of `_block_rows(q)` rows. Returns the shape of each block.
     drawn = _draw_block(7, q, n, 0, 4096)
-    sweep = _ClosedSweep(q, HashForm.SINGLE_QUBIT, with_sum, (_block_rows(q),))
-    sweep.expect(len(drawn))
-    return sweep, drawn[: _block_rows(q)]
+
+    def sweep():
+        blocks = _closed_sweeps(q, with_sum, [drawn], len(drawn))
+        return [values.shape for _, _, values in blocks]
+
+    return sweep
+
+
+def _squares_built(sweep):
+    # The squares one more, untimed, run of `sweep` builds.
+    with mock.patch.object(
+        analysis, "_cosine_square", wraps=analysis._cosine_square
+    ) as square:
+        sweep()
+    return square.call_count
 
 
 def test_search_block_sweep(benchmark):
-    # One search-small sweep block: 163 candidates of 4 parameters at
-    # q = 101, every nonzero difference, read from the scan's square.
-    sweep, block = _scan_block(101, 4, False)
-    values = benchmark(sweep, block)
-    assert values.shape == (163, 100)
+    # search-small's sweep of one draw: 4,096 candidates of 4 parameters at
+    # q = 101 in 163-row blocks, every nonzero difference, read from the
+    # scan's square.
+    sweep = _draw_sweep(101, 4, False)
+    shapes = benchmark(sweep)
+    assert _squares_built(sweep) == 1 and shapes[0] == (163, 100)
 
 
 def test_search_block_sweep_square_switch(benchmark):
-    # The largest modulus whose scan reads the cosine square: a 64-row
-    # block, six parameters and the sum factor.
-    sweep, block = _scan_block(256, 6, True)
-    values = benchmark(sweep, block)
-    assert sweep.square is not None and values.shape == (64, 255)
+    # The largest modulus whose scan reads the cosine square: 64-row
+    # blocks, six parameters and the sum factor.
+    sweep = _draw_sweep(256, 6, True)
+    shapes = benchmark(sweep)
+    assert _squares_built(sweep) == 1 and shapes[0] == (64, 255)
 
 
 def test_search_block_sweep_past_switch(benchmark):
     # One modulus up, whose 64-row blocks run the table loop.
-    sweep, block = _scan_block(257, 6, True)
-    values = benchmark(sweep, block)
-    assert sweep.square is None and values.shape == (64, 256)
+    sweep = _draw_sweep(257, 6, True)
+    shapes = benchmark(sweep)
+    assert _squares_built(sweep) == 0 and shapes[0] == (64, 256)
 
 
 def test_draw_block(benchmark):

@@ -32,9 +32,10 @@ table[(s * d) mod 2q] for s in [0, 2q) and d in [1, q), no more cells than
 one factor of the loop on those rows, and then read each factor as whole
 rows of it (`_square_sweep`). Both read the same table value for every cell
 and multiply in parameter order, so a closed-form sweep is bit-identical to
-the direct route, for one row or for any row of a block. `_ClosedSweep`
-holds one modulus's table, its square once built, and the buffers every
-block is written into, so a search makes each of them once per scan.
+the direct route, for one row or for any row of a block. A search's scan
+is swept by `_closed_sweeps`, in blocks of about 2**14 cells (128 kB of
+values), so each block stays in cache; it makes the table, the square
+once built, and the buffers every block is written into once per scan.
 
 At prime q the bias sweep takes a third path, in discrete-log order
 (`_log_sweep`). With g the smallest generator of the nonzero residues and
@@ -57,6 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -72,6 +74,13 @@ from .hashing import (
 from .statevec import inner_product
 
 _SWEEP_BLOCK = 8192
+
+# Cells of one block of a scan: 2**14 float64 values, 128 kB, so a block
+# and its buffers of terms and residues stay in cache. A row counts at
+# least _ROW_CELLS cells, about its factor columns and their residues at
+# n = MAX_PARAMS, so tiny moduli get bounded blocks too.
+_SWEEP_CELLS = 1 << 14
+_ROW_CELLS = 64
 
 # Largest modulus whose sweeps build the cosine square: (2q, q - 1)
 # float64 values, at most 1 MB. At q = 10007 one would take 1.6 GB.
@@ -405,70 +414,53 @@ def _square_sweep(
         values *= square.take(s[:, 0] % modulus, axis=0, out=terms, mode="clip")
 
 
-class _ClosedSweep:
-    """|inner product| of parameter rows (as in `_closed_inner_values`) at
-    every nonzero difference mod q, for any number of blocks of rows at one
-    modulus and form. The cosine table is built once and the square at most
-    once, and every block is written into the same buffers, sized for rows
-    of leading `shape`: () for one row as a tuple, (K,) for blocks of up to
-    K rows. A block's result is a view of those buffers, valid until the
-    next block."""
-
-    def __init__(
-        self,
-        q: int,
-        form: HashForm | str,
-        include_sum_qubit: bool,
-        shape: tuple[int, ...],
-    ) -> None:
-        self.q = _check_sweep_modulus(q)
-        # A form by value too, as `build_hash` takes it; ValueError if
-        # unknown. The standard and shallow forms share the shallow value,
-        # which is single-qubit with the sum factor.
-        form = HashForm(form)
-        self.with_sum = include_sum_qubit if form is HashForm.SINGLE_QUBIT else True
-        self.table = _cosine_table(self.q)
-        self.square: np.ndarray | None = None
-        self.shape = shape
-        self.buffers: tuple | None = None
-
-    def expect(self, rows: int) -> None:
-        # `rows` more rows are coming, in blocks. At q <= _SQUARE_MAX_Q the
-        # first time at least 2q rows come builds the square: 2q (q - 1)
-        # cells, no more than one factor of the table loop on those rows.
-        # Every later block reads it, whatever its size.
-        if self.square is None and 2 * self.q <= rows and self.q <= _SQUARE_MAX_Q:
-            self.square = _cosine_square(self.table)
-
-    def __call__(self, rows: tuple[int, ...] | np.ndarray) -> np.ndarray:
-        # The buffers are made at the first block, so they reuse what a
-        # caller freed before it, such as a scan's first draw.
-        if self.buffers is None:
-            self.buffers = _loop_buffers(self.shape, self.q, np.float64)
-        factors = _factors(rows, self.with_sum)
-        rows_in = tuple(slice(k) for k in np.shape(rows)[:-1])
-        buffers = tuple(b[rows_in] for b in self.buffers)
-        values = buffers[0]
-        if self.square is None:
-            _table_sweep(self.table, self.q, factors, np.multiply, buffers)
-        else:
-            # q <= _SQUARE_MAX_Q < _SWEEP_BLOCK, so the loop's buffer of
-            # terms spans every difference.
-            _square_sweep(self.square, factors, values, buffers[-1])
-        return np.abs(values, out=values)
+def _with_sum(form: HashForm | str, include_sum_qubit: bool) -> bool:
+    # Whether the closed form of `form`, a HashForm or its value as
+    # `build_hash` takes it (ValueError if unknown), carries the sum factor.
+    # The standard and shallow forms share the shallow value, which is
+    # single-qubit with the sum factor, so they always do.
+    return HashForm(form) is not HashForm.SINGLE_QUBIT or include_sum_qubit
 
 
-def _sweep(
-    q: int,
-    rows: tuple[int, ...] | np.ndarray,
-    form: HashForm | str,
-    include_sum_qubit: bool,
-) -> np.ndarray:
-    # One row as a tuple, or one (K, n) block, as a sweep of its own.
-    shape = np.shape(rows)[:-1]
-    sweep = _ClosedSweep(q, form, include_sum_qubit, shape)
-    sweep.expect(math.prod(shape))
-    return sweep(rows)
+def _block_rows(q: int) -> int:
+    return max(1, _SWEEP_CELLS // max(q - 1, _ROW_CELLS))
+
+
+def _closed_sweeps(
+    q: int, with_sum: bool, draws: Iterable[np.ndarray], rows: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    # |inner product| of parameter rows (as in `_closed_inner_values`) at
+    # every nonzero difference mod q, for a scan of `rows` rows that come
+    # as (K, n) int64 draws: (index of the first row, its rows, values)
+    # per block of up to `_block_rows(q)` rows. The cosine table is built
+    # once per scan. At q <= _SQUARE_MAX_Q the first draw of at least 2q
+    # rows builds the square: 2q (q - 1) cells, no more than one factor of
+    # the table loop on those rows. Every later block reads it, whatever
+    # its size. Every block is written into the same buffers, made at the
+    # first draw, so they reuse what a caller freed before it, such as the
+    # draw's own temporaries; a block's values are valid until the next.
+    table = _cosine_table(q)
+    square = buffers = None
+    width = min(_block_rows(q), rows)
+    start = 0
+    for drawn in draws:
+        if square is None and 2 * q <= len(drawn) and q <= _SQUARE_MAX_Q:
+            square = _cosine_square(table)
+        if buffers is None:
+            buffers = _loop_buffers((width,), q, np.float64)
+        for offset in range(0, len(drawn), width):
+            block = drawn[offset : offset + width]
+            factors = _factors(block, with_sum)
+            used = tuple(b[: len(block)] for b in buffers)
+            values = used[0]
+            if square is None:
+                _table_sweep(table, q, factors, np.multiply, used)
+            else:
+                # q <= _SQUARE_MAX_Q < _SWEEP_BLOCK, so the loop's buffer
+                # of terms spans every difference.
+                _square_sweep(square, factors, values, used[-1])
+            yield start + offset, block, np.abs(values, out=values)
+        start += len(drawn)
 
 
 def collision_resistance(
@@ -478,8 +470,10 @@ def collision_resistance(
     closed form, with `form` a HashForm or its value. The standard and
     shallow forms share the shallow value."""
     _check_set(params, ParamSet, "collision_resistance")
-    values = _sweep(params.q, params.elements, form, include_sum_qubit)
-    return _report_from_values(params.q, values)
+    q = _check_sweep_modulus(params.q)
+    factors = _factors(params.elements, _with_sum(form, include_sum_qubit))
+    values = _table_sweep(_cosine_table(q), q, factors, np.multiply)
+    return _report_from_values(q, np.abs(values, out=values))
 
 
 def cosine_sum_check(biased: BiasedSet, x: int) -> tuple[float, float]:

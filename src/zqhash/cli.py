@@ -187,9 +187,22 @@ def parse_residues(text: str) -> list[int]:
         raise ValueError(f"could not parse {text!r} as an integer list") from None
 
 
+def _stderr(line: str) -> None:
+    # Every stderr line goes through here, and a failed write is dropped,
+    # so the exit code depends only on the document's destination and on
+    # the checks. A stderr closed at startup is None, and print would send
+    # the line to stdout, into the document.
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _warn(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
-        print(f"warning: {message}", file=sys.stderr)
+        _stderr(f"warning: {message}")
 
 
 def _ingest(args: argparse.Namespace, kind: type, raw: list[int], noun: str) -> Any:
@@ -424,6 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if args.out == "":
+            raise ValueError("--out needs a path, not the empty string")
         inputs, outputs = args.func(args)
         pieces = render_report(
             {
@@ -436,13 +451,13 @@ def main(argv: list[str] | None = None) -> int:
                 "timing_seconds": _Elapsed(started),
             }
         )
-        if args.out:
+        if args.out is not None:
             try:
                 _write_out(args.out, pieces)
             except OSError as exc:
                 raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
             if not args.quiet:
-                print(f"wrote {args.out}", file=sys.stderr)
+                _stderr(f"wrote {args.out}")
         else:
             try:
                 for piece in pieces:
@@ -451,17 +466,21 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot write stdout: {exc.strerror}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 2
     return 1 if outputs.get("all_passed") is False else 0
 
 
 def entry() -> None:
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # main has reported the failed write; send what stdout still holds
-        # to the null device, so that exit does not fail on it again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            # main has reported a failed stdout write, or dropped a stderr
+            # line; send what the stream still holds to the null device, so
+            # that exit does not fail on it again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)

@@ -19,17 +19,17 @@ same across versions (NEP 19); tests pin both uses to `default_rng` at
 the installed numpy, and if a future numpy breaks that pin, this stream
 is the contract.
 
-Both searches scan candidates in blocks. A scan draws 4096 candidates at
-a time and sweeps them in blocks of about 2**14 cells (128 kB of values),
-every factor read from the modulus's table of cos(pi * k / q) and
-multiplied in parameter order, so every row is bit-identical to
-`collision_resistance` of that candidate. The table, and at q <= 256 one
-(2q, q - 1) square of it, are built once per scan, and every block is
-written into buffers the scan owns, so no block's memory is handed back
-to the system and faulted in again. At q <= 256, from the first
-draw of at least 2q rows on (the first draw of an untargeted scan), each
-factor is read as whole rows of the square; before it, and at larger
-moduli, blocks run the table loop one row uses. The winning epsilon is
+Both searches scan candidates in draws of 4096 candidates at a time,
+swept in cache-sized blocks by `analysis._closed_sweeps`, every factor
+read from the modulus's table of cos(pi * k / q) and multiplied in
+parameter order, so every row is bit-identical to `collision_resistance`
+of that candidate. The table, and at q <= 256 one (2q, q - 1) square of
+it, are built once per scan, and every block is written into buffers
+made once per scan, so no block's memory is handed back to the system
+and faulted in again. At q <= 256, from the first draw of at least 2q
+rows on (the first draw of an untargeted scan), each factor is read as
+whole rows of the square; before it, and at larger moduli, blocks run
+the table loop one row uses. The winning epsilon is
 then recomputed from scratch by `collision_resistance`, so the result never
 depends on bookkeeping done during the scan. Exhaustive search enumerates
 the whole candidate space in lexicographic order and is the ground truth
@@ -48,20 +48,14 @@ import numpy as np
 from .analysis import (
     ResistanceReport,
     _check_sweep_modulus,
-    _ClosedSweep,
+    _closed_sweeps,
+    _with_sum,
     collision_resistance,
 )
 from .hashing import MAX_PARAMS, HashForm, ParamSet, _check_int
 
 MAX_SEARCH_EVALS = 10**10
 MAX_EXHAUSTIVE_SPACE = 10**7
-
-# Cells of one sweep block: 2**14 float64 values, 128 kB, so a block and
-# its buffers of terms and residues stay in cache. A row counts at least
-# _ROW_CELLS cells, about its factor columns and their residues at
-# n = MAX_PARAMS, so tiny moduli get bounded blocks too.
-_SWEEP_CELLS = 1 << 14
-_ROW_CELLS = 64
 
 # Candidates of one draw: the stream port's cost per call is paid once per
 # 4096 rows, not once per sweep block.
@@ -300,10 +294,6 @@ def draw_candidate(seed: int, trial: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in _draw_block(seed, q, n, trial, trial + 1)[0])
 
 
-def _block_rows(q: int) -> int:
-    return max(1, _SWEEP_CELLS // max(q - 1, _ROW_CELLS))
-
-
 def _scan(
     q: int,
     count: int,
@@ -315,32 +305,26 @@ def _scan(
     # Certify candidates 0..count-1, keep the first with the smallest
     # epsilon, stop at the first at or below `target_epsilon`, and
     # re-certify the winner from scratch. Candidates are drawn in blocks of
-    # _DRAW_ROWS and swept in slices of `_block_rows(q)` rows by one
-    # `_ClosedSweep`, so the table, the square and the buffers are made
-    # once per scan. With a target the scan may stop at any candidate, so
-    # draws start at one row and double up to _DRAW_ROWS: the draws past
-    # the stop stay below the draws before it, and the sweeps past it below
-    # one sweep block.
+    # _DRAW_ROWS and swept by `_closed_sweeps`, so the table, the square
+    # and the buffers are made once per scan. With a target the scan may
+    # stop at any candidate, so draws start at one row and double up to
+    # _DRAW_ROWS: the draws past the stop stay below the draws before it,
+    # and the sweeps past it below one sweep block.
     best_row: tuple[int, ...] = ()
     best_epsilon = math.inf
     history: list[tuple[int, float]] = []
     target = -math.inf if target_epsilon is None else target_epsilon
-    slice_rows = min(_block_rows(q), count)
-    sweep = _ClosedSweep(q, form, include_sum_qubit, (slice_rows,))
+    with_sum = _with_sum(form, include_sum_qubit)
 
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        # (index of the first row, rows) of each sweep block.
+    def draws() -> Iterator[np.ndarray]:
         start, size = 0, _DRAW_ROWS if target_epsilon is None else 1
         while start < count:
-            drawn = rows_at(start, min(start + size, count))
-            sweep.expect(len(drawn))
-            for offset in range(0, len(drawn), slice_rows):
-                yield start + offset, drawn[offset : offset + slice_rows]
+            yield rows_at(start, min(start + size, count))
             start += size
             size = min(2 * size, _DRAW_ROWS)
 
-    for start, rows in blocks():
-        epsilons = sweep(rows).max(axis=1)
+    for start, rows, values in _closed_sweeps(q, with_sum, draws(), count):
+        epsilons = values.max(axis=1)
         hits = np.flatnonzero(epsilons <= target)
         stop = int(hits[0]) + 1 if hits.size else epsilons.size
         # Strict improvements: below the best of every earlier candidate.

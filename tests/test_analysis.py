@@ -61,6 +61,20 @@ def closed_oracle(q, rows, dx, with_sum):
 BLOCK = analysis._SWEEP_BLOCK
 
 
+def scan_sweep(q, rows, form, include_sum_qubit):
+    # Every row of a (K, n) block, swept as one draw of a scan in blocks of
+    # `_block_rows(q)` rows; each block's values are copied out before the
+    # next is written into the same buffers.
+    with_sum = analysis._with_sum(form, include_sum_qubit)
+    sweeps = analysis._closed_sweeps(q, with_sum, [rows], len(rows))
+    return np.concatenate([values.copy() for _, _, values in sweeps])
+
+
+def row_sweep(q, row, form, include_sum_qubit):
+    # One row, as `collision_resistance` sweeps it.
+    return collision_resistance(ParamSet(q, row), form, include_sum_qubit).values
+
+
 @st.composite
 def biased_cases(draw):
     q = draw(st.integers(2, 64))
@@ -431,9 +445,9 @@ class TestCosineTableBits:
         dx = np.arange(1, q, dtype=np.int64)
         expected = np.abs(closed_oracle(q, rows, dx, with_sum))
         form = HashForm.SINGLE_QUBIT
-        self.assert_bitwise(analysis._sweep(q, rows, form, with_sum), expected)
+        self.assert_bitwise(scan_sweep(q, rows, form, with_sum), expected)
         one = tuple(int(v) for v in rows[0])
-        self.assert_bitwise(analysis._sweep(q, one, form, with_sum), expected[0])
+        self.assert_bitwise(row_sweep(q, one, form, with_sum), expected[0])
 
     @given(
         q=st.one_of(st.sampled_from([2, 3]), st.integers(2, 700)),
@@ -457,8 +471,8 @@ class TestCosineTableBits:
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
         form = HashForm.SINGLE_QUBIT
         with mock.patch.object(analysis, "_SWEEP_BLOCK", block):
-            values = analysis._sweep(q, rows, form, with_sum)
-            alone = analysis._sweep(q, tuple(rows[0].tolist()), form, with_sum)
+            values = scan_sweep(q, rows, form, with_sum)
+            alone = row_sweep(q, tuple(rows[0].tolist()), form, with_sum)
         self.assert_bitwise(values, expected)
         self.assert_bitwise(alone, expected[0])
 
@@ -467,9 +481,9 @@ class TestCosineTableBits:
         # q - 1 not a multiple of the block, and every sum factor 3q - 2.
         rows = np.array([[q - 1] * 3 + [1], [1] + [q - 1] * 3], dtype=np.int64)
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), True))
-        self.assert_bitwise(analysis._sweep(q, rows, HashForm.SHALLOW, False), expected)
+        self.assert_bitwise(scan_sweep(q, rows, HashForm.SHALLOW, False), expected)
         for k, row in enumerate(rows.tolist()):
-            alone = analysis._sweep(q, tuple(row), HashForm.SHALLOW, False)
+            alone = row_sweep(q, tuple(row), HashForm.SHALLOW, False)
             self.assert_bitwise(alone, expected[k])
 
     @given(
@@ -490,38 +504,38 @@ class TestCosineTableBits:
         rows[rng.random(rows.shape) < share] = q - 1
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
         form = HashForm.SINGLE_QUBIT
-        self.assert_bitwise(analysis._sweep(q, rows, form, with_sum), expected)
+        self.assert_bitwise(scan_sweep(q, rows, form, with_sum), expected)
         for k, row in enumerate(rows.tolist()):
-            alone = analysis._sweep(q, tuple(row), form, with_sum)
+            alone = row_sweep(q, tuple(row), form, with_sum)
             self.assert_bitwise(alone, expected[k])
 
     def test_square_route_from_2q_rows(self):
-        # At q <= 256 a sweep reads the square from the first time 2q rows
-        # come: a block of 2q rows never enters the table loop; one row
-        # fewer does, and so do 2q rows at q = 257. A search draws 4096
-        # rows at a time, so its 163-row sweep blocks at q = 101 read the
-        # square too, bit-identical to the table loop on the same rows.
+        # At q <= 256 a scan reads the square from its first draw of 2q
+        # rows: such a draw never enters the table loop; one row fewer
+        # does, and so do 2q rows at q = 257, one call per block. A search
+        # draws 4096 rows at a time, so its 163-row sweep blocks at q = 101
+        # read the square too, bit-identical to the table loop on the same
+        # rows.
         q = 101
         form = HashForm.SINGLE_QUBIT
         rows = np.arange(2 * q * 3, dtype=np.int64).reshape(2 * q, 3) % q
-        count = search._block_rows(q)
-        looped = analysis._sweep(q, rows[:count], form, True)
+        count = analysis._block_rows(q)
+        looped = scan_sweep(q, rows[:count], form, True)
 
         def refuse(*args):
             raise AssertionError("the table loop swept a block after 2q rows")
 
         with mock.patch.object(analysis, "_table_sweep", refuse):
-            analysis._sweep(q, rows, form, True)
-            sweep = analysis._ClosedSweep(q, form, True, (count,))
-            sweep.expect(2 * q)
-            self.assert_bitwise(sweep(rows[:count]), looped)
+            self.assert_bitwise(scan_sweep(q, rows, form, True)[:count], looped)
         wide = np.arange(2 * 257 * 3, dtype=np.int64).reshape(2 * 257, 3) % 257
-        with mock.patch.object(
-            analysis, "_table_sweep", wraps=analysis._table_sweep
-        ) as loop:
-            analysis._sweep(q, rows[1:], form, True)
-            analysis._sweep(257, wide, form, True)
-        assert loop.call_count == 2
+
+        def spy(name):
+            return mock.patch.object(analysis, name, wraps=getattr(analysis, name))
+
+        with spy("_table_sweep") as loop, spy("_cosine_square") as square:
+            scan_sweep(q, rows[1:], form, True)
+            scan_sweep(257, wide, form, True)
+        assert (loop.call_count, square.call_count) == (2 + 9, 0)
 
     @given(
         qs=st.lists(
@@ -655,8 +669,10 @@ class TestCollisionResistance:
 
     @pytest.mark.parametrize("form", ["bogus", 42, None])
     def test_rejects_an_unknown_form(self, form):
-        with pytest.raises(ValueError, match="not a valid HashForm"):
-            collision_resistance(ParamSet(101, (3, 5, 7)), form)
+        # With the sum factor on too, which every form but one ignores.
+        for include_sum_qubit in (False, True):
+            with pytest.raises(ValueError, match="not a valid HashForm"):
+                collision_resistance(ParamSet(101, (3, 5, 7)), form, include_sum_qubit)
 
     def test_memory_at_the_sweep_cap(self):
         # Three q-sized float arrays at the cap: the 2q cosine table and

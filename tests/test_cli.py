@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import zqhash
-from zqhash import cli, floattext, search
+from zqhash import cli, floattext, hashing, search
 from zqhash.analysis import ResistanceReport
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
@@ -1244,6 +1244,97 @@ class TestTopLevel:
         assert (code, out.strip()) == (0, zqhash.__version__)
         assert cli._parser.cache_info().misses == 1
         assert cli.build_parser() is not cli.build_parser()
+
+
+class Refuse:
+    # A stderr, or stdout, whose every write fails with one errno.
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise OSError(self.error, os.strerror(self.error))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("error", [errno.EPIPE, errno.ENOSPC], ids=["EPIPE", "ENOSPC"])
+class TestFailedStderr:
+    # A stderr line that cannot be written is dropped: the exit code comes
+    # from the document's destination and the checks alone.
+    def test_warning_exits_0_with_the_same_document(self, capsys, monkeypatch, error):
+        argv = ["resist", "--q", "7", "--s", "8,3"]
+        code, expected, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "warning: parameters reduced mod 7 to [1, 3]\n")
+        monkeypatch.setattr(sys, "stderr", Refuse(error))
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert TIMING_FIELD.sub("", out) == TIMING_FIELD.sub("", expected)
+
+    def test_bad_input_exits_2_with_stdout_empty(self, capsys, monkeypatch, error):
+        monkeypatch.setattr(sys, "stderr", Refuse(error))
+        assert run_cli(capsys, ["resist", "--q", "7", "--s", "x"])[:2] == (2, "")
+
+    def test_out_exits_0_and_writes_the_file(
+        self, capsys, monkeypatch, tmp_path, error
+    ):
+        monkeypatch.setattr(sys, "stderr", Refuse(error))
+        path = tmp_path / "report.json"
+        argv = ["resist", "--q", "7", "--s", "1,3", "--out", str(path)]
+        assert run_cli(capsys, argv)[:2] == (0, "")
+        jsonschema.validate(json.loads(path.read_text()), REPORT_SCHEMA)
+
+    def test_failed_verify_exits_1(self, capsys, monkeypatch, error):
+        turn, periods = hashing._TURN_4PI
+        monkeypatch.setattr(hashing, "_TURN_4PI", (turn / 2, periods))
+        monkeypatch.setattr(sys, "stderr", Refuse(error))
+        argv = ["verify", "--q-max", "8", "--n-max", "3", "--trials", "2"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["outputs"]["all_passed"] is False
+
+    def test_failed_stdout_write_exits_2(self, monkeypatch, error):
+        monkeypatch.setattr(sys, "stdout", Refuse(error))
+        monkeypatch.setattr(sys, "stderr", Refuse(error))
+        assert main(["resist", "--q", "7", "--s", "3"]) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stderr_on_a_full_device_changes_nothing():
+    # Buffered stderr, so the bytes still held at exit are dropped too.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "zqhash", "resist", "--q", "7", "--s", "8,3"]
+    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            argv, stdout=subprocess.PIPE, stderr=full, text=True, env=env
+        )
+    assert (plain.returncode, done.returncode) == (0, 0)
+    assert plain.stderr == "warning: parameters reduced mod 7 to [1, 3]\n"
+    assert TIMING_FIELD.sub("", done.stdout) == TIMING_FIELD.sub("", plain.stdout)
+
+
+@pytest.mark.parametrize("s, code", [("8,3", 0), ("x", 2)], ids=["warning", "error"])
+def test_stderr_closed_at_startup_keeps_stdout_the_document(s, code):
+    # With fd 2 closed, sys.stderr is None, and a print to it would land
+    # on stdout, ahead of the document.
+    argv = [sys.executable, "-m", "zqhash", "resist", "--q", "7", "--s", s]
+    plain = subprocess.run(argv, capture_output=True, text=True)
+    done = subprocess.run(
+        argv, stdout=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(2)
+    )
+    assert (plain.returncode, done.returncode) == (code, code)
+    assert plain.stderr.startswith("warning: " if code == 0 else "error: ")
+    assert TIMING_FIELD.sub("", done.stdout) == TIMING_FIELD.sub("", plain.stdout)
+
+
+def test_empty_out_path_exits_2(capsys, monkeypatch, tmp_path):
+    # The empty string names no file; it once sent the document to stdout.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, ["resist", "--q", "7", "--s", "3", "--out", ""])
+    assert (code, out) == (2, "")
+    assert err == "error: --out needs a path, not the empty string\n"
+    assert os.listdir(tmp_path) == []
 
 
 FORMS = ("standard", "shallow", "single-qubit")

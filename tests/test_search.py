@@ -70,7 +70,7 @@ DRAW_ROWS = st.sampled_from([1, 2, 3, 7, 64, None])
 def block_rows(rows):
     if rows is None:
         return contextlib.nullcontext()
-    return mock.patch.object(search, "_block_rows", lambda q: rows)
+    return mock.patch.object(analysis, "_block_rows", lambda q: rows)
 
 
 def draw_rows(rows):
@@ -276,10 +276,12 @@ class TestRandomSearch:
     @pytest.mark.parametrize("form", ["bogus", 42])
     def test_rejects_an_unknown_form(self, form):
         config = SearchConfig(q=101, n=3, trials=40, seed=3)
-        with pytest.raises(ValueError, match="not a valid HashForm"):
-            random_search(config, form)
-        with pytest.raises(ValueError, match="not a valid HashForm"):
-            exhaustive_search(23, 2, form)
+        # With the sum factor on too, which every form but one ignores.
+        for include_sum_qubit in (False, True):
+            with pytest.raises(ValueError, match="not a valid HashForm"):
+                random_search(config, form, include_sum_qubit)
+            with pytest.raises(ValueError, match="not a valid HashForm"):
+                exhaustive_search(23, 2, form, include_sum_qubit)
 
     def test_runs_all_trials_without_target(self):
         config = SearchConfig(q=29, n=2, trials=12, seed=5)
@@ -483,12 +485,13 @@ class TestBlockScan:
     def test_block_size_bounds_memory(self):
         # 2**14 float64 values per sweep block, 128 kB, so a block stays in
         # cache; a row counts at least 64 cells.
-        assert search._block_rows(101) == (1 << 14) // 100
-        assert search._block_rows(1009) == 16
-        assert search._block_rows(MAX_SWEEP_MODULUS) == 1
-        assert search._block_rows(2) == search._block_rows(65) == 256
+        block_rows = analysis._block_rows
+        assert block_rows(101) == (1 << 14) // 100
+        assert block_rows(1009) == 16
+        assert block_rows(MAX_SWEEP_MODULUS) == 1
+        assert block_rows(2) == block_rows(65) == 256
         for q in (66, 101, 256, 1009, 8193, 16385):
-            assert search._block_rows(q) * (q - 1) <= 1 << 14
+            assert block_rows(q) * (q - 1) <= 1 << 14
 
     @pytest.mark.parametrize(
         "q, trials, target, squares",
