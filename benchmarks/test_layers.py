@@ -31,7 +31,13 @@ from zqhash.hashing import (
     _block_circuits,
     derive_biased_set,
 )
-from zqhash.search import SearchConfig, _draw_block, _draw_rows, random_search
+from zqhash.search import (
+    SearchConfig,
+    _draw_block,
+    _draw_rows,
+    exhaustive_search,
+    random_search,
+)
 from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
 from zqhash.verification import _chunk_states, check_inner_products
 
@@ -220,15 +226,24 @@ def test_random_search_table_loop(benchmark, q, n, trials):
     assert result.trials_run == trials
 
 
+def test_exhaustive_search(benchmark):
+    # Every candidate of [1, 257)**2 in lexicographic order, on the table
+    # loop: 65,536 candidates in 64-row sweep blocks and up.
+    result = benchmark(exhaustive_search, 257, 2, HashForm.SINGLE_QUBIT)
+    assert result.trials_run == 256**2
+
+
 def _draw_sweep(q, n, with_sum):
-    # A search's sweep of one 4,096-row draw at q, as the scan sweeps it:
-    # the cosine table, the square where the scan reads it, and every
-    # block of `_block_rows(q)` rows. Returns the shape of each block.
+    # A search's sweep of one 4,096-row draw at q, every row over every
+    # difference, as a scan sweeps the rows no window prunes: the cosine
+    # table, the square where the scan reads it, and every block, in
+    # chunks of as many rows as the buffers hold. Returns the shape of
+    # each chunk.
     drawn = _draw_block(7, q, n, 0, 4096)
 
     def sweep():
         blocks = _closed_sweeps(q, with_sum, [drawn], len(drawn))
-        return [values.shape for _, _, values in blocks]
+        return [v.shape for _, block, each in blocks for v in each(block)]
 
     return sweep
 

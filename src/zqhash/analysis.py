@@ -35,7 +35,12 @@ and multiply in parameter order, so a closed-form sweep is bit-identical to
 the direct route, for one row or for any row of a block. A search's scan
 is swept by `_closed_sweeps`, in blocks of about 2**14 cells (128 kB of
 values), so each block stays in cache; it makes the table, the square
-once built, and the buffers every block is written into once per scan.
+once built, and the buffers every block is written into once per scan. A
+block can be swept over the differences [1, w] alone, w about a quarter
+of q: those values are the first w cells of its full sweep, bit for bit,
+since each cell reads the same table value and gets the same multiplies.
+The scan drops a row whose max there reaches the best epsilon before the
+block, as its epsilon is at least that, and sweeps only the rest in full.
 
 At prime q the bias sweep takes a third path, in discrete-log order
 (`_log_sweep`). With g the smallest generator of the nonzero residues and
@@ -428,38 +433,65 @@ def _block_rows(q: int) -> int:
 
 def _closed_sweeps(
     q: int, with_sum: bool, draws: Iterable[np.ndarray], rows: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    # |inner product| of parameter rows (as in `_closed_inner_values`) at
-    # every nonzero difference mod q, for a scan of `rows` rows that come
-    # as (K, n) int64 draws: (index of the first row, its rows, values)
-    # per block of up to `_block_rows(q)` rows. The cosine table is built
-    # once per scan. At q <= _SQUARE_MAX_Q the first draw of at least 2q
-    # rows builds the square: 2q (q - 1) cells, no more than one factor of
-    # the table loop on those rows. Every later block reads it, whatever
-    # its size. Every block is written into the same buffers, made at the
-    # first draw, so they reuse what a caller freed before it, such as the
-    # draw's own temporaries; a block's values are valid until the next.
+) -> Iterator[tuple]:
+    # Sweeps for a scan of `rows` parameter rows that come as (K, n) int64
+    # draws: (index of the first row, its rows, sweep) per block, where
+    # sweep(subset) yields |inner product| (as in `_closed_inner_values`)
+    # of the rows of `subset` at every nonzero difference, in order, as
+    # many rows at a time as the buffers hold; each chunk of values is
+    # valid until the next. sweep(subset, True) yields the first `window`
+    # cells of each row's sweep alone, bit for bit. The first block holds
+    # `_block_rows(q)` rows, and later ones double up to about 2**14 cells
+    # of the window. The cosine table is built once per scan. At
+    # q <= _SQUARE_MAX_Q the first draw of at least 2q rows builds the
+    # square: 2q (q - 1) cells, no more than one factor of the table loop
+    # on those rows. Every later sweep reads it, whatever its size, and the
+    # window its first columns. Every sweep writes into the same buffers,
+    # made at the first draw, so they reuse what a caller freed before it,
+    # such as the draw's own temporaries.
     table = _cosine_table(q)
     square = buffers = None
-    width = min(_block_rows(q), rows)
+    window = max(1, (q - 1) // 4)
+    size = most = min(_block_rows(q), rows)
+    while most < rows and 2 * most * window <= _SWEEP_CELLS:
+        most *= 2
+
+    def sweep(subset: np.ndarray, prefix: bool = False) -> Iterator[np.ndarray]:
+        used = buffers[prefix]
+        fit = len(used[0])
+        for offset in range(0, len(subset), fit):
+            chunk = subset[offset : offset + fit]
+            part = tuple(b[: len(chunk)] for b in used)
+            values = part[0]
+            differences = values.shape[1]
+            factors = _factors(chunk, with_sum)
+            if square is None:
+                _table_sweep(table, differences + 1, factors, np.multiply, part)
+            else:
+                # q <= _SQUARE_MAX_Q < _SWEEP_BLOCK, so the loop's buffer
+                # of terms spans every difference.
+                _square_sweep(square[:, :differences], factors, values, part[-1])
+            yield np.abs(values, out=values)
+
     start = 0
     for drawn in draws:
         if square is None and 2 * q <= len(drawn) and q <= _SQUARE_MAX_Q:
             square = _cosine_square(table)
         if buffers is None:
-            buffers = _loop_buffers((width,), q, np.float64)
-        for offset in range(0, len(drawn), width):
-            block = drawn[offset : offset + width]
-            factors = _factors(block, with_sum)
-            used = tuple(b[: len(block)] for b in buffers)
-            values = used[0]
-            if square is None:
-                _table_sweep(table, q, factors, np.multiply, used)
-            else:
-                # q <= _SQUARE_MAX_Q < _SWEEP_BLOCK, so the loop's buffer
-                # of terms spans every difference.
-                _square_sweep(square, factors, values, used[-1])
-            yield start + offset, block, np.abs(values, out=values)
+            # The full sweep's buffers, and the window's views of them, with
+            # room for the window's largest block.
+            width = min(_SWEEP_BLOCK, window)
+            held = -(-min(most, rows) * width // min(_SWEEP_BLOCK, q - 1))
+            full = _loop_buffers((max(size, held),), q, np.float64)
+            cells = (window, width, width, width)
+            fit = min(b.size // n for b, n in zip(full, cells))
+            views = [b.ravel()[: fit * n].reshape(fit, n) for b, n in zip(full, cells)]
+            buffers = {False: full, True: views}
+        offset = 0
+        while offset < len(drawn):
+            yield start + offset, drawn[offset : offset + size], sweep
+            offset += size
+            size = min(2 * size, most)
         start += len(drawn)
 
 

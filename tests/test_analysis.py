@@ -61,13 +61,21 @@ def closed_oracle(q, rows, dx, with_sum):
 BLOCK = analysis._SWEEP_BLOCK
 
 
-def scan_sweep(q, rows, form, include_sum_qubit):
-    # Every row of a (K, n) block, swept as one draw of a scan in blocks of
-    # `_block_rows(q)` rows; each block's values are copied out before the
-    # next is written into the same buffers.
+def scan_sweep(q, rows, form, include_sum_qubit, prefix=False):
+    # Every row of a (K, n) block, swept as one draw of a scan, block by
+    # block, over every difference or the window's prefix; each chunk of
+    # values is copied out before the next is written into the same
+    # buffers.
     with_sum = analysis._with_sum(form, include_sum_qubit)
     sweeps = analysis._closed_sweeps(q, with_sum, [rows], len(rows))
-    return np.concatenate([values.copy() for _, _, values in sweeps])
+    return np.concatenate(
+        [v.copy() for _, block, sweep in sweeps for v in sweep(block, prefix)]
+    )
+
+
+def window(q):
+    # The differences a scan's window sweep covers: [1, window(q)].
+    return max(1, (q - 1) // 4)
 
 
 def row_sweep(q, row, form, include_sum_qubit):
@@ -439,13 +447,16 @@ class TestCosineTableBits:
     @settings(max_examples=30, deadline=None)
     def test_scalar_modulus_sweep(self, q, with_sum, data):
         # A search block, or one parameter tuple as `collision_resistance`
-        # passes it, swept by the table route over the differences 1..q-1.
+        # passes it, swept by the table route over the differences 1..q-1,
+        # and the block over its window alone.
         count = data.draw(st.integers(1, max(1, min(8, CELL_BUDGET // q))), label="K")
         rows = self.draw_rows(data, [q] * count, q)
         dx = np.arange(1, q, dtype=np.int64)
         expected = np.abs(closed_oracle(q, rows, dx, with_sum))
         form = HashForm.SINGLE_QUBIT
         self.assert_bitwise(scan_sweep(q, rows, form, with_sum), expected)
+        prefix = scan_sweep(q, rows, form, with_sum, prefix=True)
+        self.assert_bitwise(prefix, expected[:, : window(q)])
         one = tuple(int(v) for v in rows[0])
         self.assert_bitwise(row_sweep(q, one, form, with_sum), expected[0])
 
@@ -472,8 +483,10 @@ class TestCosineTableBits:
         form = HashForm.SINGLE_QUBIT
         with mock.patch.object(analysis, "_SWEEP_BLOCK", block):
             values = scan_sweep(q, rows, form, with_sum)
+            prefix = scan_sweep(q, rows, form, with_sum, prefix=True)
             alone = row_sweep(q, tuple(rows[0].tolist()), form, with_sum)
         self.assert_bitwise(values, expected)
+        self.assert_bitwise(prefix, expected[:, : window(q)])
         self.assert_bitwise(alone, expected[0])
 
     @pytest.mark.parametrize("q", [2, 3, BLOCK + 2, 2 * BLOCK + 3])
@@ -497,14 +510,17 @@ class TestCosineTableBits:
     @settings(max_examples=40, deadline=None)
     def test_sweep_at_the_square_switch(self, q, offset, n, share, seed, with_sum):
         # Blocks of K = 2q - 1 rows (table loop), 2q and 2q + 1 (square at
-        # q <= 256), with a share of the elements at q - 1, so the sum factor often
-        # passes 2q. Rows come from a drawn seed: K is up to 601.
+        # q <= 256), over every difference and over the window, with a
+        # share of the elements at q - 1, so the sum factor often passes
+        # 2q. Rows come from a drawn seed: K is up to 601.
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, q, size=(2 * q + offset, n))
         rows[rng.random(rows.shape) < share] = q - 1
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
         form = HashForm.SINGLE_QUBIT
         self.assert_bitwise(scan_sweep(q, rows, form, with_sum), expected)
+        prefix = scan_sweep(q, rows, form, with_sum, prefix=True)
+        self.assert_bitwise(prefix, expected[:, : window(q)])
         for k, row in enumerate(rows.tolist()):
             alone = row_sweep(q, tuple(row), form, with_sum)
             self.assert_bitwise(alone, expected[k])

@@ -1,7 +1,9 @@
 import argparse
 import cmath
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,16 +14,17 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import zqhash
-from zqhash import cli, floattext, hashing, search
+from zqhash import analysis, cli, floattext, hashing, search
 from zqhash.analysis import ResistanceReport
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
@@ -497,6 +500,18 @@ GOLDEN_DIGESTS = [
     (  # stops at the target inside the first block
         "search --q 101 --n 4 --trials 2000 --seed 7 --target-epsilon 0.6",
         "d3bfee20f08d4a39a1ff3d0c420bdb0015f74d49c91b3dc9f7656c1d722459ce",
+    ),
+    (  # the search-small workload's request, at seed 7
+        "search --q 101 --n 4 --trials 2000 --seed 7 --form single-qubit",
+        "0e095f61862519f9294ffc42f6a35d9ea6c3894a9e9ae2af1f8ba6b302f83c0d",
+    ),
+    (  # the table loop with one-row sweep blocks
+        "search --q 10007 --n 6 --trials 300 --seed 7",
+        "d20b54f081283f403ed932f213f212f7eb040cb39409f2a0f7aec47832c276dd",
+    ),
+    (  # the table loop, shallow form
+        "search --q 1009 --n 3 --trials 1500 --seed 4 --form shallow",
+        "ccd22ac0143a355e173bf642ce4ed6781aab1064fbf8915bc092a6514e42584c",
     ),
     (  # a one-value draw range: every trial draws the candidate (1, 1, 1)
         "search --q 2 --n 3 --trials 50 --seed 5",
@@ -1172,6 +1187,65 @@ class TestSearchCommand:
         )
         assert certified["outputs"]["epsilon"] == searched["outputs"]["epsilon"]
         assert certified["outputs"]["worst_x"] == searched["outputs"]["worst_x"]
+
+
+def edges(cap):
+    # The edges of an integer span [.., cap], and texts that are no integer.
+    return [-1, 0, 1, 2, cap, cap + 1, 2**64, "1.5", "0x10", "", "nan", "inf"]
+
+
+class TestSearchContract:
+    # The command-line contract of `search` at the edges of every input:
+    # exit 0 with a schema-valid document, or exit 2 with nothing on stdout,
+    # and never a traceback. The modulus cap and the work budget are
+    # lowered here, so the largest runs they admit take milliseconds; the
+    # real caps are tested above and in tests/test_search.py.
+    Q_CAP, BUDGET = 64, 10_000
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_streams(self, data):
+        # Each option takes an in-span edge, or is left out where it may
+        # be, except up to two options that may take any edge.
+        broken = data.draw(st.sets(st.sampled_from(range(7)), max_size=2))
+
+        def draw(flag, good, bad):
+            values = good + bad if len(options) in broken else good
+            options[flag] = data.draw(st.sampled_from(values), label=flag)
+            return options[flag]
+
+        options = {}
+        q = draw("--q", [2, self.Q_CAP], [None, *edges(self.Q_CAP)])
+        cap = hashing.MAX_PARAMS
+        n = draw("--n", [1, 2, cap], [None, *edges(cap)])
+        # The trial count's cap: the most trials the budget holds at q, n.
+        size = [v if isinstance(v, int) and v > 0 else 1 for v in (q, n)]
+        trials = self.BUDGET // (size[0] * size[1])
+        draw("--trials", [None, 1, 2, trials], edges(trials))
+        draw("--seed", [None, 0, 1, 2, 2**64 - 1], edges(2**64 - 1))
+        draw("--target-epsilon", [None, 0.5, 1], edges(1))
+        draw("--form", [None, "standard", "shallow", "single-qubit"], ["", "nan"])
+        draw("--sum-qubit", [None, "on", "off"], ["", "1"])
+        argv = ["search"]
+        for flag, value in options.items():
+            argv += [] if value is None else [flag, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.ExitStack() as stack:
+            for module, name, lowered in (
+                (analysis, "MAX_SWEEP_MODULUS", self.Q_CAP),
+                (search, "MAX_SEARCH_EVALS", self.BUDGET),
+            ):
+                stack.enter_context(mock.patch.object(module, name, lowered))
+            stack.enter_context(contextlib.redirect_stdout(out))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            jsonschema.validate(json.loads(out.getvalue()), REPORT_SCHEMA)
 
 
 class TestVerifyCommand:

@@ -529,8 +529,9 @@ class TestBlockScan:
         # search-small's request, and a table-loop modulus: 2,000 trials of
         # four parameters. The scan makes its table, square and buffers
         # once; with a 2**17-cell block per sweep it peaked at 2.31 MB
-        # (q = 101) and 4.36 MB (q = 1009), and now measures 0.76 and
-        # 0.75 MB, mostly the draw of 2,000 rows.
+        # (q = 101) and 4.36 MB (q = 1009), and now measures 0.81 and
+        # 0.75 MB: the buffers, the square and the draw of 2,000 rows, and
+        # at q = 101 the window's gathers from the square's first columns.
         config = SearchConfig(q=q, n=4, trials=2000, seed=7)
         random_search(config, HashForm.SINGLE_QUBIT)
         tracemalloc.start()
@@ -540,3 +541,88 @@ class TestBlockScan:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def spied_sweeps(spy):
+    # `search._closed_sweeps` with every chunk of values the scan sweeps
+    # passed through spy(q, block, prefix, values) before the scan reads it.
+    def spied(q, *args):
+        for start, block, sweep in analysis._closed_sweeps(q, *args):
+
+            def chunks(rows, prefix=False, block=block, sweep=sweep):
+                for values in sweep(rows, prefix):
+                    spy(q, block, prefix, values)
+                    yield values
+
+            yield start, block, chunks
+
+    return mock.patch.object(search, "_closed_sweeps", spied)
+
+
+def assert_scan_matches_oracle(q, n, trials, seed, target, form, sum_qubit):
+    rows_at = partial(_draw_block, seed, q, n)
+    result = search._scan(q, trials, rows_at, form, sum_qubit, target)
+    candidates = (tuple(default_rng_draw(seed, t, q, n)) for t in range(trials))
+    assert_same_result(result, scan_oracle(candidates, q, form, sum_qubit, target))
+
+
+class TestPrunedScan:
+    # Once a best epsilon is known, a scan sweeps each block over its first
+    # max(1, (q - 1) // 4) differences and drops the rows whose max there
+    # reaches the best before the block; only the rest are swept in full.
+    @given(
+        q=st.sampled_from([2, 3, 101, 256, 257, 1009, 4099]),
+        n=st.integers(1, 6),
+        trials=st.integers(1, 600),
+        seed=st.integers(0, (1 << 64) - 1),
+        target=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        form=FORMS,
+        sum_qubit=st.booleans(),
+        sweep=BLOCK_ROWS,
+        draw=DRAW_ROWS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_scan_matches_per_candidate_scan(
+        self, q, n, trials, seed, target, form, sum_qubit, sweep, draw
+    ):
+        # The window spans every difference at q = 2 and one of two at
+        # q = 3; q = 256 and 257 sit on either side of the square switch,
+        # and 1009 and 4099 run the table loop.
+        with block_rows(sweep), draw_rows(draw):
+            assert_scan_matches_oracle(q, n, trials, seed, target, form, sum_qubit)
+
+    def test_bounding_a_block_by_its_own_rows_fails_the_gate(self):
+        # The mutation: a row is also dropped where its window max reaches
+        # the best epsilon of its own block's rows, not just the best
+        # before the block. At seed 7 that drops improvements the
+        # per-candidate scan records.
+        def own_best(q, block, prefix, values):
+            if prefix:
+                sets = [ParamSet(q, tuple(row)) for row in block.tolist()]
+                own = min(collision_resistance(s, form).epsilon for s in sets)
+                values[values.max(axis=1) >= own] = math.inf
+
+        form = HashForm.SINGLE_QUBIT
+        args = (101, 4, 2000, 7, None, form, False)
+        assert_scan_matches_oracle(*args)
+        with spied_sweeps(own_best), pytest.raises(AssertionError):
+            assert_scan_matches_oracle(*args)
+
+    @pytest.mark.parametrize(
+        "q, full, prefix", [(101, 463, 1837 * 25), (1009, 399, 1984 * 252)]
+    )
+    def test_work_of_a_whole_search(self, q, full, prefix):
+        # search-small's request, and a table-loop modulus: 2,000 trials of
+        # four parameters. The first block (163 rows at q = 101, 16 at
+        # q = 1009) is swept in full, as no best is known; every later row
+        # is swept over the window, and the rows it keeps in full. Without
+        # the window every row was swept in full: 2,000 rows.
+        swept = {False: 0, True: 0}
+
+        def count(q, block, prefix, values):
+            swept[prefix] += values.size if prefix else len(values)
+
+        config = SearchConfig(q=q, n=4, trials=2000, seed=7)
+        with spied_sweeps(count):
+            random_search(config, HashForm.SINGLE_QUBIT)
+        assert swept == {False: full, True: prefix}
