@@ -236,14 +236,15 @@ def test_exhaustive_search(benchmark):
 def _draw_sweep(q, n, with_sum):
     # A search's sweep of one 4,096-row draw at q, every row over every
     # difference, as a scan sweeps the rows no window prunes: the cosine
-    # table, the square where the scan reads it, and every block, in
-    # chunks of as many rows as the buffers hold. Returns the shape of
-    # each chunk.
+    # table, the square where the scan reads it, and every block's row
+    # maxima, in chunks of as many rows as the buffers hold. Returns the
+    # size of each block.
     drawn = _draw_block(7, q, n, 0, 4096)
+    window = max(1, (q - 1) // 4)
 
     def sweep():
-        blocks = _closed_sweeps(q, with_sum, [drawn], len(drawn))
-        return [v.shape for _, block, each in blocks for v in each(block)]
+        blocks = _closed_sweeps(q, with_sum, [drawn], len(drawn), window)
+        return [maxima(block, q - 1).size for _, block, maxima in blocks]
 
     return sweep
 
@@ -262,23 +263,23 @@ def test_search_block_sweep(benchmark):
     # q = 101 in 163-row blocks, every nonzero difference, read from the
     # scan's square.
     sweep = _draw_sweep(101, 4, False)
-    shapes = benchmark(sweep)
-    assert _squares_built(sweep) == 1 and shapes[0] == (163, 100)
+    sizes = benchmark(sweep)
+    assert _squares_built(sweep) == 1 and sizes[0] == 163
 
 
 def test_search_block_sweep_square_switch(benchmark):
     # The largest modulus whose scan reads the cosine square: 64-row
     # blocks, six parameters and the sum factor.
     sweep = _draw_sweep(256, 6, True)
-    shapes = benchmark(sweep)
-    assert _squares_built(sweep) == 1 and shapes[0] == (64, 255)
+    sizes = benchmark(sweep)
+    assert _squares_built(sweep) == 1 and sizes[0] == 64
 
 
 def test_search_block_sweep_past_switch(benchmark):
     # One modulus up, whose 64-row blocks run the table loop.
     sweep = _draw_sweep(257, 6, True)
-    shapes = benchmark(sweep)
-    assert _squares_built(sweep) == 0 and shapes[0] == (64, 256)
+    sizes = benchmark(sweep)
+    assert _squares_built(sweep) == 0 and sizes[0] == 64
 
 
 def test_draw_block(benchmark):

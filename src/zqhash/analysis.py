@@ -30,17 +30,15 @@ sweep, one row, and blocks of rows at q > 256. At q <= 256, once at least
 2q rows are to be swept, the closed forms gather the square
 table[(s * d) mod 2q] for s in [0, 2q) and d in [1, q), no more cells than
 one factor of the loop on those rows, and then read each factor as whole
-rows of it (`_square_sweep`). Both read the same table value for every cell
-and multiply in parameter order, so a closed-form sweep is bit-identical to
-the direct route, for one row or for any row of a block. A search's scan
-is swept by `_closed_sweeps`, in blocks of about 2**14 cells (128 kB of
-values), so each block stays in cache; it makes the table, the square
-once built, and the buffers every block is written into once per scan. A
-block can be swept over the differences [1, w] alone, w about a quarter
-of q: those values are the first w cells of its full sweep, bit for bit,
-since each cell reads the same table value and gets the same multiplies.
-The scan drops a row whose max there reaches the best epsilon before the
-block, as its epsilon is at least that, and sweeps only the rest in full.
+rows of it. Both read the same table value for every cell and multiply in
+parameter order, so a closed-form sweep is bit-identical to the direct
+route, for one row or for any row of a block. A search's scan is swept by
+`_closed_sweeps`, in blocks of about 2**14 cells (128 kB of values), so
+each block stays in cache; it makes the table, the square once built, and
+the buffers every block is written into once per scan. A block hands back
+row maxima: each row's max |inner product| over the differences [1, w],
+for any w, the max of the first w cells of its full sweep bit for bit, as
+each cell reads the same table value and gets the same multiplies.
 
 At prime q the bias sweep takes a third path, in discrete-log order
 (`_log_sweep`). With g the smallest generator of the nonzero residues and
@@ -405,20 +403,6 @@ def _cosine_square(table: np.ndarray) -> np.ndarray:
     return table.take(index)
 
 
-def _square_sweep(
-    square: np.ndarray, factors: list, values: np.ndarray, terms: np.ndarray
-) -> None:
-    # A block's factors as row gathers of the square at s % 2q, into
-    # `values`, with `terms` for each later factor: every cell reads the
-    # table value `_table_sweep` reads and gets its multiplies, in
-    # parameter order. take copies `out` first in its default raise mode;
-    # the rows are in range, so clip mode gathers straight into it.
-    modulus = len(square)
-    square.take(factors[0][:, 0] % modulus, axis=0, out=values, mode="clip")
-    for s in factors[1:]:
-        values *= square.take(s[:, 0] % modulus, axis=0, out=terms, mode="clip")
-
-
 def _with_sum(form: HashForm | str, include_sum_qubit: bool) -> bool:
     # Whether the closed form of `form`, a HashForm or its value as
     # `build_hash` takes it (ValueError if unknown), carries the sum factor.
@@ -432,64 +416,76 @@ def _block_rows(q: int) -> int:
 
 
 def _closed_sweeps(
-    q: int, with_sum: bool, draws: Iterable[np.ndarray], rows: int
+    q: int, with_sum: bool, draws: Iterable[np.ndarray], rows: int, window: int
 ) -> Iterator[tuple]:
     # Sweeps for a scan of `rows` parameter rows that come as (K, n) int64
-    # draws: (index of the first row, its rows, sweep) per block, where
-    # sweep(subset) yields |inner product| (as in `_closed_inner_values`)
-    # of the rows of `subset` at every nonzero difference, in order, as
-    # many rows at a time as the buffers hold; each chunk of values is
-    # valid until the next. sweep(subset, True) yields the first `window`
-    # cells of each row's sweep alone, bit for bit. The first block holds
-    # `_block_rows(q)` rows, and later ones double up to about 2**14 cells
-    # of the window. The cosine table is built once per scan. At
-    # q <= _SQUARE_MAX_Q the first draw of at least 2q rows builds the
-    # square: 2q (q - 1) cells, no more than one factor of the table loop
-    # on those rows. Every later sweep reads it, whatever its size, and the
-    # window its first columns. Every sweep writes into the same buffers,
-    # made at the first draw, so they reuse what a caller freed before it,
-    # such as the draw's own temporaries.
+    # draws: (index of the first row, its rows, maxima) per block, where
+    # maxima(subset, width) is each row of `subset`'s max |inner product|
+    # (as in `_closed_inner_values`) over the differences [1, width]. The
+    # first block holds `_block_rows(q)` rows, and later ones double up to
+    # about 2**14 cells of `window` differences. The cosine table is built
+    # once per scan. At q <= _SQUARE_MAX_Q the first draw of at least 2q
+    # rows builds the square: 2q (q - 1) cells, no more than one factor of
+    # the table loop on those rows. Every later sweep reads it, whatever
+    # its size, over its first `width` columns. Every sweep writes into the
+    # same flat buffers, made at the first draw, so they reuse what a
+    # caller freed before it, such as the draw's own temporaries; a width
+    # reshapes them, and rows pass through as many as they hold at once.
     table = _cosine_table(q)
     square = buffers = None
-    window = max(1, (q - 1) // 4)
     size = most = min(_block_rows(q), rows)
     while most < rows and 2 * most * window <= _SWEEP_CELLS:
         most *= 2
 
-    def sweep(subset: np.ndarray, prefix: bool = False) -> Iterator[np.ndarray]:
-        used = buffers[prefix]
-        fit = len(used[0])
+    def maxima(subset: np.ndarray, width: int) -> np.ndarray:
+        # The square reads the values and the terms alone.
+        used = buffers if square is None else (buffers[0], buffers[-1])
+        cells = [width] + [min(_SWEEP_BLOCK, width)] * (len(used) - 1)
+        fit = min(b.size // n for b, n in zip(used, cells))
+        out = np.empty(len(subset))
         for offset in range(0, len(subset), fit):
             chunk = subset[offset : offset + fit]
-            part = tuple(b[: len(chunk)] for b in used)
-            values = part[0]
-            differences = values.shape[1]
+            k = len(chunk)
+            values, *rest = [b[: k * n].reshape(k, n) for b, n in zip(used, cells)]
             factors = _factors(chunk, with_sum)
             if square is None:
-                _table_sweep(table, differences + 1, factors, np.multiply, part)
+                _table_sweep(table, width + 1, factors, np.multiply, (values, *rest))
             else:
-                # q <= _SQUARE_MAX_Q < _SWEEP_BLOCK, so the loop's buffer
-                # of terms spans every difference.
-                _square_sweep(square[:, :differences], factors, values, part[-1])
-            yield np.abs(values, out=values)
+                # Each factor as row gathers of the square at s % 2q: every
+                # cell reads the table value `_table_sweep` reads and gets
+                # its multiplies, in parameter order. q <= _SQUARE_MAX_Q <
+                # _SWEEP_BLOCK, so the buffer of terms spans the width. take
+                # copies `out` first in its default raise mode; the rows are
+                # in range, so clip mode gathers straight into it.
+                picks = [s[:, 0] % len(square) for s in factors]
+                columns = square[:, :width]
+                columns.take(picks[0], axis=0, out=values, mode="clip")
+                for s in picks[1:]:
+                    values *= columns.take(s, axis=0, out=rest[0], mode="clip")
+            # reduceat on the flat chunk is exact, as max(axis=1) is, and
+            # takes a third of its time on short rows.
+            np.abs(values, out=values)
+            starts = np.arange(0, values.size, width)
+            np.maximum.reduceat(values.ravel(), starts, out=out[offset : offset + k])
+        return out
 
     start = 0
     for drawn in draws:
         if square is None and 2 * q <= len(drawn) and q <= _SQUARE_MAX_Q:
             square = _cosine_square(table)
         if buffers is None:
-            # The full sweep's buffers, and the window's views of them, with
-            # room for the window's largest block.
+            # Rows of every difference, with room for the window's largest
+            # block in the buffers of one block of x: the table loop's four,
+            # or the square's values and terms.
             width = min(_SWEEP_BLOCK, window)
-            held = -(-min(most, rows) * width // min(_SWEEP_BLOCK, q - 1))
-            full = _loop_buffers((max(size, held),), q, np.float64)
-            cells = (window, width, width, width)
-            fit = min(b.size // n for b, n in zip(full, cells))
-            views = [b.ravel()[: fit * n].reshape(fit, n) for b, n in zip(full, cells)]
-            buffers = {False: full, True: views}
+            held = max(size, -(-min(most, rows) * width // min(_SWEEP_BLOCK, q - 1)))
+            if square is None:
+                buffers = [b.ravel() for b in _loop_buffers((held,), q, np.float64)]
+            else:
+                buffers = [np.empty(held * (q - 1)) for _ in range(2)]
         offset = 0
         while offset < len(drawn):
-            yield start + offset, drawn[offset : offset + size], sweep
+            yield start + offset, drawn[offset : offset + size], maxima
             offset += size
             size = min(2 * size, most)
         start += len(drawn)

@@ -19,28 +19,20 @@ same across versions (NEP 19); tests pin both uses to `default_rng` at
 the installed numpy, and if a future numpy breaks that pin, this stream
 is the contract.
 
-Both searches scan candidates in draws of 4096 candidates at a time,
-swept in cache-sized blocks by `analysis._closed_sweeps`, every factor
-read from the modulus's table of cos(pi * k / q) and multiplied in
-parameter order, so every row is bit-identical to `collision_resistance`
-of that candidate. The table, and at q <= 256 one (2q, q - 1) square of
-it, are built once per scan, and every block is written into buffers
-made once per scan, so no block's memory is handed back to the system
-and faulted in again. At q <= 256, from the first draw of at least 2q
-rows on (the first draw of an untargeted scan), each factor is read as
-whole rows of the square; before it, and at larger moduli, blocks run
-the table loop one row uses. Once a best epsilon is known, each block is
-first swept over the differences [1, w] alone, w = max(1, (q - 1) // 4),
-the first w cells of the full sweep bit for bit, and a row whose max there
-reaches the best epsilon before the block is dropped: its epsilon is at
-least that best, so it is no strict improvement, and no target hit, as the
-best stays above the target while the scan runs. Only the other rows are
-swept in full, so the history, the trials run and the winner are those of
-the full sweep of every row. The winning epsilon is then recomputed from
-scratch by `collision_resistance`, so the result never depends on
-bookkeeping done during the scan. Exhaustive search enumerates
-the whole candidate space in lexicographic order and is the ground truth
-the random variant can be checked against on small spaces.
+Both searches draw candidates up to 4096 at a time, and
+`analysis._closed_sweeps` hands back each cache-sized block's row maxima,
+bit-identical to `collision_resistance` of each candidate. Once a best
+epsilon is known, a block's rows are first bounded by their maxima over
+the differences [1, w] alone, w = max(1, (q - 1) // 4), and a row whose
+bound reaches the best epsilon before the block is dropped: its epsilon is
+at least that best, so it is no strict improvement, and no target hit, as
+the best stays above the target while the scan runs. Only the other rows
+are swept in full, so the history, the trials run and the winner are those
+of the full sweep of every row. The winning epsilon is then recomputed
+from scratch by `collision_resistance`, so the result never depends on
+bookkeeping done during the scan. Exhaustive search enumerates the whole
+candidate space in lexicographic order and is the ground truth the random
+variant can be checked against on small spaces.
 """
 from __future__ import annotations
 
@@ -330,23 +322,15 @@ def _scan(
             start += size
             size = min(2 * size, _DRAW_ROWS)
 
-    def maxima(sweep: Callable, rows: np.ndarray, prefix: bool = False):
-        # Each row's max |value|. reduceat on the flat chunk is exact, as
-        # max(axis=1) is, and takes a third of its time on short rows.
-        chunks = [
-            np.maximum.reduceat(v.ravel(), np.arange(0, v.size, v.shape[1]))
-            for v in sweep(rows, prefix)
-        ]
-        return np.concatenate([np.empty(0), *chunks])
-
-    for start, block, sweep in _closed_sweeps(q, with_sum, draws(), count):
+    window = max(1, (q - 1) // 4)
+    for start, block, maxima in _closed_sweeps(q, with_sum, draws(), count, window):
         kept = np.arange(len(block))
         if best_epsilon < math.inf:
             # The window's rule (module docstring): bound by the best
             # before the block, not one found inside it, which would drop
             # the block's earlier improvements from the history.
-            kept = kept[maxima(sweep, block, True) < best_epsilon]
-        epsilons = maxima(sweep, block[kept])
+            kept = kept[maxima(block, window) < best_epsilon]
+        epsilons = maxima(block[kept], q - 1)
         hits = np.flatnonzero(epsilons <= target)
         stop = int(hits[0]) + 1 if hits.size else epsilons.size
         # Strict improvements: below the best of every earlier candidate.

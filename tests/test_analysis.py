@@ -61,21 +61,38 @@ def closed_oracle(q, rows, dx, with_sum):
 BLOCK = analysis._SWEEP_BLOCK
 
 
-def scan_sweep(q, rows, form, include_sum_qubit, prefix=False):
-    # Every row of a (K, n) block, swept as one draw of a scan, block by
-    # block, over every difference or the window's prefix; each chunk of
-    # values is copied out before the next is written into the same
-    # buffers.
-    with_sum = analysis._with_sum(form, include_sum_qubit)
-    sweeps = analysis._closed_sweeps(q, with_sum, [rows], len(rows))
-    return np.concatenate(
-        [v.copy() for _, block, sweep in sweeps for v in sweep(block, prefix)]
-    )
-
-
 def window(q):
     # The differences a scan's window sweep covers: [1, window(q)].
     return max(1, (q - 1) // 4)
+
+
+def widths(q, block=BLOCK):
+    # The widths a scan's maxima are checked at: every one up to q = 257,
+    # past it the window, q - 1 and the seams of a block of x.
+    if q <= 257:
+        return list(range(1, q))
+    seams = {w for w in range(max(1, block - 1), block + 2) if w < q}
+    return sorted({1, window(q), q - 1} | seams)
+
+
+def scan_maxima(q, rows, form, include_sum_qubit, at):
+    # Every row of a (K, n) block, swept as one draw of a scan, block by
+    # block: its max |value| over the differences [1, width], one column
+    # for each width of `at`.
+    with_sum = analysis._with_sum(form, include_sum_qubit)
+    sweeps = analysis._closed_sweeps(q, with_sum, [rows], len(rows), window(q))
+    return np.concatenate(
+        [
+            np.stack([maxima(block, w) for w in at], axis=1)
+            for _, block, maxima in sweeps
+        ]
+    )
+
+
+def running_maxima(values, at):
+    # The oracle's running max of |value| along each row, at every width of
+    # `at`: the max over the differences [1, width].
+    return np.maximum.accumulate(values, axis=1)[:, np.array(at) - 1]
 
 
 def row_sweep(q, row, form, include_sum_qubit):
@@ -446,17 +463,16 @@ class TestCosineTableBits:
     )
     @settings(max_examples=30, deadline=None)
     def test_scalar_modulus_sweep(self, q, with_sum, data):
-        # A search block, or one parameter tuple as `collision_resistance`
-        # passes it, swept by the table route over the differences 1..q-1,
-        # and the block over its window alone.
+        # A search block, swept by the table route, its row maxima over the
+        # differences [1, width], and one parameter tuple as
+        # `collision_resistance` passes it, over the differences 1..q-1.
         count = data.draw(st.integers(1, max(1, min(8, CELL_BUDGET // q))), label="K")
         rows = self.draw_rows(data, [q] * count, q)
         dx = np.arange(1, q, dtype=np.int64)
         expected = np.abs(closed_oracle(q, rows, dx, with_sum))
-        form = HashForm.SINGLE_QUBIT
-        self.assert_bitwise(scan_sweep(q, rows, form, with_sum), expected)
-        prefix = scan_sweep(q, rows, form, with_sum, prefix=True)
-        self.assert_bitwise(prefix, expected[:, : window(q)])
+        form, at = HashForm.SINGLE_QUBIT, widths(q)
+        maxima = scan_maxima(q, rows, form, with_sum, at)
+        self.assert_bitwise(maxima, running_maxima(expected, at))
         one = tuple(int(v) for v in rows[0])
         self.assert_bitwise(row_sweep(q, one, form, with_sum), expected[0])
 
@@ -480,21 +496,22 @@ class TestCosineTableBits:
             dtype=np.int64,
         )
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
-        form = HashForm.SINGLE_QUBIT
+        form, at = HashForm.SINGLE_QUBIT, widths(q, block)
         with mock.patch.object(analysis, "_SWEEP_BLOCK", block):
-            values = scan_sweep(q, rows, form, with_sum)
-            prefix = scan_sweep(q, rows, form, with_sum, prefix=True)
+            maxima = scan_maxima(q, rows, form, with_sum, at)
             alone = row_sweep(q, tuple(rows[0].tolist()), form, with_sum)
-        self.assert_bitwise(values, expected)
-        self.assert_bitwise(prefix, expected[:, : window(q)])
+        self.assert_bitwise(maxima, running_maxima(expected, at))
         self.assert_bitwise(alone, expected[0])
 
     @pytest.mark.parametrize("q", [2, 3, BLOCK + 2, 2 * BLOCK + 3])
     def test_sum_factor_past_2q_at_the_real_block(self, q):
-        # q - 1 not a multiple of the block, and every sum factor 3q - 2.
+        # q - 1 not a multiple of the block, and every sum factor 3q - 2,
+        # the maxima at the widths 1, the window, either side of the block
+        # and q - 1.
         rows = np.array([[q - 1] * 3 + [1], [1] + [q - 1] * 3], dtype=np.int64)
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), True))
-        self.assert_bitwise(scan_sweep(q, rows, HashForm.SHALLOW, False), expected)
+        maxima = scan_maxima(q, rows, HashForm.SHALLOW, False, widths(q))
+        self.assert_bitwise(maxima, running_maxima(expected, widths(q)))
         for k, row in enumerate(rows.tolist()):
             alone = row_sweep(q, tuple(row), HashForm.SHALLOW, False)
             self.assert_bitwise(alone, expected[k])
@@ -510,17 +527,16 @@ class TestCosineTableBits:
     @settings(max_examples=40, deadline=None)
     def test_sweep_at_the_square_switch(self, q, offset, n, share, seed, with_sum):
         # Blocks of K = 2q - 1 rows (table loop), 2q and 2q + 1 (square at
-        # q <= 256), over every difference and over the window, with a
+        # q <= 256), their maxima at every width up to q = 257, with a
         # share of the elements at q - 1, so the sum factor often passes
         # 2q. Rows come from a drawn seed: K is up to 601.
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, q, size=(2 * q + offset, n))
         rows[rng.random(rows.shape) < share] = q - 1
         expected = np.abs(closed_oracle(q, rows, np.arange(1, q), with_sum))
-        form = HashForm.SINGLE_QUBIT
-        self.assert_bitwise(scan_sweep(q, rows, form, with_sum), expected)
-        prefix = scan_sweep(q, rows, form, with_sum, prefix=True)
-        self.assert_bitwise(prefix, expected[:, : window(q)])
+        form, at = HashForm.SINGLE_QUBIT, widths(q)
+        maxima = scan_maxima(q, rows, form, with_sum, at)
+        self.assert_bitwise(maxima, running_maxima(expected, at))
         for k, row in enumerate(rows.tolist()):
             alone = row_sweep(q, tuple(row), form, with_sum)
             self.assert_bitwise(alone, expected[k])
@@ -528,29 +544,31 @@ class TestCosineTableBits:
     def test_square_route_from_2q_rows(self):
         # At q <= 256 a scan reads the square from its first draw of 2q
         # rows: such a draw never enters the table loop; one row fewer
-        # does, and so do 2q rows at q = 257, one call per block. A search
-        # draws 4096 rows at a time, so its 163-row sweep blocks at q = 101
-        # read the square too, bit-identical to the table loop on the same
-        # rows.
+        # does, and so do 2q rows at q = 257, one call per chunk of a
+        # block's full sweep. A search draws 4096 rows at a time, so its
+        # 163-row sweep blocks at q = 101 read the square too, and their
+        # maxima at every width are bit-identical to the table loop's on
+        # the same rows.
         q = 101
         form = HashForm.SINGLE_QUBIT
         rows = np.arange(2 * q * 3, dtype=np.int64).reshape(2 * q, 3) % q
         count = analysis._block_rows(q)
-        looped = scan_sweep(q, rows[:count], form, True)
+        looped = scan_maxima(q, rows[:count], form, True, widths(q))
 
         def refuse(*args):
             raise AssertionError("the table loop swept a block after 2q rows")
 
         with mock.patch.object(analysis, "_table_sweep", refuse):
-            self.assert_bitwise(scan_sweep(q, rows, form, True)[:count], looped)
+            maxima = scan_maxima(q, rows, form, True, widths(q))
+        self.assert_bitwise(maxima[:count], looped)
         wide = np.arange(2 * 257 * 3, dtype=np.int64).reshape(2 * 257, 3) % 257
 
         def spy(name):
             return mock.patch.object(analysis, name, wraps=getattr(analysis, name))
 
         with spy("_table_sweep") as loop, spy("_cosine_square") as square:
-            scan_sweep(q, rows[1:], form, True)
-            scan_sweep(257, wide, form, True)
+            scan_maxima(q, rows[1:], form, True, [q - 1])
+            scan_maxima(257, wide, form, True, [256])
         assert (loop.call_count, square.call_count) == (2 + 9, 0)
 
     @given(

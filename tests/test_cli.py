@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import zqhash
-from zqhash import analysis, cli, floattext, hashing, search
+from zqhash import analysis, cli, floattext, hashing, search, verification
 from zqhash.analysis import ResistanceReport
 from zqhash.cli import REPORT_SCHEMA, dumps_report, main, parse_residues
 from zqhash.hashing import MAX_MODULUS
@@ -684,6 +684,19 @@ GOLDEN_DIGESTS = [
         "search --q 1009 --n 4 --trials 2000 --seed 3 --target-epsilon 0.83",
         "a562b5b6577d092c8b47b7eae45d6f4b9df75afb743eaec264486af69a9a5572",
     ),
+    # Recorded from the scan whose blocks yielded chunks of values, before
+    # they handed back row maxima, on the square's edge at q = 256: 500
+    # trials, below 2q, run on the table loop alone; a target never met
+    # doubles its draws from one row and takes the square at the 512-row
+    # draw.
+    (
+        "search --q 256 --n 6 --trials 500 --seed 3 --form shallow",
+        "c1f7fa6fa77616f06c79a214c708b19993392eb0dbcc178dd3b2ce3a56ebd34a",
+    ),
+    (
+        "search --q 256 --n 4 --trials 2000 --seed 3 --target-epsilon 0.05",
+        "394c2bc1ddebd3c14a2e57716c3d969ed24fd10f241777957058589ea54df4ec",
+    ),
     # Recorded from the table loop, before bias sweeps at prime q read
     # windows in discrete-log order: the bias-sweep workload's size (200
     # residues, the set of test_benchmark_size_is_accepted), and the prime
@@ -1194,27 +1207,88 @@ def edges(cap):
     return [-1, 0, 1, 2, cap, cap + 1, 2**64, "1.5", "0x10", "", "nan", "inf"]
 
 
-class TestSearchContract:
-    # The command-line contract of `search` at the edges of every input:
-    # exit 0 with a schema-valid document, or exit 2 with nothing on stdout,
-    # and never a traceback. The modulus cap and the work budget are
-    # lowered here, so the largest runs they admit take milliseconds; the
-    # real caps are tested above and in tests/test_search.py.
-    Q_CAP, BUDGET = 64, 10_000
+@pytest.fixture(scope="module")
+def residue_paths(tmp_path_factory):
+    # Residue lists given as paths: a file of integers that parses, and a
+    # directory, a missing path and a file that is not UTF-8, which do not.
+    folder = tmp_path_factory.mktemp("residues")
+    good, latin = folder / "good.txt", folder / "latin.txt"
+    good.write_text("3, 5\n7\n")
+    latin.write_bytes(b"1,\xff2")
+    bad = [str(folder), str(folder / "missing.txt"), str(latin)]
+    return [str(good)], bad
 
-    @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_exit_code_and_streams(self, data):
-        # Each option takes an in-span edge, or is left out where it may
-        # be, except up to two options that may take any edge.
-        broken = data.draw(st.sets(st.sampled_from(range(7)), max_size=2))
+
+def residue_lists(paths, size):
+    # (good, bad) residue lists: inline and as a file, and empty, blank,
+    # unreadable or no integers. A good list holds up to three residues,
+    # or `size` ones, at or just past a cap of the command.
+    good, bad = paths
+    inline = ["1", "3,5", "0,1,63", f"5,-1,{2**64}", ",".join(["1"] * size)]
+    return inline + good, ["", " ", "\t\n", "1,x", "1.5", *bad]
+
+
+class CommandContract:
+    # The command-line contract at the edges of every input: exit 0 with a
+    # schema-valid document, or exit 2 with nothing on stdout (1, with the
+    # document, only from a failed verify check), and never a traceback.
+    # The sweep modulus cap and the work budgets are lowered here, so the
+    # largest runs they admit take milliseconds; the real caps are tested
+    # above and in tests/test_search.py and tests/test_verification.py.
+    # The bias budget admits three residues at q = 64 and no more.
+    Q_CAP, BUDGET, BIAS_BUDGET, VERIFY_BUDGET = 64, 10_000, 3 * 63, 2_000_000
+
+    @staticmethod
+    def options(data, count):
+        # Each of `count` options takes an in-span edge, or is left out
+        # where it may be, except up to two options that may take any edge.
+        broken = data.draw(st.sets(st.sampled_from(range(count)), max_size=2))
+        options = {}
 
         def draw(flag, good, bad):
             values = good + bad if len(options) in broken else good
             options[flag] = data.draw(st.sampled_from(values), label=flag)
             return options[flag]
 
-        options = {}
+        return options, draw
+
+    def check(self, command, options, codes=(0, 2)):
+        argv = [command]
+        for flag, value in options.items():
+            argv += [] if value is None else [flag, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.ExitStack() as stack:
+            for module, name, lowered in (
+                (analysis, "MAX_SWEEP_MODULUS", self.Q_CAP),
+                (search, "MAX_SEARCH_EVALS", self.BUDGET),
+                (analysis, "MAX_BIAS_EVALS", self.BIAS_BUDGET),
+                (verification, "MAX_VERIFY_WORK", self.VERIFY_BUDGET),
+            ):
+                stack.enter_context(mock.patch.object(module, name, lowered))
+            stack.enter_context(contextlib.redirect_stdout(out))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in codes, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            jsonschema.validate(json.loads(out.getvalue()), REPORT_SCHEMA)
+
+
+def forms(draw, required=False):
+    # --form, then --sum-qubit, which only the single-qubit form reads.
+    names = ["standard", "shallow", "single-qubit"]
+    draw("--form", names if required else [None, *names], ["", "nan"])
+    draw("--sum-qubit", [None, "on", "off"], ["", "1"])
+
+
+class TestSearchContract(CommandContract):
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_streams(self, data):
+        options, draw = self.options(data, 7)
         q = draw("--q", [2, self.Q_CAP], [None, *edges(self.Q_CAP)])
         cap = hashing.MAX_PARAMS
         n = draw("--n", [1, 2, cap], [None, *edges(cap)])
@@ -1224,28 +1298,62 @@ class TestSearchContract:
         draw("--trials", [None, 1, 2, trials], edges(trials))
         draw("--seed", [None, 0, 1, 2, 2**64 - 1], edges(2**64 - 1))
         draw("--target-epsilon", [None, 0.5, 1], edges(1))
-        draw("--form", [None, "standard", "shallow", "single-qubit"], ["", "nan"])
-        draw("--sum-qubit", [None, "on", "off"], ["", "1"])
-        argv = ["search"]
-        for flag, value in options.items():
-            argv += [] if value is None else [flag, str(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.ExitStack() as stack:
-            for module, name, lowered in (
-                (analysis, "MAX_SWEEP_MODULUS", self.Q_CAP),
-                (search, "MAX_SEARCH_EVALS", self.BUDGET),
-            ):
-                stack.enter_context(mock.patch.object(module, name, lowered))
-            stack.enter_context(contextlib.redirect_stdout(out))
-            stack.enter_context(contextlib.redirect_stderr(err))
-            code = main(argv)
-        event(f"exit {code}")
-        assert code in (0, 2), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-        else:
-            jsonschema.validate(json.loads(out.getvalue()), REPORT_SCHEMA)
+        forms(draw)
+        self.check("search", options)
+
+
+class TestCommandContract(CommandContract):
+    # The contract of `resist`, `bias`, `hash` and `verify`, as
+    # TestSearchContract checks it for `search`.
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_resist(self, residue_paths, data):
+        options, draw = self.options(data, 4)
+        draw("--q", [2, self.Q_CAP], [None, *edges(self.Q_CAP)])
+        draw("--s", *residue_lists(residue_paths, hashing.MAX_PARAMS))
+        forms(draw)
+        self.check("resist", options)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bias(self, residue_paths, data):
+        options, draw = self.options(data, 3)
+        q = draw("--q", [2, self.Q_CAP], [None, *edges(self.Q_CAP)])
+        draw("--b", *residue_lists(residue_paths, 4))
+        top = q - 1 if isinstance(q, int) and q > 1 else self.Q_CAP - 1
+        draw("--x", [None, 0, 1, top], edges(top))
+        self.check("bias", options)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hash(self, residue_paths, data):
+        options, draw = self.options(data, 6)
+        q = draw("--q", [2, self.Q_CAP, 2**64], [None, *edges(MAX_MODULUS)])
+        forms(draw, required=True)
+        # Four parameters, not MAX_PARAMS: a state of 2**20 amplitudes
+        # takes seconds to write.
+        good, bad = residue_lists(residue_paths, 4)
+        draw("--s", good, [None, *bad])
+        draw("--b", [None], ["0,3,5,8", "0", *good, *bad])
+        top = q - 1 if isinstance(q, int) and q > 1 else self.Q_CAP - 1
+        draw("--x", [0, 1, top], [None, *edges(top)])
+        self.check("hash", options)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_verify(self, data):
+        options, draw = self.options(data, 4)
+        q = draw("--q-max", [None, 2, 8, self.Q_CAP], edges(self.Q_CAP))
+        cap = hashing.MAX_PARAMS
+        n = draw("--n-max", [None, 1, 2, cap], edges(cap))
+        draw("--seed", [None, 0, 1, 2**64], [-1, "1.5", "0x10", "", "nan", "inf"])
+        # The trial count's cap: the most trials the budget holds at q_max
+        # and n_max, where they are in span, or at their defaults.
+        q = q if isinstance(q, int) and 2 <= q <= self.Q_CAP else 64
+        n = n if isinstance(n, int) and 1 <= n <= cap else 5
+        trials = self.VERIFY_BUDGET // _verify_work(q, n, 1)
+        draw("--trials", [None, 1, 2, trials], edges(trials))
+        self.check("verify", options, codes=(0, 1, 2))
 
 
 class TestVerifyCommand:

@@ -499,6 +499,7 @@ class TestBlockScan:
             (101, 2000, None, 1),
             (101, 2000, 0.6, 0),
             (256, 600, None, 1),
+            (256, 2000, 0.05, 1),
             (257, 600, None, 0),
             (1009, 300, None, 0),
         ],
@@ -509,8 +510,11 @@ class TestBlockScan:
         # Every sweep block of a scan reads one cosine table and writes
         # into one set of buffers, and at q <= 256 reads one square, built
         # when a draw first holds 2q rows: not by the target scan that
-        # stops at trial 30 of its doubling draws. Re-certifying the winner
-        # makes one more table and set of buffers.
+        # stops at trial 30 of its doubling draws, and only at the 512-row
+        # draw of one at q = 256 that never meets its target. A scan that
+        # reads the square from its first draw makes only its values and
+        # terms, not the table loop's buffers; re-certifying the winner
+        # makes one more table and set of them.
         config = SearchConfig(q=q, n=4, trials=trials, seed=7, target_epsilon=target)
         counted = {}
         with contextlib.ExitStack() as stack:
@@ -520,8 +524,9 @@ class TestBlockScan:
                 )
                 counted[name] = stack.enter_context(wrapped)
             random_search(config, HashForm.SINGLE_QUBIT)
+        first_draw = squares and target is None
         assert counted["_cosine_table"].call_count == 2
-        assert counted["_loop_buffers"].call_count == 2
+        assert counted["_loop_buffers"].call_count == (1 if first_draw else 2)
         assert counted["_cosine_square"].call_count == squares
 
     @pytest.mark.parametrize("q", [101, 1009])
@@ -529,9 +534,11 @@ class TestBlockScan:
         # search-small's request, and a table-loop modulus: 2,000 trials of
         # four parameters. The scan makes its table, square and buffers
         # once; with a 2**17-cell block per sweep it peaked at 2.31 MB
-        # (q = 101) and 4.36 MB (q = 1009), and now measures 0.81 and
-        # 0.75 MB: the buffers, the square and the draw of 2,000 rows, and
-        # at q = 101 the window's gathers from the square's first columns.
+        # (q = 101) and 4.36 MB (q = 1009). With the table loop's buffers
+        # on the square route too it measured 0.81 and 0.75 MB; now q = 101
+        # makes only the square's values and terms and measures 0.63 MB:
+        # the buffers, the square, the draw of 2,000 rows and the window's
+        # gathers from the square's first columns.
         config = SearchConfig(q=q, n=4, trials=2000, seed=7)
         random_search(config, HashForm.SINGLE_QUBIT)
         tracemalloc.start()
@@ -541,20 +548,23 @@ class TestBlockScan:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+        if q == 101:
+            assert peak < 700_000
 
 
 def spied_sweeps(spy):
-    # `search._closed_sweeps` with every chunk of values the scan sweeps
-    # passed through spy(q, block, prefix, values) before the scan reads it.
+    # `search._closed_sweeps` with the row maxima of every sweep the scan
+    # makes passed through spy(q, rows, width, maxima) before the scan
+    # reads them.
     def spied(q, *args):
-        for start, block, sweep in analysis._closed_sweeps(q, *args):
+        for start, block, maxima in analysis._closed_sweeps(q, *args):
 
-            def chunks(rows, prefix=False, block=block, sweep=sweep):
-                for values in sweep(rows, prefix):
-                    spy(q, block, prefix, values)
-                    yield values
+            def spied_maxima(rows, width, maxima=maxima):
+                found = maxima(rows, width)
+                spy(q, rows, width, found)
+                return found
 
-            yield start, block, chunks
+            yield start, block, spied_maxima
 
     return mock.patch.object(search, "_closed_sweeps", spied)
 
@@ -596,11 +606,11 @@ class TestPrunedScan:
         # the best epsilon of its own block's rows, not just the best
         # before the block. At seed 7 that drops improvements the
         # per-candidate scan records.
-        def own_best(q, block, prefix, values):
-            if prefix:
-                sets = [ParamSet(q, tuple(row)) for row in block.tolist()]
+        def own_best(q, rows, width, maxima):
+            if width < q - 1:
+                sets = [ParamSet(q, tuple(row)) for row in rows.tolist()]
                 own = min(collision_resistance(s, form).epsilon for s in sets)
-                values[values.max(axis=1) >= own] = math.inf
+                maxima[maxima >= own] = math.inf
 
         form = HashForm.SINGLE_QUBIT
         args = (101, 4, 2000, 7, None, form, False)
@@ -619,8 +629,9 @@ class TestPrunedScan:
         # the window every row was swept in full: 2,000 rows.
         swept = {False: 0, True: 0}
 
-        def count(q, block, prefix, values):
-            swept[prefix] += values.size if prefix else len(values)
+        def count(q, rows, width, maxima):
+            window = width < q - 1
+            swept[window] += len(rows) * width if window else len(rows)
 
         config = SearchConfig(q=q, n=4, trials=2000, seed=7)
         with spied_sweeps(count):
