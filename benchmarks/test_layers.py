@@ -140,7 +140,7 @@ def test_draw_sets(benchmark):
     # drawn as one block.
     q = np.repeat(np.arange(2, 33), 5)
     index = np.tile(np.arange(5, dtype=np.uint64), 31)
-    span = q[:, None].astype(np.uint64)
+    span = q.astype(np.uint64)
     sizes, factors = benchmark(_draw_rows, (12345, q), index, span, 5, True)
     assert factors.shape == (155, 5) and 1 <= sizes.min() <= sizes.max() <= 5
 
@@ -286,3 +286,12 @@ def test_draw_block(benchmark):
     # The candidate stream of that request: 2,000 trials in one block.
     block = benchmark(_draw_block, 7, 101, 4, 0, 2000)
     assert block.shape == (2000, 4)
+
+
+def test_draw_block_with_rejections(benchmark):
+    # A whole draw at q = 1048323, where 2**32 mod (q - 1) is 99 % of
+    # q - 1: eight of its 4,096 rows reject one of their first four words
+    # and take a further column from the stream, so the draw runs on to
+    # six words and sorts those rows.
+    block = benchmark(_draw_block, 0, 1048323, 4, 0, 4096)
+    assert block.shape == (4096, 4)

@@ -394,12 +394,16 @@ def _cosine_table(q: int) -> np.ndarray:
 def _cosine_square(table: np.ndarray) -> np.ndarray:
     # The square table[(s * d) % 2q] for s in [0, 2q) and d in [1, q): row
     # s % 2q holds every difference's term of a factor s, since
-    # (s % 2q) * d = s * d mod 2q.
+    # (s % 2q) * d = s * d mod 2q. The products and their remainders are
+    # uint32, as s * d < 2q * q <= 2**17 at q <= _SQUARE_MAX_Q; take reads
+    # an intp index, and converting first frees the uint32 one before the
+    # square is made, so the peak stays that of an int64 build.
     modulus = table.size
     index = np.multiply.outer(
-        np.arange(modulus, dtype=np.int64), np.arange(1, modulus // 2, dtype=np.int64)
+        np.arange(modulus, dtype=np.uint32), np.arange(1, modulus // 2, dtype=np.uint32)
     )
-    index %= modulus
+    index %= np.uint32(modulus)
+    index = index.astype(np.intp)
     return table.take(index)
 
 
@@ -455,13 +459,13 @@ def _closed_sweeps(
                 # cell reads the table value `_table_sweep` reads and gets
                 # its multiplies, in parameter order. q <= _SQUARE_MAX_Q <
                 # _SWEEP_BLOCK, so the buffer of terms spans the width. take
-                # copies `out` first in its default raise mode; the rows are
-                # in range, so clip mode gathers straight into it.
-                picks = [s[:, 0] % len(square) for s in factors]
+                # copies `out` first in its default raise mode; wrap mode
+                # picks row s % 2q itself and gathers straight into it.
+                picks = [s[:, 0] for s in factors]
                 columns = square[:, :width]
-                columns.take(picks[0], axis=0, out=values, mode="clip")
+                columns.take(picks[0], axis=0, out=values, mode="wrap")
                 for s in picks[1:]:
-                    values *= columns.take(s, axis=0, out=rest[0], mode="clip")
+                    values *= columns.take(s, axis=0, out=rest[0], mode="wrap")
             # reduceat on the flat chunk is exact, as max(axis=1) is, and
             # takes a third of its time on short rows.
             np.abs(values, out=values)

@@ -12,12 +12,14 @@ The stream is the package's own numpy port of what
 SeedSequence mixing, PCG64 seeding and its XSL-RR output (O'Neill 2014)
 on the 128-bit state held as numpy holds it, two uint64 halves (high,
 low), and Lemire's bounded 32-bit draw (Lemire 2019). It computes a whole
-block of trials at once. `verify` draws its parameter sets from the same
-port (`_draw_rows`), keyed by (seed, q, index), with a size draw before
-the entries. NumPy does not promise that `Generator` streams stay the
-same across versions (NEP 19); tests pin both uses to `default_rng` at
-the installed numpy, and if a future numpy breaks that pin, this stream
-is the contract.
+block of trials at once: the SeedSequence mixing runs on stacked words,
+and only the rows that reject one of their first words are sorted, while
+every other row reads its values in place. `verify` draws its parameter
+sets from the same port (`_draw_rows`), keyed by (seed, q, index), with a
+size draw before the entries. NumPy does not promise that `Generator`
+streams stay the same across versions (NEP 19); tests pin both uses to
+`default_rng` at the installed numpy, and if a future numpy breaks that
+pin, this stream is the contract.
 
 Both searches draw candidates up to 4096 at a time, and
 `analysis._closed_sweeps` hands back each cache-sized block's row maxima,
@@ -116,66 +118,59 @@ class SearchResult:
     history: list[tuple[int, float]]
 
 
-def _int_words(value: int) -> list[int]:
-    # numpy's 32-bit words of a non-negative int, low first; 0 is one word.
-    words = [value & _MASK32]
-    while value >> 32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _seed_words(
-    keys: Sequence[int | np.ndarray], index: np.ndarray
-) -> list[np.ndarray]:
+def _seed_words(keys: Sequence[int | np.ndarray], index: np.ndarray) -> np.ndarray:
     # SeedSequence([*keys, index]).generate_state(4, np.uint64) of each
-    # row, as four uint64 words. A key is a Python int, as its 32-bit
-    # words low first, or a per-row array below 2**32, as one word. The
-    # uint64 index enters as its low word, then its high word where that
-    # is nonzero. Inside the pool a zero high word mixes exactly like
-    # numpy's shorter entropy, since a pool slot past the entropy hashes a
-    # 0 word. Past the pool, where long seeds push it, rows without it
-    # skip the last mixing step.
-    rows = index.size
-    entropy = []
+    # row, as a (4, rows) uint64 array; each hashmix of a word by k
+    # consecutive constants is one (k, rows) op. A key is a Python int, as
+    # its 32-bit words low first, or a per-row array below 2**32, as one
+    # word. The uint64 index enters as its low word, then its high word
+    # where that is nonzero. Inside the pool a zero high word mixes exactly
+    # like numpy's shorter entropy, since a pool slot past the entropy
+    # hashes a 0 word. Past the pool, where long seeds push it, rows
+    # without it skip the last mixing step.
+    words: list = []
     for key in keys:
         if isinstance(key, np.ndarray):
-            entropy.append(key.astype(np.uint32))
+            words.append(key)
         else:
-            entropy += [np.full(rows, word, np.uint32) for word in _int_words(key)]
-    entropy.append((index & np.uint64(_MASK32)).astype(np.uint32))
-    high = (index >> np.uint64(32)).astype(np.uint32)
-    entropy.append(high)
-    entropy += [np.zeros(rows, dtype=np.uint32)] * (_POOL - len(entropy))
+            words += [key >> k & _MASK32 for k in range(0, key.bit_length() or 1, 32)]
+    words += [index & np.uint64(_MASK32), index >> np.uint64(32)]
+    entropy = np.zeros((max(_POOL, len(words)), index.size), np.uint32)
+    for row, word in zip(entropy, words):
+        row[:] = word
+    high = entropy[len(words) - 1]
     const = _INIT_A
 
-    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+    def hashmix(value: np.ndarray, count: int, mult: int = _MULT_A) -> np.ndarray:
         nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+        consts = [const * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)]
+        const = consts[-1]
+        column = np.array(consts, np.uint32)[:, None]
+        value = value ^ column[:-1]
+        value *= column[1:]
+        value ^= value >> np.uint32(16)
+        return value
 
-    def mix(dst: int, src: np.ndarray) -> np.ndarray:
-        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * src
-        return mixed ^ (mixed >> np.uint32(16))
+    def mix(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+        mixed = np.uint32(_MIX_MULT_L) * dst
+        mixed -= np.uint32(_MIX_MULT_R) * src
+        mixed ^= mixed >> np.uint32(16)
+        return mixed
 
-    pool = [hashmix(word) for word in entropy[:_POOL]]
+    pool = hashmix(entropy[:_POOL], _POOL)
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(dst, hashmix(pool[src]))
+        others = [dst for dst in range(_POOL) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], _POOL - 1))
     for position in range(_POOL, len(entropy)):
-        last = position == len(entropy) - 1
-        for dst in range(_POOL):
-            mixed = mix(dst, hashmix(entropy[position]))
-            pool[dst] = np.where(high != 0, mixed, pool[dst]) if last else mixed
+        mixed = mix(pool, hashmix(entropy[position], _POOL))
+        pool = mixed if position < len(entropy) - 1 else np.where(high, mixed, pool)
     const = _INIT_B
-    words = [
-        hashmix(pool[i % _POOL], _MULT_B).astype(np.uint64) for i in range(2 * _POOL)
-    ]
+    state = hashmix(np.tile(pool, (2, 1)), 2 * _POOL, _MULT_B)
     # numpy pairs the eight uint32 words, low first, into four uint64 words.
-    return [words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
+    seeds = state[1::2].astype(np.uint64)
+    seeds <<= np.uint64(32)
+    seeds |= state[0::2]
+    return seeds
 
 
 def _lcg_step(
@@ -244,33 +239,38 @@ def _draw_rows(
     """The draws of default_rng([*keys, index[i]]) for each row i: with
     `sized`, first its size n_i = integers(1, n + 1), else n_i = n; then
     integers(0, span, size=n_i), with a span above 1, one for all rows or
-    a (rows, 1) column. Returns (sizes, values): int64 arrays of shape
-    (rows,) and (rows, n), whose row i holds its n_i values first."""
-    draw_size = sized and n > 1  # numpy draws nothing for a one-value range
-    sizes = np.full(index.size, n)
-    columns: list[np.ndarray] = []
+    one per row. Returns (sizes, values): int64 arrays of shape (rows,)
+    and (rows, n), whose row i holds its n_i values first."""
+    draw_size = int(sized and n > 1)  # numpy draws nothing for a one-value range
+    read = n + draw_size
     stream = _words(keys, index)
-    while True:
-        columns += [next(stream), next(stream)]
-        if len(columns) < n + draw_size:
-            continue
-        words = np.stack(columns, axis=1)
+    words = np.stack([next(stream) for _ in range(read + read % 2)])
+    values, accepted = _lemire(words, span)
+    sizes = np.full(index.size, n)
+    if draw_size:
+        sizes, accepted[0] = _lemire(words[0], np.uint64(n))
+        sizes = sizes.astype(np.int64) + 1
+    # A row that accepts its first size word and the n words after it takes
+    # its values in place. Any other row takes its size from its first
+    # accepted size word and its values from the next accepted ones, drawn
+    # until it has them: a stable sort of its accepted words first.
+    out = values[draw_size:read].T.astype(np.int64, order="C")
+    redo = np.flatnonzero(~accepted[:read].all(axis=0))
+    span = span[redo] if np.ndim(span) else span
+    words = words[:, redo]
+    while redo.size:
         values, accepted = _lemire(words, span)
         if draw_size:
             drawn, size_accepted = _lemire(words, np.uint64(n))
-            if not size_accepted.any(axis=1).all():
-                continue
-            first = np.argmax(size_accepted, axis=1)
-            sizes = np.take_along_axis(drawn, first[:, None], axis=1)[:, 0]
-            sizes = sizes.astype(np.int64) + 1
-            accepted &= np.arange(len(columns)) > first[:, None]
-        if (accepted.sum(axis=1) >= sizes).all():
+            first = np.argmax(size_accepted, axis=0)
+            sizes[redo] = drawn[first, np.arange(redo.size)] + 1
+            accepted &= (np.arange(len(words))[:, None] > first) & size_accepted.any(0)
+        if (accepted.sum(axis=0) >= sizes[redo]).all():
+            order = np.argsort(~accepted, axis=0, kind="stable")
+            out[redo] = np.take_along_axis(values, order, axis=0)[:n].T
             break
-    # A row that rejects a word takes its later values from the next
-    # accepted ones.
-    order = np.argsort(~accepted, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    return sizes, values[:, :n].astype(np.int64)
+        words = np.vstack([words, next(stream)[redo], next(stream)[redo]])
+    return sizes, out
 
 
 def _draw_block(seed: int, q: int, n: int, start: int, stop: int) -> np.ndarray:

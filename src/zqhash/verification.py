@@ -324,7 +324,7 @@ def check_inner_products(
         drawn = np.arange(start, min(start + _SET_BLOCK, count))
         q = q_values[drawn // sets_per_q]
         index = (drawn % sets_per_q).astype(np.uint64)
-        span = q[:, None].astype(np.uint64)
+        span = q.astype(np.uint64)
         sizes, factors = _draw_rows((seed, q), index, span, n_max, sized=True)
         broken: list[int] = []
         for size in np.unique(sizes).tolist():

@@ -571,6 +571,15 @@ class TestCosineTableBits:
             scan_maxima(257, wide, form, True, [256])
         assert (loop.call_count, square.call_count) == (2 + 9, 0)
 
+    def test_square_equals_its_int64_build(self):
+        # The square's uint32 index picks the cells an int64 one picks, at
+        # every q in [2, _SQUARE_MAX_Q = 256].
+        for q in range(2, analysis._SQUARE_MAX_Q + 1):
+            table = analysis._cosine_table(q)
+            s, d = np.arange(2 * q, dtype=np.int64), np.arange(1, q, dtype=np.int64)
+            index = np.multiply.outer(s, d) % (2 * q)
+            self.assert_bitwise(analysis._cosine_square(table), table[index])
+
     @given(
         qs=st.lists(
             st.one_of(st.integers(2, 6), st.integers(2, 400)), min_size=1, max_size=8

@@ -273,10 +273,19 @@ def default_rng_set(seed, q, index, n_max):
     return [int(v) for v in rng.integers(0, q, size=n)]
 
 
+def rejected_words(entropy, span, count):
+    # Whether Lemire's draw on `span` rejects each of the first `count`
+    # 32-bit words of default_rng(entropy)'s stream, read from numpy's own
+    # PCG64: the low half of word * span falls below 2**32 mod span.
+    raw = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(count)
+    words = [half for x in raw.tolist() for half in (x & 0xFFFFFFFF, x >> 32)]
+    return [w * span % 2**32 < 2**32 % span for w in words[:count]]
+
+
 def block_sets(seed, qs, index, n_max):
     qs = np.array(qs, dtype=np.int64)
     index = np.array(index, dtype=np.uint64)
-    span = qs[:, None].astype(np.uint64)
+    span = qs.astype(np.uint64)
     sizes, values = _draw_rows((seed, qs), index, span, n_max, sized=True)
     return [row[:size] for row, size in zip(values.tolist(), sizes.tolist())]
 
@@ -313,6 +322,21 @@ class TestSetStream:
         assert int(first[0]) * n_max % 2**32 < 2**32 % n_max
         expected = default_rng_set(seed, q, index, n_max)
         assert block_sets(seed, [q], [index], n_max) == [expected]
+
+    def test_rejecting_rows_in_a_whole_block(self):
+        # 4,096 sets at q = 1048323, where 2**32 mod q is 99 % of q. Each
+        # takes its size from its first word; six then reject one of the
+        # entry words they read, between rows that reject none.
+        seed, q, n_max, index = 0, 1048323, 5, range(1 << 12)
+        expected = [default_rng_set(seed, q, i, n_max) for i in index]
+        assert not any(rejected_words([seed, q, i], n_max, 1)[0] for i in index)
+        rejecting = [
+            i
+            for i in index
+            if any(rejected_words([seed, q, i], q, 1 + len(expected[i]))[1:])
+        ]
+        assert rejecting == [387, 1140, 1185, 2053, 2092, 2300]
+        assert block_sets(seed, [q] * len(index), list(index), n_max) == expected
 
     def test_one_parameter_draws_no_size(self):
         # integers(1, 2) draws nothing, so the entries start at the first
