@@ -17,11 +17,12 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -148,19 +149,42 @@ def dumps_report(document: dict[str, Any]) -> str:
     return "".join(render_report(document))
 
 
+def _write(file: TextIO, pieces: Iterator[str]) -> None:
+    # The one loop that writes a document, to stdout or to --out's file.
+    for piece in pieces:
+        file.write(piece)
+
+
 def _write_out(path: str, pieces: Iterator[str]) -> None:
-    # Into a new file beside PATH, moved over PATH once complete, so a
-    # failed write leaves PATH as it was; the new file is then removed.
-    # Its name is random and it is opened with "x", so it is never an
-    # existing file, and its mode follows the umask as a plain open's does.
-    directory, name = os.path.split(path)
+    # Writes as `> PATH` does, through any links, except that a regular
+    # file, or a new one, is written whole into a new file beside the
+    # target and moved over it, so a failed write leaves PATH as it was;
+    # the new file is then removed. It takes the old file's permission
+    # bits (hard links to the old file keep the old text); its name is
+    # random and it is opened with "x", so it is never an existing file.
+    # Anything else, a FIFO, device or socket, is opened and written in
+    # place; so is a directory, or a name in a missing one ("new/",
+    # "missing/x"), and that open fails as `> PATH` does.
+    try:
+        mode = os.stat(path).st_mode
+        replace = stat.S_ISREG(mode)
+    except FileNotFoundError:
+        mode = None
+        replace = os.path.isdir(os.path.dirname(path) or ".")
+    if not replace:
+        with open(path, "w") as file:
+            _write(file, pieces)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     file = open(temporary, "x")
     try:
         with file:
-            for piece in pieces:
-                file.write(piece)
-        os.replace(temporary, path)
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            _write(file, pieces)
+        os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
@@ -172,12 +196,16 @@ def parse_residues(text: str) -> list[int]:
     source = text
     path = Path(text)
     try:
-        if path.is_file():
+        is_file = path.is_file()
+    except OSError:  # a long inline list is too long a name
+        is_file = False
+    if is_file:
+        try:
             source = path.read_text()
-    except UnicodeDecodeError:
-        raise ValueError(f"could not read {text} as text") from None
-    except OSError:
-        pass
+        except UnicodeDecodeError:
+            raise ValueError(f"could not read {text} as text") from None
+        except OSError as exc:
+            raise ValueError(f"cannot read {text}: {exc.strerror}") from None
     tokens = source.replace(",", " ").split()
     if not tokens:
         raise ValueError(f"no integers found in {text!r}")
@@ -451,20 +479,17 @@ def main(argv: list[str] | None = None) -> int:
                 "timing_seconds": _Elapsed(started),
             }
         )
-        if args.out is not None:
-            try:
-                _write_out(args.out, pieces)
-            except OSError as exc:
-                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-            if not args.quiet:
-                _stderr(f"wrote {args.out}")
-        else:
-            try:
-                for piece in pieces:
-                    sys.stdout.write(piece)
+        try:
+            if args.out is None:
+                _write(sys.stdout, pieces)
                 sys.stdout.flush()
-            except OSError as exc:
-                raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+            else:
+                _write_out(args.out, pieces)
+        except OSError as exc:
+            where = "stdout" if args.out is None else args.out
+            raise ValueError(f"cannot write {where}: {exc.strerror}") from None
+        if args.out is not None and not args.quiet:
+            _stderr(f"wrote {args.out}")
     except ValueError as exc:
         _stderr(f"error: {exc}")
         return 2

@@ -275,28 +275,27 @@ def _blocks(values: np.ndarray, indexed: bool) -> Iterator[str]:
     # Each block of rows is written into one byte matrix, NUL for every
     # dropped byte, backed by a bytearray whose NULs one `translate`
     # deletes. Digits are written in groups through uint16 and uint32
-    # views, so the x digits and each float's field start at an even
-    # column of a row of even width.
+    # views of column spans of even width.
     n = values.size
     if n == 0:
         yield "[]"
         return
     x_width = -(-len(str(n)) // 2) * 2 if indexed else 0
-    start = 4 + x_width if indexed else 0
-    tail = b"], \0" if indexed else b", "
+    start = 3 + x_width if indexed else 0
+    tail = b"], " if indexed else b", "
     width = start + _FIELD + len(tail)
     # Every byte of a block's rows is written, so one matrix serves all.
     buffer = bytearray(min(n, _BLOCK_ROWS) * width)
     matrix = np.frombuffer(buffer, np.uint8).reshape(-1, width)
-    if indexed:  # NUL "[" x ", " v "], " NUL, x in an even number of columns
-        matrix[:, :2] = np.frombuffer(b"\0[", np.uint8)
+    if indexed:  # "[" x ", " v "], ", x in an even number of columns
+        matrix[:, 0] = ord("[")
         matrix[:, start - 2 : start] = np.frombuffer(b", ", np.uint8)
         # x's last four digits, or two below 100, and a pair or a four above
         # them, one byte per digit: tables of fewer than 10**8 rows.
         low = _QUADS if x_width > 2 else _PAIRS
         top = _PAIRS if x_width % 4 else _QUADS
         low_digits = matrix[:, start - 2 - low.itemsize : start - 2].view(low.dtype)
-        top_digits = matrix[:, 2 : 2 + top.itemsize].view(top.dtype)
+        top_digits = matrix[:, 1 : 1 + top.itemsize].view(top.dtype)
     matrix[:, start + _FIELD :] = np.frombuffer(tail, np.uint8)
     for first in range(0, n, _BLOCK_ROWS):
         block = values[first : first + _BLOCK_ROWS]
@@ -315,7 +314,7 @@ def _blocks(values: np.ndarray, indexed: bool) -> Iterator[str]:
             # Each width of x is one run of rows.
             for digits in range(1, x_width):
                 short = 10**digits - 1 - first  # rows with x < 10**digits
-                rows[: max(short, 0), 2 : 2 + x_width - digits] = 0
+                rows[: max(short, 0), 1 : 1 + x_width - digits] = 0
         write_floats(block, rows[:, start : start + _FIELD])
         # Only a short last block does not fill the buffer.
         filled = buffer if rows.size == len(buffer) else buffer[: rows.size]

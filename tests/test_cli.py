@@ -8,8 +8,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from decimal import Decimal
@@ -850,6 +852,20 @@ class TestParseResidues:
         with pytest.raises(ValueError):
             parse_residues("   ")
 
+    def test_unreadable_file_exits_2_and_names_it(self, capsys, monkeypatch, tmp_path):
+        # A file that exists but cannot be read is not parsed as an inline
+        # list. Patched, as root reads a file whatever its mode.
+        path = tmp_path / "set.txt"
+        path.write_text("1, 2\n")
+
+        def refused(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(cli.Path, "read_text", refused)
+        code, out, err = run_cli(capsys, ["bias", "--q", "7", "--b", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: {os.strerror(errno.EACCES)}\n"
+
 
 class TestHashCommand:
     def test_single_qubit_example(self, capsys):
@@ -987,16 +1003,35 @@ class TestHashCommand:
 
     @pytest.mark.parametrize(
         "where, error",
-        [(".", errno.EISDIR), ("missing/report.json", errno.ENOENT)],
-        ids=["directory", "missing_parent"],
+        [
+            (".", errno.EISDIR),
+            ("missing/report.json", errno.ENOENT),
+            ("./", errno.EISDIR),
+            ("d/", errno.EISDIR),
+            ("new/", errno.EISDIR),
+            ("missing/..", errno.ENOENT),
+            ("old.json/", errno.ENOTDIR),
+        ],
+        ids=[
+            "directory", "missing_parent", "cwd", "directory_slash",
+            "new_directory", "missing_parent_dotdot", "file_as_directory",
+        ],
     )
-    def test_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path, where, error):
-        path = tmp_path / where
+    def test_unwritable_out_exits_2_with_one_line(
+        self, capsys, monkeypatch, tmp_path, where, error
+    ):
+        # As `> PATH` fails; no file is made, replaced or left behind.
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("d")
+        (tmp_path / "old.json").write_text("old")
         code, out, err = run_cli(
-            capsys, ["resist", "--q", "7", "--s", "3", "--out", str(path)]
+            capsys, ["resist", "--q", "7", "--s", "3", "--out", where]
         )
         assert (code, out) == (2, "")
-        assert err == f"error: cannot write {path}: {os.strerror(error)}\n"
+        assert err == f"error: cannot write {where}: {os.strerror(error)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["d", "old.json"]
+        assert os.listdir("d") == []
+        assert (tmp_path / "old.json").read_text() == "old"
 
     def test_out_replaces_an_existing_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -1047,6 +1082,111 @@ class TestHashCommand:
         assert os.listdir(tmp_path) == (["report.json"] if present else [])
         if present:
             assert path.read_text() == "old"
+
+
+class TestOutTargets:
+    # --out writes as `> PATH` does, through any links, except that a
+    # regular file, or a new one, is replaced whole. Every PATH here is
+    # under tmp_path: were the rule to break, a test aimed at a real
+    # device node would replace the node when run as root.
+    ARGV = ["resist", "--q", "7", "--s", "3"]
+
+    def write(self, capsys, where, argv=ARGV):
+        # --out's exit code and stderr line; nothing goes to stdout.
+        code, out, err = run_cli(capsys, argv + ["--out", str(where)])
+        assert out == ""
+        return code, err
+
+    def document(self, capsys, argv=ARGV):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        return TIMING_FIELD.sub("", out)
+
+    def test_symlink_rewrites_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to("target.json")
+        assert self.write(capsys, link) == (0, f"wrote {link}\n")
+        assert link.is_symlink() and os.readlink(link) == "target.json"
+        assert TIMING_FIELD.sub("", target.read_text()) == self.document(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+    def test_dangling_symlink_creates_its_target(self, capsys, tmp_path):
+        link = tmp_path / "link.json"
+        link.symlink_to("new.json")
+        assert self.write(capsys, link) == (0, f"wrote {link}\n")
+        assert link.is_symlink() and os.readlink(link) == "new.json"
+        text = (tmp_path / "new.json").read_text()
+        assert TIMING_FIELD.sub("", text) == self.document(capsys)
+
+    def test_symlink_loop_exits_2_and_keeps_the_link(self, capsys, tmp_path):
+        loop = tmp_path / "loop"
+        loop.symlink_to("loop")
+        assert self.write(capsys, loop) == (
+            2, f"error: cannot write {loop}: {os.strerror(errno.ELOOP)}\n"
+        )
+        assert os.readlink(loop) == "loop"
+        assert os.listdir(tmp_path) == ["loop"]
+
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        # A table of three blocks, more than a pipe holds, so the reader
+        # drains the FIFO while the document is written.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_text()), daemon=True
+        )
+        reader.start()
+        argv = ["resist", "--q", str(2 * floattext._BLOCK_ROWS + 2), "--s", "3"]
+        assert self.write(capsys, fifo, argv) == (0, f"wrote {fifo}\n")
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "the reader never saw the FIFO opened"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert TIMING_FIELD.sub("", received[0]) == self.document(capsys, argv)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    def test_regular_file_keeps_its_mode(self, capsys, tmp_path, mode):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        os.chmod(path, mode)
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+
+    def test_hard_link_keeps_the_old_text(self, capsys, tmp_path):
+        # The one limit of replace-by-rename: PATH gets a new file, and
+        # every other name of the old one still reads the old text.
+        path, other = tmp_path / "report.json", tmp_path / "other.json"
+        path.write_text("old")
+        os.link(path, other)
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+        assert other.read_text() == "old"
+
+    def test_character_device_is_written_in_place(self, capsys, monkeypatch, tmp_path):
+        # A regular file that os.stat reports as a character device, so the
+        # device branch runs without touching a real device node.
+        path = tmp_path / "device"
+        path.write_text("old")
+        inode = os.stat(path).st_ino
+        real_stat = os.stat
+
+        def device_stat(name, *args, **kwargs):
+            result = real_stat(name, *args, **kwargs)
+            if os.fspath(name) != str(path):
+                return result
+            fields = list(result)
+            fields[0] = stat.S_IFCHR | 0o666
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "stat", device_stat)
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        monkeypatch.undo()
+        assert os.stat(path).st_ino == inode
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+        assert os.listdir(tmp_path) == ["device"]
 
 
 class TestBiasCommand:
