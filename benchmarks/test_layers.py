@@ -8,6 +8,7 @@ These sit outside the `tests` testpath, so the tier-1 suite does not
 collect them. Inputs are drawn from fixed seeds, so every run times the
 same work.
 """
+import json
 import random
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 
 from zqhash import analysis
 from zqhash.analysis import _closed_sweeps, collision_resistance, epsilon_of_biased_set
-from zqhash.cli import _report_outputs, dumps_report, render_report
+from zqhash.cli import _parser, _report_outputs, dumps_report, render_report
 from zqhash.floattext import (
     _BLOCK_ROWS,
     _FIELD,
@@ -200,12 +201,25 @@ def test_join_small_floats(benchmark):
 
 
 def test_dumps_small_table(benchmark):
-    # A search-small document: the winner's 100-row table at q = 101.
-    params = ParamSet(101, _residues(101, 4, 7))
-    report = collision_resistance(params, HashForm.SINGLE_QUBIT)
-    document = {"command": "search", "outputs": _report_outputs(report)}
+    # The search-small workload's document as the CLI writes it: the
+    # winner's 100-row table at q = 101, the history, best_set and epsilon.
+    args = _parser().parse_args(["search", "--q", "101", "--n", "4", "--trials", "2000"])
+    inputs, outputs = args.func(args)
+    document = {
+        "schema_version": "1",
+        "command": "search",
+        "inputs": inputs,
+        "outputs": outputs,
+        "timing_seconds": 0.0123,
+    }
     text = benchmark(dumps_report, document)
-    assert text.count("], [") == 100 - 1
+    assert len(json.loads(text)["outputs"]["table"]) == 100
+
+
+def test_format_scalar(benchmark):
+    # One float of a document outside a table or array, such as epsilon.
+    texts = benchmark(format_floats, (0.5159140289596877,))
+    assert texts == ["%.17g" % 0.5159140289596877]
 
 
 def test_random_search(benchmark):

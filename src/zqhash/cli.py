@@ -160,34 +160,53 @@ def _write_out(path: str, pieces: Iterator[str]) -> None:
     # file, or a new one, is written whole into a new file beside the
     # target and moved over it, so a failed write leaves PATH as it was;
     # the new file is then removed. It takes the old file's permission
-    # bits (hard links to the old file keep the old text); its name is
-    # random and it is opened with "x", so it is never an existing file.
-    # Anything else, a FIFO, device or socket, is opened and written in
-    # place; so is a directory, or a name in a missing one ("new/",
-    # "missing/x"), and that open fails as `> PATH` does.
+    # bits and owner (hard links to the old file keep the old text); its
+    # name is random and it is opened with "x", so it is never an existing
+    # file. Where that new file cannot be made, or given the old owner (a
+    # read-only directory, another user's file, a name too long to extend),
+    # PATH is written in place. So is anything else, a FIFO, device or
+    # socket; and a directory, or a name in a missing one ("new/",
+    # "missing/x"), whose open fails as `> PATH` does.
     try:
-        mode = os.stat(path).st_mode
-        replace = stat.S_ISREG(mode)
+        old = os.stat(path)
+        replace = stat.S_ISREG(old.st_mode)
     except FileNotFoundError:
-        mode = None
+        old = None
         replace = os.path.isdir(os.path.dirname(path) or ".")
-    if not replace:
-        with open(path, "w") as file:
-            _write(file, pieces)
-        return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    file = open(temporary, "x")
+    file = _open_like(temporary, old) if replace else None
+    if file is None:
+        with open(path, "w") as file:
+            _write(file, pieces)
+        return
     try:
         with file:
-            if mode is not None:
-                os.chmod(temporary, stat.S_IMODE(mode))
             _write(file, pieces)
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def _open_like(path: str, old: os.stat_result | None) -> TextIO | None:
+    # A new file at `path`, open for writing, with the permission bits and
+    # owner of `old`, the file it is to replace, if there is one; or None
+    # where the file cannot be made or given them.
+    try:
+        file = open(path, "x")
+    except OSError:
+        return None
+    try:
+        if old is not None:
+            os.chmod(path, stat.S_IMODE(old.st_mode))
+            os.chown(path, old.st_uid, old.st_gid)
+    except OSError:
+        file.close()
+        os.unlink(path)
+        return None
+    return file
 
 
 def parse_residues(text: str) -> list[int]:

@@ -2,19 +2,22 @@
 to an integral value that shows no exponent, so that it reads back as a
 float.
 
-`format_floats` gives that text through the %-format, for scalars and a
-few values. `join_floats` renders a whole table or array without a Python
-string per value: the 17 digits of each value with 1e-29 <= |v| < 1, all
-but a handful of the rows of a bias or resistance table, are computed
-from a double-double product v * 10**p rounded half to even, the few
-other values go through `format_floats`, and the text is handed out one
-block of rows at a time, so no buffer holds the whole of it. Both give
-the same bytes. The last four digits come from a table without their
-trailing zeros, so only rows whose digits end in 0000 take a mask.
+`format_floats` gives that text through the %-format, in pure Python, for
+scalars, short arrays and a few values. `join_floats` renders a table or
+array of at most `_SHORT_ROWS` values from those texts in one piece, and a
+longer one without a Python string per value: the 17 digits of each value
+with 1e-29 <= |v| < 1, all but a handful of the rows of a bias or
+resistance table, are computed from a double-double product v * 10**p
+rounded half to even, the few other values go through `format_floats`,
+and the text is handed out one block of rows at a time, so no buffer holds
+the whole of it. Both give the same bytes. The last four digits come from
+a table without their trailing zeros, so only rows whose digits end in
+0000 take a mask.
 """
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Any, Iterator
 
 import numpy as np
@@ -30,20 +33,26 @@ def check_finite(values: np.ndarray) -> None:
 
 
 def format_floats(values: Any) -> list[str]:
-    """Text of each float in `values`: 17 significant digits, ".0" appended
-    to an integral value that prints without an exponent, so it reads back
-    as a float. The one float rule of every document; non-finite values
-    raise ValueError. This is the %-format form of the rule, for scalars
-    and for the rows `write_floats` does not compute itself: all values
-    go through one %-format call, and only the integral ones, few in any
-    document, are looked at one by one."""
-    values = np.asarray(values, dtype=np.float64)
-    check_finite(values)
-    texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
+    """Text of each float in `values`, Python floats or a float64 array:
+    17 significant digits, ".0" appended to an integral value that prints
+    without an exponent, so it reads back as a float. The one float rule
+    of every document; non-finite values raise ValueError. This is the
+    %-format form of the rule, for scalars, short arrays and the rows
+    `write_floats` does not compute itself. It calls no numpy function:
+    all values go through one %-format call, and only the integral ones,
+    few in any document, are looked at one by one."""
+    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    text = "%.17g," * len(values) % values
+    if "n" in text:  # only "nan", "inf" and "-inf" hold an "n"
+        bad = next(value for value in values if not math.isfinite(value))
+        raise ValueError(f"cannot serialize non-finite value {float(bad)!r}")
+    texts = text.split(",")
     texts.pop()
-    for i in np.flatnonzero(values == np.floor(values)).tolist():
-        if "e" not in texts[i]:
-            texts[i] += ".0"
+    integral = compress(range(len(texts)), map(float.is_integer, values))
+    if "e+" in text:  # from 1e17 up, an integral value shows an exponent
+        integral = [i for i in integral if "e" not in texts[i]]
+    for i in integral:
+        texts[i] += ".0"
     return texts
 
 
@@ -260,15 +269,31 @@ def write_floats(values: np.ndarray, out: np.ndarray) -> None:
         out[rest] = texts.view(np.uint8).reshape(rest.size, _FIELD)
 
 
+# Tables and arrays of at most this many values take the %-format of
+# `format_floats`; longer ones are computed by `_blocks`.
+_SHORT_ROWS = 128
+
+
 def join_floats(values: Any, indexed: bool) -> Iterator[str]:
     """The text "[v1, v2, ...]", or "[[1, v1], [2, v2], ...]" when
-    `indexed`, with each v in the text of `format_floats`, as one str per
-    block of `_BLOCK_ROWS` rows. Every value is checked to be finite before
-    this returns, so a caller that writes the blocks as they come has
-    written nothing when a value is refused."""
+    `indexed`, with each v in the text of `format_floats`: for at most
+    `_SHORT_ROWS` values, those texts joined in one str; for more, one str
+    per block of `_BLOCK_ROWS` rows. Every value is checked to be finite
+    before this returns, so a caller that writes the blocks as they come
+    has written nothing when a value is refused.
+
+    The %-format costs about 0.6 us a value, `_blocks` a fixed cost of
+    some 60 numpy calls. On search tables the two cross between 128 and
+    160 rows with warm caches, and at about 400 rows with caches cold, as
+    a one-shot run finds them (figures in ROADMAP.md, "Decided")."""
     values = np.asarray(values, dtype=np.float64)
-    check_finite(values)
-    return _blocks(values, indexed)
+    if values.size > _SHORT_ROWS:
+        check_finite(values)
+        return _blocks(values, indexed)
+    items = format_floats(values)
+    if indexed:
+        items = map("[%d, %s]".__mod__, enumerate(items, 1))
+    return iter(("[" + ", ".join(items) + "]",))
 
 
 def _blocks(values: np.ndarray, indexed: bool) -> Iterator[str]:

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -95,9 +96,9 @@ def scalar_rule(value):
 
 
 def table_oracle(values):
-    # The join `join_floats` replaced: every value through the %-format
-    # rule of `format_floats`, then one "[%d, %s]" per row.
-    texts = floattext.format_floats(values)
+    # A table one value at a time: each through `scalar_rule`, then one
+    # "[%d, %s]" per row.
+    texts = [scalar_rule(value) for value in np.asarray(values).tolist()]
     pairs = [None] * (2 * len(texts))
     pairs[0::2] = range(1, len(texts) + 1)
     pairs[1::2] = texts
@@ -106,7 +107,8 @@ def table_oracle(values):
 
 def array_oracle(values):
     # The same for a plain array of floats, such as the amplitudes.
-    return "[" + ", ".join(floattext.format_floats(values)) + "]"
+    texts = [scalar_rule(value) for value in np.asarray(values).tolist()]
+    return "[" + ", ".join(texts) + "]"
 
 
 def kernel_texts(values):
@@ -223,9 +225,14 @@ TIES = [
 # %-format.
 INEXACT_TIES = [m / 2.0**24 for m in range(3, 16, 2)] + [1 / 2.0**25, 3 / 2.0**25]
 
+# A stand-in for numpy inside `floattext` that holds the array type only,
+# so that any numpy call fails.
+NO_NUMPY = types.SimpleNamespace(ndarray=np.ndarray)
+
 FORMAT_CASES = [
     0.0, -0.0, 1.0, -1.0, 2.0**60, 1e16, -1e16, 1e17, 5e-324,
     6.123233995736766e-17, 0.7071067811865476, 2.0**53 + 2, 4503599627370495.5,
+    2.0**53, 1.7976931348623157e308, 0.1,
 ]
 
 
@@ -244,9 +251,20 @@ class TestFloatFormatter:
 
     @pytest.mark.parametrize("value", FORMAT_CASES)
     def test_explicit_cases(self, value):
+        # In an array, and as `cli._fragment` and the timing field pass a
+        # scalar: a Python float.
         (text,) = floattext.format_floats(np.array([value]))
-        assert text == scalar_rule(value)
+        assert [text] == floattext.format_floats((value,)) == [scalar_rule(value)]
         assert math.copysign(1.0, float(text)) == math.copysign(1.0, value)
+
+    def test_calls_no_numpy_function(self, monkeypatch):
+        values = [0.5, -0.0, 1.0, 1e17, 3e-31, -2.0**60, 123.0]
+        array = np.array(values)
+        expected = [scalar_rule(value) for value in values]
+        monkeypatch.setattr(floattext, "np", NO_NUMPY)
+        assert floattext.format_floats(values) == expected
+        assert floattext.format_floats(array) == expected
+        assert floattext.format_floats(()) == []
 
     def test_negative_zero_keeps_its_sign_and_point(self):
         assert floattext.format_floats(np.array([-0.0, 0.0, 1e16])) == [
@@ -390,7 +408,8 @@ class TestFloatKernel:
 
         def recorded(rest):
             taken.extend(rest.tolist())
-            return format_floats(rest)
+            with mock.patch.object(floattext, "np", NO_NUMPY):  # no numpy call
+                return format_floats(rest)
 
         floattext.format_floats = recorded
         try:
@@ -467,6 +486,76 @@ class TestFloatKernel:
             tracemalloc.stop()
         assert length > 3_500_000
         assert peak < 300 * floattext._BLOCK_ROWS
+
+
+def route_values(size):
+    # `size` values that meet every part of the rule: computed rows, both
+    # zeros, integral values with and without an exponent, and rows
+    # below 1e-29, which the computed route also sends to the %-format.
+    values = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+    values[::7] *= 1e-6
+    values[::11] = 0.0
+    values[::13] = 1.0
+    values[::17] = -0.0
+    values[::19] = -1e17
+    values[::23] = 3e-31
+    return values
+
+
+class TestFloatRoutes:
+    # `join_floats` sends at most `_SHORT_ROWS` values to the %-format and
+    # more to the computed blocks; both give the oracle's text.
+    SHORT = floattext._SHORT_ROWS
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["array", "table"])
+    @pytest.mark.parametrize("size", [1, 2, SHORT, SHORT + 1])
+    def test_join_matches_the_oracle(self, size, indexed):
+        values = route_values(size)
+        oracle = table_oracle if indexed else array_oracle
+        assert "".join(floattext.join_floats(values, indexed)) == oracle(values)
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["array", "table"])
+    @pytest.mark.parametrize("size", [1, 2, SHORT])
+    def test_computed_route_at_short_sizes(self, size, indexed):
+        # The sizes `join_floats` no longer computes stay cross-checked.
+        values = route_values(size)
+        oracle = table_oracle if indexed else array_oracle
+        assert "".join(floattext._blocks(values, indexed)) == oracle(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_short_array_refuses_a_non_finite_value(self, bad):
+        values = np.full(self.SHORT, 0.5)
+        values[-1] = bad
+        message = f"^cannot serialize non-finite value {re.escape(repr(bad))}$"
+        for indexed in (False, True):
+            with pytest.raises(ValueError, match=message):
+                floattext.join_floats(values, indexed)
+        # Before the document's first piece is handed out.
+        pieces = cli.render_report({"amplitudes": values})
+        with pytest.raises(ValueError, match=message):
+            next(pieces)
+
+    def test_route_follows_the_size(self, capsys, monkeypatch):
+        # A search document at q = 101 computes no block; a table one row
+        # longer than the %-format takes computes one.
+        sizes = []
+        write = floattext.write_floats
+
+        def recorded(values, out):
+            sizes.append(values.size)
+            write(values, out)
+
+        monkeypatch.setattr(floattext, "write_floats", recorded)
+        argv = ["search", "--q", "101", "--n", "4", "--trials", "200", "--seed", "7"]
+        document, _ = run_json(capsys, argv)
+        assert len(document["outputs"]["table"]) == 100
+        assert sizes == []
+        values = np.full(self.SHORT, 0.25)
+        assert "".join(floattext.join_floats(values, True)) == table_oracle(values)
+        assert sizes == []
+        values = np.full(self.SHORT + 1, 0.25)
+        assert "".join(floattext.join_floats(values, True)) == table_oracle(values)
+        assert sizes == [self.SHORT + 1]
 
 
 # dumps_report joins top-level keys with ",\n" at an indent of two spaces.
@@ -1154,6 +1243,82 @@ class TestOutTargets:
         assert self.write(capsys, path) == (0, f"wrote {path}\n")
         assert stat.S_IMODE(os.stat(path).st_mode) == mode
         assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+
+    def test_regular_file_keeps_its_owner(self, capsys, monkeypatch, tmp_path):
+        # Run as root, a file of uid 1000 stays uid 1000's, as `> PATH`
+        # keeps it; run as another user, os.chown is recorded instead.
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        calls = []
+        if os.geteuid() == 0:
+            os.chown(path, 1000, 1000)
+        else:
+            monkeypatch.setattr(os, "chown", lambda *args: calls.append(args))
+        old = os.stat(path)
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        new = os.stat(path)
+        assert new.st_ino != old.st_ino  # replaced, not written in place
+        if os.geteuid() == 0:
+            assert (new.st_uid, new.st_gid) == (1000, 1000)
+        else:
+            assert [args[1:] for args in calls] == [(old.st_uid, old.st_gid)]
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_refused_owner_writes_in_place(self, capsys, monkeypatch, tmp_path):
+        # Another user's file, in a directory the runner may write: the new
+        # file cannot take its owner, so PATH is written in place, as
+        # `> PATH` writes it, and the new file is removed.
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        inode = os.stat(path).st_ino
+
+        def refuse(*args):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "chown", refuse)
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        monkeypatch.undo()
+        assert os.stat(path).st_ino == inode
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
+    def test_refused_new_file_writes_in_place(
+        self, capsys, monkeypatch, tmp_path, present
+    ):
+        # A writable file in a read-only directory: no new file can be made
+        # beside it, so PATH is written in place.
+        path = tmp_path / "report.json"
+        if present:
+            path.write_text("old")
+        inode = os.stat(path).st_ino if present else None
+        real_open = open
+
+        def refuse_new(file, mode="r", *args, **kwargs):
+            if mode == "x":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse_new, raising=False)
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        monkeypatch.undo()
+        if present:
+            assert os.stat(path).st_ino == inode
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
+    def test_longest_name_is_written_in_place(self, capsys, tmp_path, present):
+        # A name of 255 bytes, the most a directory entry holds: the new
+        # file's longer name is refused (ENAMETOOLONG), so PATH is written
+        # in place.
+        path = tmp_path / ("r" * 250 + ".json")
+        if present:
+            path.write_text("old")
+        assert self.write(capsys, path) == (0, f"wrote {path}\n")
+        assert TIMING_FIELD.sub("", path.read_text()) == self.document(capsys)
+        assert os.listdir(tmp_path) == [path.name]
 
     def test_hard_link_keeps_the_old_text(self, capsys, tmp_path):
         # The one limit of replace-by-rename: PATH gets a new file, and
