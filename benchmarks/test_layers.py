@@ -263,8 +263,9 @@ def _draw_sweep(q, n, with_sum):
     return sweep
 
 
-def _squares_built(sweep):
-    # The squares one more, untimed, run of `sweep` builds.
+def _squares_read(sweep):
+    # The squares one more, untimed, run of `sweep` asks for: one a scan at
+    # q <= 256, which the timed runs built once and then read as kept.
     with mock.patch.object(
         analysis, "_cosine_square", wraps=analysis._cosine_square
     ) as square:
@@ -278,7 +279,7 @@ def test_search_block_sweep(benchmark):
     # scan's square.
     sweep = _draw_sweep(101, 4, False)
     sizes = benchmark(sweep)
-    assert _squares_built(sweep) == 1 and sizes[0] == 163
+    assert _squares_read(sweep) == 1 and sizes[0] == 163
 
 
 def test_search_block_sweep_square_switch(benchmark):
@@ -286,14 +287,43 @@ def test_search_block_sweep_square_switch(benchmark):
     # blocks, six parameters and the sum factor.
     sweep = _draw_sweep(256, 6, True)
     sizes = benchmark(sweep)
-    assert _squares_built(sweep) == 1 and sizes[0] == 64
+    assert _squares_read(sweep) == 1 and sizes[0] == 64
 
 
 def test_search_block_sweep_past_switch(benchmark):
     # One modulus up, whose 64-row blocks run the table loop.
     sweep = _draw_sweep(257, 6, True)
     sizes = benchmark(sweep)
-    assert _squares_built(sweep) == 0 and sizes[0] == 64
+    assert _squares_read(sweep) == 0 and sizes[0] == 64
+
+
+# Each kind of table kept per modulus, at the workload that reads it: the
+# cosine table of resist-wide, search-small's square, the log tables of
+# bias-sweep and the roots of a composite bias sweep.
+_TABLES = [
+    ("_cosine_table", 131072),
+    ("_cosine_square", 101),
+    ("_log_tables", 65537),
+    ("_roots", 65536),
+]
+
+
+@pytest.mark.parametrize("name, q", _TABLES)
+def test_table_cold(benchmark, name, q):
+    # A build with no table kept, as a process's first call at q pays; the
+    # square's includes the cosine table it is built from.
+    table = getattr(analysis, name)
+    benchmark.pedantic(table, args=(q,), setup=analysis._kept_tables.clear, rounds=30)
+    assert analysis._kept_tables[name][0] == q
+
+
+@pytest.mark.parametrize("name, q", _TABLES)
+def test_table_warm(benchmark, name, q):
+    # A later call at the same q: the lookup of the kept table.
+    table = getattr(analysis, name)
+    analysis._kept_tables.clear()
+    kept = table(q)
+    assert benchmark(table, q) is kept
 
 
 def test_draw_block(benchmark):

@@ -34,11 +34,12 @@ rows of it. Both read the same table value for every cell and multiply in
 parameter order, so a closed-form sweep is bit-identical to the direct
 route, for one row or for any row of a block. A search's scan is swept by
 `_closed_sweeps`, in blocks of about 2**14 cells (128 kB of values), so
-each block stays in cache; it makes the table, the square once built, and
-the buffers every block is written into once per scan. A block hands back
-row maxima: each row's max |inner product| over the differences [1, w],
-for any w, the max of the first w cells of its full sweep bit for bit, as
-each cell reads the same table value and gets the same multiplies.
+each block stays in cache; it asks for the table, and the square once
+built, and makes the buffers every block is written into once per scan. A
+block hands back row maxima: each row's max |inner product| over the
+differences [1, w], for any w, the max of the first w cells of its full
+sweep bit for bit, as each cell reads the same table value and gets the
+same multiplies.
 
 At prime q the bias sweep takes a third path, in discrete-log order
 (`_log_sweep`). With g the smallest generator of the nonzero residues and
@@ -55,6 +56,15 @@ A bias sweep peaks at about 32 MB at q = 2**20, its complex roots and
 totals, and at about 36 MB at the prime q = 1048573, its complex R and
 totals and the int32 logs. The square is at most 1 MB, at q = 256. A bias
 sweep is also bounded in work: |B| * (q - 1) <= MAX_BIAS_EVALS.
+
+The tables that depend on q alone, the cosine table, the square, the
+roots and the log tables, are built once per process for the last modulus
+of each kind (`_per_modulus`), so a caller that repeats a modulus, such as
+a loop over parameter sets at one q, builds each once. They are read-only,
+bit-identical to a fresh build, and kept only up to 4 MiB a kind
+(`_KEPT_BYTES`), so a process holds at most about 13 MiB of them and the
+tables at the sweep cap are freed after their sweep, as the peaks above
+count.
 """
 from __future__ import annotations
 
@@ -94,6 +104,42 @@ _SQUARE_MAX_Q = 256
 # budget is about 100 s there; prime q adds contiguous windows, about 2 ns
 # a pair at q = 1048573. The single-x bias is O(|B|) and needs none.
 MAX_BIAS_EVALS = 10**10
+
+# Largest total size of one kind's kept tables. 4 MiB keeps the cosine table
+# and the roots up to q = 2**18 and the log tables, 20 bytes a residue, up
+# to the prime 209707, so the four kinds hold at most about 13 MiB. The
+# tables at the sweep cap, 17 to 21 MB, are freed after their sweep, so the
+# cap's memory peaks stay those of one sweep.
+_KEPT_BYTES = 4 << 20
+
+# kind -> (q, its tables), the last modulus each kind was kept at.
+_kept_tables: dict[str, tuple[int, object]] = {}
+
+
+def _per_modulus(build):
+    # `build(q)`, one array or a tuple of arrays that depend on q alone, made
+    # once per process for the last modulus of its kind: a call at that q
+    # hands back the same arrays, a call at another q replaces them. Every
+    # array it returns is read-only, kept or not. An entry is one (q,
+    # tables) tuple, set and read whole by one dict operation, so threads
+    # need no lock: two that build one kind at once make bit-identical
+    # tables, and one that reads while another replaces the entry holds
+    # whole tables of the q it asked for.
+    kind = build.__name__
+
+    def kept(q: int):
+        entry = _kept_tables.get(kind)
+        if entry is not None and entry[0] == q:
+            return entry[1]
+        made = build(q)
+        arrays = made if isinstance(made, tuple) else (made,)
+        for array in arrays:
+            array.flags.writeable = False
+        if sum(array.nbytes for array in arrays) <= _KEPT_BYTES:
+            _kept_tables[kind] = (q, made)
+        return made
+
+    return kept
 
 
 @dataclass
@@ -225,15 +271,18 @@ def _generator(q: int) -> int:
     )
 
 
-def _log_sweep(q: int, elements: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    # The bias sweep's sums at prime q in discrete-log order: total[k] is
-    # the sum over B at x = g ** k, returned with the int32 table logs[x]
-    # = k for x in [1, q). With b = g ** L, roots[(b * x) % q] at x = g ** k
-    # is R[(k + L) % (q - 1)], with R[k] = roots[g ** k % q] (`log_roots`).
-    # So b's terms over a block of x are a window of R, read as one slice,
-    # or two where it wraps; b = 0 adds roots[0] = 1. The first b is
-    # written and every later b added, in B's order, so every value gets
-    # the IEEE additions of `_table_sweep` on the roots.
+@_per_modulus
+def _roots(q: int) -> np.ndarray:
+    # The q roots exp(2*pi*i*r/q), r in [0, q), from the float expression a
+    # direct sum evaluates at residue r.
+    return np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
+
+
+@_per_modulus
+def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # The discrete-log tables of a prime q, with g = `_generator(q)`: the
+    # int32 logs[x] = k for x = g ** k in [1, q), and the complex R[k] =
+    # roots[g ** k % q] for k in [0, q - 1).
     period = q - 1
     g = _generator(q)
     # The powers g ** k % q as baby steps g ** j times giant steps
@@ -246,17 +295,33 @@ def _log_sweep(q: int, elements: tuple[int, ...]) -> tuple[np.ndarray, np.ndarra
     )
     powers %= q
     powers = powers.ravel()[:period]
-    logs = np.empty(q, dtype=np.int32)
+    # logs[0], which no power reaches, is 0, so every build has the same
+    # bits.
+    logs = np.zeros(q, dtype=np.int32)
     logs[powers] = np.arange(period, dtype=np.int32)
     # R from the roots' own float expression at each power, so R[k] has the
     # bits of roots[g ** k % q]. Each q-sized temporary is freed before the
     # next is made, and exp runs in place: the peak at the cap is R, the
-    # total and the logs.
+    # sweep's total and the logs.
     arg = (2.0 * np.pi / q) * powers
     del powers
     log_roots = 1j * arg
     del arg
     np.exp(log_roots, out=log_roots)
+    return logs, log_roots
+
+
+def _log_sweep(q: int, elements: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # The bias sweep's sums at prime q in discrete-log order: total[k] is
+    # the sum over B at x = g ** k, returned with the int32 table logs[x]
+    # = k for x in [1, q). With b = g ** L, roots[(b * x) % q] at x = g ** k
+    # is R[(k + L) % (q - 1)] (`_log_tables`). So b's terms over a block of
+    # x are a window of R, read as one slice, or two where it wraps; b = 0
+    # adds roots[0] = 1. The first b is written and every later b added, in
+    # B's order, so every value gets the IEEE additions of `_table_sweep`
+    # on the roots.
+    period = q - 1
+    logs, log_roots = _log_tables(q)
     shifts = [int(logs[b]) if b else None for b in elements]
     total = np.empty(period, dtype=np.complex128)
     width = min(_SWEEP_BLOCK, period)
@@ -289,12 +354,13 @@ def epsilon_of_biased_set(biased: BiasedSet) -> ResistanceReport:
     # roots[r] = exp(2*pi*i*r/q) from the float expression a direct sum
     # evaluates at residue r, so every value gets the same IEEE additions
     # as that direct sum. At prime q the sums come in discrete-log order;
-    # otherwise the table loop gathers from the q roots, freed after it.
+    # otherwise the table loop gathers from the q roots, freed after it
+    # unless they are kept.
     logs = None
     if _is_prime(q):
         total, logs = _log_sweep(q, biased.elements)
     else:
-        roots = np.exp(1j * ((2.0 * np.pi / q) * np.arange(q, dtype=np.int64)))
+        roots = _roots(q)
         total = _table_sweep(roots, q, list(biased.elements), np.add)
         del roots
     # Divide in place, so no third q-sized complex array is made, and free
@@ -382,6 +448,7 @@ def simulated_inner(
     )
 
 
+@_per_modulus
 def _cosine_table(q: int) -> np.ndarray:
     # cos(pi * k / q) for k in [0, 2q), from the same float expression the
     # direct route evaluates; the float arange is exact, so the table takes
@@ -391,13 +458,15 @@ def _cosine_table(q: int) -> np.ndarray:
     return np.cos(table, out=table)
 
 
-def _cosine_square(table: np.ndarray) -> np.ndarray:
-    # The square table[(s * d) % 2q] for s in [0, 2q) and d in [1, q): row
-    # s % 2q holds every difference's term of a factor s, since
-    # (s % 2q) * d = s * d mod 2q. The products and their remainders are
-    # uint32, as s * d < 2q * q <= 2**17 at q <= _SQUARE_MAX_Q; take reads
-    # an intp index, and converting first frees the uint32 one before the
-    # square is made, so the peak stays that of an int64 build.
+@_per_modulus
+def _cosine_square(q: int) -> np.ndarray:
+    # The square table[(s * d) % 2q] of the cosine table for s in [0, 2q)
+    # and d in [1, q): row s % 2q holds every difference's term of a factor
+    # s, since (s % 2q) * d = s * d mod 2q. The products and their
+    # remainders are uint32, as s * d < 2q * q <= 2**17 at q <= _SQUARE_MAX_Q;
+    # take reads an intp index, and converting first frees the uint32 one
+    # before the square is made, so the peak stays that of an int64 build.
+    table = _cosine_table(q)
     modulus = table.size
     index = np.multiply.outer(
         np.arange(modulus, dtype=np.uint32), np.arange(1, modulus // 2, dtype=np.uint32)
@@ -427,14 +496,15 @@ def _closed_sweeps(
     # maxima(subset, width) is each row of `subset`'s max |inner product|
     # (as in `_closed_inner_values`) over the differences [1, width]. The
     # first block holds `_block_rows(q)` rows, and later ones double up to
-    # about 2**14 cells of `window` differences. The cosine table is built
-    # once per scan. At q <= _SQUARE_MAX_Q the first draw of at least 2q
-    # rows builds the square: 2q (q - 1) cells, no more than one factor of
-    # the table loop on those rows. Every later sweep reads it, whatever
-    # its size, over its first `width` columns. Every sweep writes into the
-    # same flat buffers, made at the first draw, so they reuse what a
-    # caller freed before it, such as the draw's own temporaries; a width
-    # reshapes them, and rows pass through as many as they hold at once.
+    # about 2**14 cells of `window` differences. The cosine table is asked
+    # for once per scan. At q <= _SQUARE_MAX_Q the first draw of at least 2q
+    # rows asks for the square, which a cold build makes in 2q (q - 1)
+    # cells, no more than one factor of the table loop on those rows. Every
+    # later sweep reads it, whatever its size, over its first `width`
+    # columns. Every sweep writes into the same flat buffers, made at the
+    # first draw, so they reuse what a caller freed before it, such as the
+    # draw's own temporaries; a width reshapes them, and rows pass through
+    # as many as they hold at once.
     table = _cosine_table(q)
     square = buffers = None
     size = most = min(_block_rows(q), rows)
@@ -476,7 +546,7 @@ def _closed_sweeps(
     start = 0
     for drawn in draws:
         if square is None and 2 * q <= len(drawn) and q <= _SQUARE_MAX_Q:
-            square = _cosine_square(table)
+            square = _cosine_square(q)
         if buffers is None:
             # Rows of every difference, with room for the window's largest
             # block in the buffers of one block of x: the table loop's four,

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -578,7 +580,7 @@ class TestCosineTableBits:
             table = analysis._cosine_table(q)
             s, d = np.arange(2 * q, dtype=np.int64), np.arange(1, q, dtype=np.int64)
             index = np.multiply.outer(s, d) % (2 * q)
-            self.assert_bitwise(analysis._cosine_square(table), table[index])
+            self.assert_bitwise(analysis._cosine_square(q), table[index])
 
     @given(
         qs=st.lists(
@@ -607,6 +609,119 @@ class TestCosineTableBits:
         # Verify takes both products from one pass; each keeps these bits.
         pair = analysis._closed_inner_pair(column, rows, dx)
         self.assert_bitwise(pair[with_sum], expected)
+
+
+def table_arrays(tables):
+    return tables if isinstance(tables, tuple) else (tables,)
+
+
+def table_bytes(tables):
+    return [(a.dtype, a.shape, a.tobytes()) for a in table_arrays(tables)]
+
+
+class TestKeptTables:
+    # Tables that depend on q alone are kept per kind for the last modulus,
+    # read-only, up to analysis._KEPT_BYTES: 4 MiB holds the cosine table
+    # and the roots up to q = 2**18, and the log tables (20 bytes a residue)
+    # up to the prime 209707.
+
+    @pytest.mark.parametrize(
+        "name, q",
+        [("_cosine_table", q) for q in (2, 101, 4099, 131072, 1 << 18)]
+        + [("_cosine_square", q) for q in (2, 101, 256)]
+        + [("_log_tables", q) for q in (2, 3, 65537, 209707)]
+        + [("_roots", q) for q in (4, 65536, 1 << 18)],
+    )
+    def test_kept_table_is_a_read_only_fresh_build(self, name, q):
+        table = getattr(analysis, name)
+        kept = table(q)
+        assert table(q) is kept
+        assert analysis._kept_tables[name] == (q, kept)
+        for array in table_arrays(kept):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        analysis._kept_tables.clear()
+        fresh = table(q)
+        assert fresh is not kept
+        assert table_bytes(fresh) == table_bytes(kept)
+
+    def test_another_modulus_replaces_the_entry(self):
+        first = analysis._cosine_table(101)
+        other = analysis._cosine_table(103)
+        assert analysis._kept_tables["_cosine_table"] == (103, other)
+        again = analysis._cosine_table(101)
+        assert again is not first
+        assert table_bytes(again) == table_bytes(first)
+
+    @pytest.mark.parametrize(
+        "name, q",
+        [
+            ("_cosine_table", MAX_SWEEP_MODULUS),
+            ("_cosine_table", (1 << 18) + 1),
+            ("_log_tables", 1048573),
+            ("_log_tables", 209717),
+            ("_roots", (1 << 18) + 2),
+        ],
+    )
+    def test_tables_past_the_limit_are_not_kept(self, name, q):
+        table = getattr(analysis, name)
+        made = table(q)
+        assert sum(a.nbytes for a in table_arrays(made)) > analysis._KEPT_BYTES
+        assert not any(a.flags.writeable for a in table_arrays(made))
+        assert name not in analysis._kept_tables
+        assert table(q) is not made
+
+    def test_threads_read_whole_tables_while_entries_are_replaced(self):
+        # Eight threads, more than the cores of a small host, each ask for
+        # every kind at one of two moduli in turn, opposite to its
+        # neighbours, so entries are replaced while other threads read
+        # them. Every result is bit-equal to a serial run's.
+        def sweep(kind, q):
+            if kind == "closed":
+                report = collision_resistance(ParamSet(q, (3, 5, 7)), HashForm.SHALLOW)
+            elif kind == "bias":
+                report = epsilon_of_biased_set(BiasedSet(q, (0, 1, 5, 77, q - 1)))
+            else:
+                config = search.SearchConfig(q=q, n=3, trials=2 * q + 1, seed=q)
+                result = search.random_search(config, HashForm.SINGLE_QUBIT)
+                return repr((result.best_set, result.history)), table_bytes(
+                    result.report.values
+                )
+            return table_bytes(report.values)
+
+        kinds = [
+            ("closed", (1009, 1013)),  # cosine tables
+            ("bias", (1009, 1013)),  # log tables
+            ("bias", (1024, 1026)),  # roots
+            ("search", (101, 103)),  # squares
+        ]
+        expected = {(kind, q): sweep(kind, q) for kind, pair in kinds for q in pair}
+        results, errors = [], []
+
+        def work(t):
+            try:
+                for r in range(12):
+                    for kind, pair in kinds:
+                        q = pair[(t + r) % 2]
+                        results.append(((kind, q), sweep(kind, q)))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 8 * 12 * len(kinds)
+        for key, value in results:
+            assert value == expected[key], key
 
 
 class TestSimulatedInner:

@@ -812,6 +812,41 @@ class TestDocuments:
         assert body != out
         assert hashlib.sha256(body.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, kind, q",
+        [
+            (
+                "resist --q 131072 --s 12345,67891,23456,78901,34567,89012"
+                " --form shallow",
+                "_cosine_table",
+                131072,
+            ),
+            (
+                "bias --q 65537 --b "
+                + ",".join(str(7919 * k % 65537) for k in range(200)),
+                "_log_tables",
+                65537,
+            ),
+            (
+                "bias --q 65536 --b 0,65535,32768,2,4096,12345,65534,8192",
+                "_roots",
+                65536,
+            ),
+            ("search --q 101 --n 4 --trials 2000 --seed 7", "_cosine_square", 101),
+        ],
+    )
+    def test_kept_tables_write_the_cold_document(self, capsys, argv, kind, q):
+        # In one process, a second run at the same q reads the tables the
+        # first built and kept, and writes the first's document byte for
+        # byte apart from timing_seconds.
+        bodies = []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, argv.split())
+            assert code == 0, err
+            bodies.append(TIMING_FIELD.sub("", out, count=1))
+            assert analysis._kept_tables[kind][0] == q
+        assert bodies[1] == bodies[0]
+
     def test_timing_is_the_last_field(self, capsys):
         _, out, _ = run_cli(capsys, ["resist", "--q", "7", "--s", "3"])
         assert re.search(r',\n  "timing_seconds": [^\n]*\n\}\n\Z', out)

@@ -556,18 +556,28 @@ class TestBlockScan:
         # draw of one at q = 256 that never meets its target. A scan that
         # reads the square from its first draw makes only its values and
         # terms, not the table loop's buffers; re-certifying the winner
-        # makes one more table and set of them.
+        # asks for the table again and makes one more set of them. The
+        # square's build asks for the table too, and every ask at q gets
+        # the one table kept at the first.
         config = SearchConfig(q=q, n=4, trials=trials, seed=7, target_epsilon=target)
-        counted = {}
+        counted, tables = {}, []
+
+        def table(modulus, build=analysis._cosine_table):
+            tables.append(build(modulus))
+            return tables[-1]
+
         with contextlib.ExitStack() as stack:
-            for name in ("_cosine_table", "_cosine_square", "_loop_buffers"):
+            for name in ("_cosine_square", "_loop_buffers"):
                 wrapped = mock.patch.object(
                     analysis, name, wraps=getattr(analysis, name)
                 )
                 counted[name] = stack.enter_context(wrapped)
+            recorded = mock.patch.object(analysis, "_cosine_table", side_effect=table)
+            counted["_cosine_table"] = stack.enter_context(recorded)
             random_search(config, HashForm.SINGLE_QUBIT)
         first_draw = squares and target is None
-        assert counted["_cosine_table"].call_count == 2
+        assert counted["_cosine_table"].call_count == 2 + squares
+        assert len({id(t) for t in tables}) == 1
         assert counted["_loop_buffers"].call_count == (1 if first_draw else 2)
         assert counted["_cosine_square"].call_count == squares
 
@@ -584,6 +594,8 @@ class TestBlockScan:
         # the window's gathers from the square's first columns.
         config = SearchConfig(q=q, n=4, trials=2000, seed=7)
         random_search(config, HashForm.SINGLE_QUBIT)
+        # The measured search builds its tables, as a process's first does.
+        analysis._kept_tables.clear()
         tracemalloc.start()
         try:
             random_search(config, HashForm.SINGLE_QUBIT)
