@@ -40,7 +40,7 @@ from zqhash.search import (
     random_search,
 )
 from zqhash.statevec import apply_controlled_ry, apply_h, zero_state
-from zqhash.verification import _chunk_states, check_inner_products
+from zqhash.verification import _chunk_gaps, _chunk_states, check_inner_products
 
 
 def _residues(q, count, seed):
@@ -134,6 +134,14 @@ def test_chunk_states(benchmark):
         (527, 64),
         (527, 64),
     ]
+
+
+def test_chunk_gaps(benchmark):
+    # That chunk's Gram pass: its states, closed forms and identity check,
+    # and each Gram compared as it is made.
+    gaps, breaks = benchmark(_chunk_gaps, *_verify_sim_chunk())
+    assert max(gaps) < 1e-10
+    assert breaks.size == 0
 
 
 def test_draw_sets(benchmark):

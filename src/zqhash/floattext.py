@@ -300,11 +300,9 @@ def _blocks(values: np.ndarray, indexed: bool) -> Iterator[str]:
     # Each block of rows is written into one byte matrix, NUL for every
     # dropped byte, backed by a bytearray whose NULs one `translate`
     # deletes. Digits are written in groups through uint16 and uint32
-    # views of column spans of even width.
+    # views of column spans of even width. `join_floats` sends no empty
+    # array here.
     n = values.size
-    if n == 0:
-        yield "[]"
-        return
     x_width = -(-len(str(n)) // 2) * 2 if indexed else 0
     start = 3 + x_width if indexed else 0
     tail = b"], " if indexed else b", "

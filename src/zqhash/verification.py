@@ -26,15 +26,17 @@ sets of one size are then checked together, in chunks of at most
 `hashing._block_circuits` writes the angles of all their circuits at
 once, 2n + 1 angle columns for the three circuits, and the trig is taken
 per gate: each Ry takes its own column's, 2n + 1 per chunk. One batched
-run each makes the single-qubit and the shallow states. The sum-qubit circuit is the single-qubit one and one
-more Ry, so its states are the single-qubit batch widened by a qubit in
-|0> and rotated by the sum factor's Ry alone: 3n + 1 gates per chunk,
-not 4n + 1. The widened qubit's odd amplitudes start as +0.0, where the
-gate-by-gate run can leave -0.0, so some sum-qubit amplitudes differ
-from that run in the sign of a zero, and in nothing else; the tests
-check that every Gram matrix still agrees with that run's by bytes.
-Each state is copied to row-major order once, and each set's
-Gram matrix is its own block of rows times its transpose. The closed
+run each makes the single-qubit and the shallow states. The sum-qubit
+circuit is the single-qubit one and one more Ry, so its states are the
+single-qubit batch widened by a qubit in |0> and rotated by the sum
+factor's Ry alone: 3n + 1 gates per chunk, not 4n + 1. The widened
+qubit's odd amplitudes start as +0.0, where the gate-by-gate run can
+leave -0.0, so some sum-qubit amplitudes differ from that run in the
+sign of a zero, and in nothing else; the tests check that every Gram
+matrix still agrees with that run's by bytes. Each state is copied to
+row-major order once, and each set's Gram matrix, its own block of rows
+times its transpose, is compared as soon as it is made, beside its
+closed form or the shallow Gram in a second row of cells. The closed
 forms and subset-sum means are evaluated for the whole chunk at once,
 the means from one cosine table per set. The multiplexed-Ry check
 likewise runs all angle draws of one width as rows of one batch. Batches
@@ -57,7 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import _check_sweep_modulus, _closed_inner_pair
 from .hashing import MAX_PARAMS, _block_circuits, _check_int, _run
-from .search import _draw_rows
+from .search import _DRAW_ROWS, _draw_rows
 from .statevec import (
     StateVector,
     apply_controlled_ry,
@@ -77,7 +79,7 @@ IDENTITY_TOL = 1e-12
 # bounded at any width and any number of sets.
 _BATCH_AMPLITUDES = 1 << 16
 # Gram cells, the sum of q**2 over its sets, per chunk of the Gram checks:
-# a chunk holds five arrays of that many cells.
+# a chunk holds two arrays of that many cells.
 _BATCH_CELLS = 1 << 17
 
 # Work a verify request, or one public check, may take, in the units of
@@ -93,10 +95,6 @@ MAX_VERIFY_WORK = 10**10
 # product, in the same units.
 _SET_WORK = 1 << 12
 _PAIR_WORK = 16
-
-# Parameter sets drawn and checked per block, so the draw's working arrays
-# stay bounded however many sets a request has.
-_SET_BLOCK = 1 << 12
 
 
 @dataclass
@@ -238,11 +236,11 @@ def _chunk_gaps(
 ) -> tuple[list[float], np.ndarray]:
     # The three gaps of check_inner_products over a chunk of sets of one
     # size, and the positions of the sets whose closed forms break the
-    # identity. Row r of `cells` holds every set's q[k] x q[k] matrix r in
-    # turn: the three Grams, then both closed forms. Each state is copied
-    # to row-major order once, one state at a time, so each set's block is
-    # a C-ordered view and `block @ block.T`, written in place, is one
-    # BLAS syrk.
+    # identity. Row 0 of `cells` holds each set's q[k] x q[k] Gram, row 1
+    # its closed form or, beside the shallow Gram, the sum-qubit Gram;
+    # each gap writes over row 1. Each state is copied to row-major order
+    # once, so each set's block is a C-ordered view and `block @ block.T`,
+    # written in place, is one BLAS syrk.
     dx = np.arange(q.max())
     column = q[:, None]
     closed = np.stack(_closed_inner_pair(column, factors, dx))
@@ -252,22 +250,22 @@ def _chunk_gaps(
     # sliding windows over the form mirrored about dx = 0.
     mirrored = np.concatenate([closed[..., :0:-1], closed], axis=-1)
     at_distance = sliding_window_view(mirrored, dx.size, axis=-1)[:, :, ::-1]
-    stops, sizes = np.cumsum(q).tolist(), q.tolist()
-    cells = np.empty((5, int((q * q).sum())))
-    ends = np.cumsum(q * q).tolist()
-    matrices = [cells[:, e - m * m : e].reshape(5, m, m) for e, m in zip(ends, sizes)]
-    for i, state in enumerate(_chunk_states(factors, q)):
+    states = _chunk_states(factors, q)  # made before `cells`: fewer page faults
+    stops, sizes, ends = np.cumsum(q).tolist(), q.tolist(), np.cumsum(q * q).tolist()
+    cells = np.empty((2, int((q * q).sum())))
+    matrices = [cells[:, e - m * m : e].reshape(2, m, m) for e, m in zip(ends, sizes)]
+    gaps = []
+    for i, state in enumerate(states):
         rows = np.ascontiguousarray(state.amplitudes)
-        for stop, m, out in zip(stops, sizes, matrices):
+        for k, (stop, m, out) in enumerate(zip(stops, sizes, matrices)):
             block = rows[stop - m : stop]
-            np.matmul(block, block.T, out=out[i])
-        del rows, block
-    for k, (m, out) in enumerate(zip(sizes, matrices)):
-        out[3:] = at_distance[:, k, :m, :m]
-    single, shallow, with_sum, expected, expected_sum = cells
-    gaps = [_gap(single, expected), _gap(shallow, expected_sum)]
-    # Their last use: magnitudes in place, so fewer q x q arrays are held.
-    gaps.append(_gap(np.abs(shallow, out=shallow), np.abs(with_sum, out=with_sum)))
+            np.matmul(block, block.T, out=out[i // 2])
+            if i < 2:
+                out[1] = at_distance[i, k, :m, :m]
+        del rows, block  # freed before the next copy, for the same reason
+        if i == 2:  # |shallow Gram| against |sum-qubit Gram|
+            np.abs(cells, out=cells)
+        gaps.append(_gap(*cells))
     return gaps, np.flatnonzero(~(identity <= IDENTITY_TOL))
 
 
@@ -300,12 +298,13 @@ def check_inner_products(
     resistance_equivalence results, from one pass over random parameter
     sets. Set `index` of modulus q is drawn by default_rng([seed, q,
     index]): a size in [1, n_max], then its entries in [0, q). The sets
-    are drawn in blocks of _SET_BLOCK; within a block the sets of one size
-    are simulated together, one batched run per circuit and per chunk of
-    at most _BATCH_AMPLITUDES amplitudes and _BATCH_CELLS Gram cells, and
-    their closed forms are evaluated together per chunk. Raises
-    ValueError, before any work, on an argument run_all_checks would
-    refuse, on no moduli or past MAX_VERIFY_WORK work units."""
+    are drawn in blocks of _DRAW_ROWS, the most the stream port draws in
+    one call; within a block the sets of one size are simulated together,
+    one batched run per circuit and per chunk of at most _BATCH_AMPLITUDES
+    amplitudes and _BATCH_CELLS Gram cells, and their closed forms are
+    evaluated together per chunk. Raises ValueError, before any work, on
+    an argument run_all_checks would refuse, on no moduli or past
+    MAX_VERIFY_WORK work units."""
     moduli = [_check_sweep_modulus(q, "q value") for q in q_values]
     _check_int(len(moduli), "number of q values", 1, None)
     sets_per_q = _check_int(sets_per_q, "sets_per_q", 1, None)
@@ -320,8 +319,8 @@ def check_inner_products(
     count = q_values.size * sets_per_q
     worst = [0.0, 0.0, 0.0]
     diverged = None
-    for start in range(0, count, _SET_BLOCK):
-        drawn = np.arange(start, min(start + _SET_BLOCK, count))
+    for start in range(0, count, _DRAW_ROWS):
+        drawn = np.arange(start, min(start + _DRAW_ROWS, count))
         q = q_values[drawn // sets_per_q]
         index = (drawn % sets_per_q).astype(np.uint64)
         span = q.astype(np.uint64)

@@ -172,7 +172,7 @@ class TestFaultInjection:
     def test_first_divergence_named_across_set_blocks(self, monkeypatch, set_block):
         # The same set is named when the sets are drawn in smaller blocks,
         # with the first broken set alone in its block or behind others.
-        monkeypatch.setattr(verification, "_SET_BLOCK", set_block)
+        monkeypatch.setattr(verification, "_DRAW_ROWS", set_block)
         self.test_equivalence_catches_a_missing_sum_factor(monkeypatch)
 
 
@@ -380,26 +380,37 @@ def block_of(param_sets):
 
 
 def chunk_grams(param_sets):
-    # The block Gram matrices of each circuit form, one per set, from the
-    # chunk's cells as `_chunk_gaps` hands their first row to its first
-    # gap, before any gap overwrites them.
+    # The block Gram matrices of each circuit form, one per set, copied as
+    # `_chunk_gaps` makes each one into its two rows of cells. The gaps
+    # must compare them as made: the single-qubit and shallow Grams, then
+    # the shallow and sum-qubit Grams' magnitudes.
     factors, q = block_of(param_sets)
-    gap, cells = verification._gap, []
+    matmul, gap, grams, operands = np.matmul, verification._gap, [], []
 
-    def first_sees_cells(a, b):
-        if not cells:
-            cells.append(a.base.copy())
+    def records_grams(a, b, out):
+        assert out.base.shape == (2, int((q * q).sum()))
+        grams.append(matmul(a, b, out=out).copy())
+        return out
+
+    def records_operands(a, b):
+        operands.append((a.copy(), b.copy()))
         return gap(a, b)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verification, "_gap", first_sees_cells)
+        patch.setattr(np, "matmul", records_grams)
+        patch.setattr(verification, "_gap", records_operands)
         verification._chunk_gaps(factors, q)
-    assert cells[0].shape == (5, int((q * q).sum()))
-    pieces = np.split(cells[0][:3], np.cumsum(q * q)[:-1], axis=1)
-    return {
-        form: [piece[i].reshape(m, m) for piece, m in zip(pieces, q.tolist())]
-        for i, form in enumerate(FORMS)
-    }
+    assert [gram.shape for gram in grams] == [(m, m) for m in q.tolist()] * 3
+    sets = len(param_sets)
+    by_form = [grams[i * sets : (i + 1) * sets] for i in range(len(FORMS))]
+    single, shallow, with_sum = (
+        np.concatenate([gram.ravel() for gram in form]) for form in by_form
+    )
+    (first, _), (second, _), (magnitudes, sum_magnitudes) = operands
+    expected = [single, shallow, np.abs(shallow), np.abs(with_sum)]
+    for cells, made in zip([first, second, magnitudes, sum_magnitudes], expected):
+        assert cells.tobytes() == made.tobytes()
+    return dict(zip(FORMS, by_form))
 
 
 def stacked_grams(param_sets, form):
@@ -541,7 +552,7 @@ class TestBatchedGram:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_checks_are_independent_of_the_budget(self, monkeypatch, scale):
         # A budget of 1 runs every basis input and every set alone, and a
-        # set block of 1 draws every set alone.
+        # draw of one row draws every set alone.
         scale_flat_ry(monkeypatch, scale)
         scale_turn(monkeypatch, "_TURN_4PI", scale)
         whole = run_all_checks(q_max=14, n_max=4, trials=3)
@@ -549,7 +560,7 @@ class TestBatchedGram:
         broken = set(CHECK_NAMES) - {"single_qubit_inner_product"}
         assert failed == (broken if scale != 1.0 else set())
         monkeypatch.setattr(verification, "_BATCH_AMPLITUDES", 1)
-        monkeypatch.setattr(verification, "_SET_BLOCK", 1)
+        monkeypatch.setattr(verification, "_DRAW_ROWS", 1)
         alone = run_all_checks(q_max=14, n_max=4, trials=3)
         assert alone == whole
 
@@ -678,12 +689,13 @@ class TestCheckInputs:
 class TestMemory:
     def test_largest_single_set(self):
         # One set at q = 1,144, the largest q_max accepted at n_max = 1 and
-        # one trial. The chunk's five rows of cells (three Grams, two
-        # closed forms) are the q x q arrays it holds; each gap writes over
-        # its second operand and the closed forms at |i - j| are copied
-        # from sliding windows, so no sixth one appears. Measured 52.5 MB =
-        # 5.02 * 8 q**2 bytes; with a q x q index and a difference buffer
-        # as well it measured 73.3 MB.
+        # one trial. The chunk's two rows of cells (a Gram, and its closed
+        # form or another Gram) are the q x q arrays it holds; each gap
+        # writes over its second operand and the closed forms at |i - j|
+        # are copied from sliding windows, so no third one appears.
+        # Measured 22.2 MB = 2.12 * 8 q**2 bytes in a fresh interpreter,
+        # 2.02 on a second call; with all five matrices held at once it
+        # measured 53.7 MB = 5.13 units.
         q = 1144
         tracemalloc.start()
         try:
@@ -692,13 +704,14 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert all(result.passed for result in results)
-        assert peak < 5.5 * 8 * q * q
+        assert peak < 2.5 * 8 * q * q
 
     def test_many_large_sets(self):
         # 41 sets at q = 560..600, each over _BATCH_CELLS, so each runs in
-        # a chunk of its own and the peak is about the largest set's five
-        # q x q arrays: measured 15.6 MB = 5.4 * 8 * 600**2. Chunked by
-        # amplitudes alone, several of them shared a chunk: 96.9 MB.
+        # a chunk of its own and the peak is about the largest set's two
+        # q x q arrays: measured 6.0 MB = 2.07 * 8 * 600**2. Chunked by
+        # amplitudes alone, several of them shared a chunk: 96.9 MB with
+        # five arrays a chunk.
         tracemalloc.start()
         try:
             results = check_inner_products(range(560, 601), 1, 2)
@@ -706,7 +719,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert all(result.passed for result in results)
-        assert peak < 6 * 8 * 600 * 600
+        assert peak < 2.5 * 8 * 600 * 600
 
 
 class TestWorkBudget:
